@@ -18,8 +18,11 @@ from .halfint import frac, fmt
 from .weyl import GenuineParam, GroupTag, to_langlands, DimensionError
 from .spinclass import (
     MalformedParameter, Status, StringPairs, Verdict, classify,
-    enumerate_pairs, pairs_to_param, unitarity_test,
+    enumerate_pairs, pairs_to_param,
 )
+# not called here: bench/tracing.py wraps ``cli.unitarity_test``, so the
+# name must still resolve on this module
+from .spinclass import unitarity_test  # noqa: F401
 from . import intertwine, orbits, rewriter
 
 
@@ -42,17 +45,33 @@ def _parse_pairs(text: str, family: str) -> StringPairs:
         raise ParseError(str(exc)) from None
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; booleans and floats are not silently converted."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_row(doc: dict, key: str) -> list:
+    row = doc["pairs"][key]
+    if not isinstance(row, list):
+        raise ParseError(f"pairs.{key} must be a list of integers")
+    return [_json_int(v, f"pairs.{key} entry") for v in row]
+
+
 def _param_from_document(doc: dict) -> GenuineParam:
     try:
         family = doc["group"]
         if "pairs" in doc:
-            xs = doc["pairs"]["x"]
-            ys = doc["pairs"]["y"]
+            xs = _json_row(doc, "x")
+            ys = _json_row(doc, "y")
+            if len(xs) != len(ys):
+                raise ParseError("x-row and y-row have different lengths")
             pairs = StringPairs(family, tuple(zip(xs, ys)))
             return pairs_to_param(pairs)
         mu = [frac(s) for s in doc["mu"]]
         nu = [frac(s) for s in doc["nu"]]
-        rank = int(doc.get("rank", len(mu)))
+        rank = _json_int(doc["rank"], "rank") if "rank" in doc else len(mu)
         return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu))
     except ParseError:
         raise
@@ -148,9 +167,9 @@ def _row_for(pairs: StringPairs):
     p = pairs_to_param(pairs)
     verdict = classify(p)
     lp = to_langlands(p)
-    test = unitarity_test(pairs)
     if verdict.status is Status.UNITARY:
-        tag = "Yes - unipotent" if test.strict else "Yes"
+        # strict staircase inequalities are exactly those with nothing to peel
+        tag = "Yes" if verdict.certificate.stein_factors else "Yes - unipotent"
         witness = ""
     else:
         q = verdict.witness.q if verdict.witness else None
@@ -165,8 +184,14 @@ def _row_for(pairs: StringPairs):
     }
 
 
+def _table_pairs(args):
+    if args.rank < 1:
+        raise ParseError(f"--rank must be positive, not {args.rank}")
+    return enumerate_pairs(args.group, args.rank)
+
+
 def cmd_table(args) -> int:
-    rows = [_row_for(pairs) for pairs in enumerate_pairs(args.group, args.rank)]
+    rows = [_row_for(pairs) for pairs in _table_pairs(args)]
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
@@ -179,7 +204,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for pairs in enumerate_pairs(args.group, args.rank):
+    for pairs in _table_pairs(args):
         print(pairs)
     return 0
 

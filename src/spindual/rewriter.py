@@ -1,9 +1,11 @@
 """String-pair rewriting by complementary-series induction.
 
 Inducing a shift-1/2 factor whose continuous parameter is the column (dx; dy)
-inserts dx into the x-row and dy into the y-row of a string-pair matrix; both
-rows re-sort and columns re-pair positionally.  Repeated insertions normalize
-a parameter:
+adds its string to the +1/2 residue class.  On the string-pair matrix this is
+an integer row operation, and ``_insert`` implements it as one: dx goes into
+the x-row and dy into the y-row, both rows re-sort descending and the columns
+re-pair by position (an empty column (0; 0), left when a 1/2 joins a (0; y)
+string of family B, is dropped).  Repeated insertions normalize a parameter:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
   sum(y) - sum(x) is gone;
@@ -19,10 +21,10 @@ indefinite spin-relevant K-types, so the transcript certifies the witness.
 
 from dataclasses import dataclass
 
-from .spinclass import (
-    StringPairs, extract_pairs, peel_stein_factors, string_of_column,
-    unitarity_test,
-)
+from .spinclass import StringPairs, peel_stein_factors, unitarity_test
+# not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
+# ``rewriter.inserts`` span), so the name must still resolve on this module
+from .spinclass import extract_pairs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,16 @@ class NormalizedBase:
 
 
 def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
-    """Insert the string of the column (dx; dy) and re-extract the pairs.
+    """Induce the column (dx; dy): the row operation on the string pairs.
 
-    On the two rows this sorts dx into the x-row and dy into the y-row with
-    positional re-pairing, the induced-factor bookkeeping of the rewriting
-    transcripts.
+    dx joins the x-row and dy the y-row, both rows re-sort descending and
+    the columns re-pair by position; an empty (0; 0) column is dropped.  The
+    result equals re-extracting the string pairs of the half-class with the
+    string of (dx; dy) added.
     """
-    values = pairs.half_class() + string_of_column(dx, dy)
-    after = extract_pairs(pairs.family, tuple(sorted(values, reverse=True)))
+    xs = sorted(pairs.xs + (dx,), reverse=True)
+    ys = sorted(pairs.ys + (dy,), reverse=True)
+    after = StringPairs(pairs.family, tuple(c for c in zip(xs, ys) if c != (0, 0)))
     return InductionStep(dx, dy, pairs, after)
 
 

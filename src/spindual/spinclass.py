@@ -18,6 +18,7 @@ witnessed on a spin-relevant K-type eta(q) located through the rewriting
 engine in :mod:`spindual.rewriter`.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -165,48 +166,62 @@ def _grouped_classes(classes: dict):
 # ---------------------------------------------------------------------------
 # string extraction
 
-def _extract_runs(values, anchor=None):
-    """Greedy maximal step-2 runs from a multiset of values.
+def _doubled(n_half) -> list:
+    """The values 2v of a +1/2 residue class: odd integers congruent to 1 mod 4.
+
+    Doubling turns the step-2 strings of the class into step-4 runs of
+    plain ints, on which the extraction below works.
+    """
+    doubled = []
+    for v in vec(n_half):
+        # v = p/2 in lowest terms with p = 1 mod 4, exactly when v = 1/2 mod 2
+        if v.denominator != 2 or v.numerator % 4 != 1:
+            raise MalformedParameter("values must be congruent to 1/2 mod 2")
+        doubled.append(v.numerator)
+    return doubled
+
+
+def _halves(doubled) -> tuple:
+    """Back from doubled values to the Fractions v."""
+    return tuple(Fraction(d, 2) for d in doubled)
+
+
+def _extract_runs(doubled, anchor=None):
+    """Greedy maximal step-4 runs from a multiset of doubled values.
 
     With ``anchor`` set, each extracted run is the maximal run through the
     anchor value (used for family B); otherwise the longest run overall,
-    ties resolved toward the largest top.
+    ties resolved toward the largest top.  Returns the runs as (top, bottom)
+    pairs, in extraction order, and the Counter of what is left.
     """
-    from collections import Counter
-    counts = Counter(vec(values))
+    counts = Counter(doubled)
     runs = []
     while counts:
-        present = sorted(counts, reverse=True)
         if anchor is not None:
             if anchor not in counts:
                 break
             lo = anchor
-            while lo - 2 in counts:
-                lo -= 2
+            while lo - 4 in counts:
+                lo -= 4
             hi = anchor
-            while hi + 2 in counts:
-                hi += 2
+            while hi + 4 in counts:
+                hi += 4
         else:
             best = None
-            for v in present:
-                if v + 2 in counts:
+            for v in sorted(counts, reverse=True):
+                if v + 4 in counts:
                     continue  # not a top
                 lo = v
-                while lo - 2 in counts:
-                    lo -= 2
-                length = (v - lo) / 2 + 1
-                if best is None or length > best[0]:
-                    best = (length, v, lo)
+                while lo - 4 in counts:
+                    lo -= 4
+                if best is None or v - lo > best[0]:
+                    best = (v - lo, v, lo)
             _, hi, lo = best
-        run = []
-        v = hi
-        while v >= lo:
-            run.append(v)
+        for v in range(hi, lo - 1, -4):
             counts[v] -= 1
             if counts[v] == 0:
                 del counts[v]
-            v -= 2
-        runs.append(tuple(run))
+        runs.append((hi, lo))
     return runs, counts
 
 
@@ -216,32 +231,31 @@ def extract_pairs_D(n_half) -> StringPairs:
     Every maximal step-2 run must pass through 1/2; the run from 2x-3/2 down
     to 1/2-2y becomes the column (x, y).
     """
-    values = vec(n_half)
-    if any(v % 2 != HALF for v in values):
-        raise MalformedParameter("values must be congruent to 1/2 mod 2")
-    runs, _ = _extract_runs(values)
+    runs, _ = _extract_runs(_doubled(n_half))
     cols = []
-    for run in runs:
-        top, bottom = run[0], run[-1]
-        if top < HALF or bottom > HALF:
+    for top, bottom in runs:
+        if top < 1 or bottom > 1:
+            run = _halves(range(top, bottom - 1, -4))
             raise MalformedParameter(
                 f"string {fmt_vec(run)} does not pass through 1/2"
             )
-        cols.append((int((top + Fraction(3, 2)) / 2), int((HALF - bottom) / 2)))
+        cols.append(((top + 3) // 4, (1 - bottom) // 4))
     return StringPairs("D", tuple(cols))
+
+
+def _beta_runs(n_half):
+    """Family B on doubled values: the runs through -3 (that is, -3/2) and
+    the Counter of the remaining alpha values."""
+    return _extract_runs(_doubled(n_half), anchor=-3)
 
 
 def decompose_alpha_beta(n_half):
     """Family B splitting: beta strings are the maximal runs through -3/2
     (extracted repeatedly); alpha is whatever remains, in ascending order.
     """
-    values = vec(n_half)
-    if any(v % 2 != HALF for v in values):
-        raise MalformedParameter("values must be congruent to 1/2 mod 2")
-    anchor = Fraction(-3, 2)
-    betas, rest = _extract_runs(values, anchor=anchor)
-    alpha = tuple(sorted(rest.elements()))
-    betas_asc = tuple(tuple(reversed(run)) for run in betas)
+    betas, rest = _beta_runs(n_half)
+    alpha = _halves(sorted(rest.elements()))
+    betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
     return alpha, betas_asc
 
 
@@ -251,34 +265,24 @@ def extract_pairs_B(n_half) -> StringPairs:
     Beta runs (through -3/2) give columns with y >= 1 and x >= 0; alpha runs
     must be step-2 strings ending exactly at 1/2 and give columns (x, 0).
     """
-    alpha, betas = decompose_alpha_beta(n_half)
-    cols = []
-    for run in betas:
-        top, bottom = run[-1], run[0]
-        if top >= HALF:
-            x = int((top + Fraction(3, 2)) / 2)
-        elif top == Fraction(-3, 2):
-            x = 0
-        else:  # pragma: no cover - runs through -3/2 always top at >= -3/2
-            raise MalformedParameter(f"invalid beta string top {fmt(top)}")
-        cols.append((x, int((HALF - bottom) / 2)))
-    from collections import Counter
-    counts = Counter(alpha)
+    betas, counts = _beta_runs(n_half)
+    # a beta run tops at -3/2 (x = 0) or at 2x - 3/2 >= 1/2
+    cols = [((top + 3) // 4, (1 - bottom) // 4) for top, bottom in betas]
     while counts:
-        if HALF not in counts:
+        if 1 not in counts:
+            rest = _halves(sorted(counts.elements()))
             raise MalformedParameter(
-                f"remaining values {fmt_vec(sorted(counts.elements()))} "
+                f"remaining values {fmt_vec(rest)} "
                 "contain no string ending at 1/2"
             )
-        v = HALF
-        run = []
-        while v in counts:
-            run.append(v)
-            counts[v] -= 1
-            if counts[v] == 0:
-                del counts[v]
-            v += 2
-        cols.append((int((run[-1] + Fraction(3, 2)) / 2), 0))
+        top = 1
+        while top in counts:
+            counts[top] -= 1
+            if counts[top] == 0:
+                del counts[top]
+            top += 4
+        # the run climbed from 1/2 to (top - 4)/2 = 2x - 3/2
+        cols.append(((top - 1) // 4, 0))
     return StringPairs("B", tuple(cols))
 
 

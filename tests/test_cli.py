@@ -99,3 +99,46 @@ def test_non_rational_input_rejected(capsys):
     assert code == 2
     code = main(["classify", "--group", "D", "--pairs", "x;y"])
     assert code == 2
+
+
+def run_error(capsys, *argv):
+    """Exit code and standard error of a call that must fail cleanly."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    return code, lines[0]
+
+
+def classify_document(tmp_path, capsys, doc):
+    path = tmp_path / "param.json"
+    path.write_text(json.dumps(doc))
+    return run_error(capsys, "classify", "--file", str(path))
+
+
+def test_document_rows_of_unequal_length_rejected(tmp_path, capsys):
+    code, err = classify_document(
+        tmp_path, capsys, {"group": "D", "pairs": {"x": [4, 1], "y": [0]}})
+    assert code == 2 and "different lengths" in err
+
+
+def test_zero_denominator_rejected(capsys):
+    code, err = run_error(capsys, "classify", "--mu", "1/2", "--nu", "0/0")
+    assert code == 2 and "zero denominator" in err
+
+
+def test_table_rank_zero_rejected(capsys):
+    code, err = run_error(capsys, "table", "--rank", "0")
+    assert code == 2 and "--rank must be positive" in err
+
+
+def test_enumerate_rank_zero_rejected(capsys):
+    code, err = run_error(capsys, "enumerate", "--rank", "0")
+    assert code == 2 and "--rank must be positive" in err
+
+
+def test_document_booleans_rejected(tmp_path, capsys):
+    code, err = classify_document(
+        tmp_path, capsys, {"group": "D", "pairs": {"x": [True], "y": [False]}})
+    assert code == 2 and "must be an integer, not true" in err

@@ -1,10 +1,17 @@
 """Tests for the padding transcripts and base normalization."""
 
+from functools import lru_cache
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from spindual.rewriter import (
-    CaseI, CaseII, full_staircase, normalize_to_base, pad_case_a, pad_case_b,
+    CaseI, CaseII, _insert, full_staircase, normalize_to_base, pad_case_a,
+    pad_case_b,
 )
 from spindual.spinclass import (
-    StringPairs, enumerate_pairs, peel_stein_factors, unitarity_test,
+    MalformedParameter, StringPairs, enumerate_pairs, extract_pairs,
+    peel_stein_factors, string_of_column, unitarity_test,
 )
 
 
@@ -112,3 +119,64 @@ def test_normalize_base_hypotheses():
 def test_step_string_rendering():
     steps, _ = pad_case_b(D((3, 0)))
     assert "-->" in str(steps[0])
+
+
+# ---------------------------------------------------------------------------
+# the row insertion against the string-level reference
+
+def insert_by_strings(pairs: StringPairs, dx: int, dy: int) -> StringPairs:
+    """Reference insertion: add the string of (dx; dy) to the half-class and
+    re-extract the string pairs."""
+    values = pairs.half_class() + string_of_column(dx, dy)
+    return extract_pairs(pairs.family, tuple(sorted(values, reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def table(family, n):
+    return tuple(enumerate_pairs(family, n))
+
+
+@st.composite
+def table_pairs(draw, family=st.sampled_from("BD")):
+    fam = draw(family)
+    return draw(st.sampled_from(table(fam, draw(st.integers(1, 9)))))
+
+
+def assert_insert_matches_strings(pairs, dx, dy):
+    try:
+        expected = insert_by_strings(pairs, dx, dy)
+    except MalformedParameter:
+        with pytest.raises(MalformedParameter):
+            _insert(pairs, dx, dy)
+        return
+    step = _insert(pairs, dx, dy)
+    assert step.after == expected, (pairs, dx, dy)
+    assert (step.before, step.dx, step.dy) == (pairs, dx, dy)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_pairs(), st.integers(0, 6), st.integers(0, 6))
+def test_insert_equals_string_reextraction(pairs, dx, dy):
+    assume(dx or dy)
+    assert_insert_matches_strings(pairs, dx, dy)
+
+
+@st.composite
+def b_pairs_with_zero_x_column(draw):
+    n = draw(st.integers(1, 9))
+    return draw(st.sampled_from([p for p in table("B", n) if p.xs[-1] == 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b_pairs_with_zero_x_column(), st.integers(1, 6))
+def test_insert_half_into_zero_x_column(pairs, dx):
+    # the 1/2 of (dx; 0) joins the (0; y) string; the rows leave an empty
+    # (0; 0) column, which is dropped
+    assert_insert_matches_strings(pairs, dx, 0)
+    assert _insert(pairs, dx, 0).after.k == pairs.k
+
+
+def test_insert_half_into_zero_x_column_example():
+    step = _insert(StringPairs("B", ((0, 2),)), 1, 0)
+    assert step.after == StringPairs("B", ((1, 2),))
+    assert step.after == insert_by_strings(StringPairs("B", ((0, 2),)), 1, 0)
