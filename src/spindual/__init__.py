@@ -21,7 +21,8 @@ from .spinclass import (
     MalformedParameter, SpinRelevantKType, Status, StringPairs,
     UnitaryCertificate, Verdict, classify, decompose_alpha_beta,
     enumerate_pairs, eta_weight, extract_pairs_B, extract_pairs_D,
-    pairs_to_param, partition_nt, peel_stein_factors, unitarity_test, witness,
+    pairs_to_param, partition_nt, peel_stein_factors, staircase_slacks,
+    unitarity_test, witness,
 )
 from .rewriter import (
     CaseI, CaseII, InductionStep, NormalizedBase, full_staircase,

@@ -91,7 +91,7 @@ def _load_document(args) -> GenuineParam:
             nu = [frac(s) for s in args.nu.split(",")]
             if len(mu) != len(nu):
                 raise ParseError("mu and nu have different lengths")
-            rank = args.rank or len(mu)
+            rank = len(mu) if args.rank is None else args.rank
             return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu))
         except (DimensionError, ValueError) as exc:
             raise ParseError(str(exc)) from None

@@ -29,10 +29,6 @@ from fractions import Fraction
 from .halfint import frac, vec, residue_mod2, fmt, fmt_vec, HALF
 
 
-class NotHermitianInput(ValueError):
-    """The chain system does not pair with its negative."""
-
-
 @dataclass(frozen=True)
 class Chain:
     """A strictly descending run with even positive gaps, carrying a twist.
@@ -153,7 +149,6 @@ class GLStatus(Enum):
     UNITARY_FACTORS = "UnitaryFactors"
     NON_UNITARY = "NonUnitary"
     NOT_HERMITIAN = "NotHermitian"
-    REDUCIBLE = "Reducible"
 
 
 @dataclass(frozen=True)
@@ -205,26 +200,17 @@ def _classify_chain_system(chains, n: int) -> GLVerdict:
         if c.is_centered:
             factors.append(TrivialString(len(c), c.sign))
             continue
+        # on symmetric input the negation of a non-centered chain is another
+        # chain of the decomposition, and its center is not an integer (an
+        # integer center would put the chain in a self-dual residue class,
+        # where every multiplicity layer is centered)
         mate = c.negated()
-        match = next(
-            (d for d in pool if d.values == mate.values and d.sign == c.sign), None
-        )
-        if match is None:
-            return GLVerdict(
-                GLStatus.NOT_HERMITIAN,
-                reason=f"chain {fmt_vec(c.values)} has no dual partner",
-            )
-        pool.remove(match)
+        pool.remove(mate)
         a = len(c)
-        t = max(c.center, match.center)
+        t = max(c.center, mate.center)
         if abs(t) < 1:
             factors.append(SteinPair(a, t, c.sign))
             continue
-        if t.denominator == 1:
-            return GLVerdict(
-                GLStatus.REDUCIBLE,
-                reason=f"integer deformation |t|={fmt(abs(t))} names no irreducible factor",
-            )
         q = abs(t).__floor__()
         if q <= a:
             qw = a - q + 1

@@ -6,20 +6,30 @@ intertwining scalars and in deformation parameters of complementary series.
 No floating point is used anywhere.
 """
 
+import re
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and strings like ``"-3/2"`` to Fraction."""
+    """Coerce ints, Fractions and strings like ``"-3/2"`` to Fraction.
+
+    A string must be an optionally signed integer or integer quotient;
+    decimal and exponent notation are rejected.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"{x!r} is not a rational like '-3/2'")
         try:
-            return Fraction(x.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -29,15 +39,9 @@ def vec(values) -> tuple:
     return tuple(frac(v) for v in values)
 
 
-def is_integral(v: Fraction) -> bool:
-    return frac(v).denominator == 1
-
 def is_half_odd(v: Fraction) -> bool:
     """True for strictly half-integral values: ..., -3/2, -1/2, 1/2, ..."""
     return frac(v).denominator == 2
-
-def is_half_integral(v: Fraction) -> bool:
-    return frac(v).denominator in (1, 2)
 
 
 def fmt(v: Fraction) -> str:
@@ -46,10 +50,6 @@ def fmt(v: Fraction) -> str:
 
 def fmt_vec(values) -> str:
     return "(" + ", ".join(fmt(v) for v in values) + ")"
-
-
-def parse_vec(strings) -> tuple:
-    return tuple(frac(s) for s in strings)
 
 
 def residue_mod2(v: Fraction) -> Fraction:

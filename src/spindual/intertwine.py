@@ -111,15 +111,24 @@ def _check_chain(chain):
     return vals, sign
 
 
+def _pass_left_scalar(chain, xi: SignedEntry):
+    """The scalar of passing xi leftward over the chain, None at its pole."""
+    vals, sign = _check_chain(chain)
+    try:
+        return gl_move_scalar(vals, xi.value, xi.sign != sign)
+    except Pole:
+        return None
+
+
 def pass_left_ok(chain, xi: SignedEntry) -> bool:
     """May xi pass leftward over the chain, staying defined and injective?
 
-    Excluded values: nu_1 - 2 and nu_last + 2 when the signs agree,
-    nu_1 - 3 and nu_last + 3 when they differ.
+    The move is defined off the scalar's pole and injective off its zero:
+    excluded are nu_last + 2 and nu_1 - 2 when the signs agree, nu_last + 3
+    and nu_1 - 3 when they differ.
     """
-    vals, sign = _check_chain(chain)
-    c = 2 if xi.sign == sign else 3
-    return xi.value != vals[0] - c and xi.value != vals[-1] + c
+    scalar = _pass_left_scalar(chain, xi)
+    return scalar is not None and scalar != 0
 
 
 def sort_ok(prefix, chain) -> bool:
@@ -256,15 +265,9 @@ def _evaluate(seq, move) -> StepReport:
     if isinstance(move, PassLeft):
         if not (0 <= move.start < move.stop <= move.xi < len(seq)):
             raise ScriptError("pass-left operands out of order")
-        chain = seq[move.start:move.stop]
-        xi = seq[move.xi]
-        vals, sign = _check_chain(chain)
-        c = 2 if xi.sign == sign else 3
-        well = xi.value != vals[-1] + c
-        inj = well and xi.value != vals[0] - c
-        scalar = None
-        if well:
-            scalar = gl_move_scalar(vals, xi.value, xi.sign != sign)
+        scalar = _pass_left_scalar(seq[move.start:move.stop], seq[move.xi])
+        well = scalar is not None
+        inj = well and scalar != 0
         reason = "" if inj else (
             "pole of the rank-one scalar" if not well
             else "zero of the rank-one scalar: not injective"

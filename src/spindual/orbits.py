@@ -14,6 +14,8 @@ odd rows of the transposed partition.
 
 from dataclasses import dataclass
 
+from .spinclass import unitarity_test
+
 
 class NotStrictCore(ValueError):
     """The string pairs do not satisfy the strict staircase inequalities."""
@@ -39,24 +41,9 @@ class OrbitColumns:
         return "[" + ",".join(str(c) for c in self.cols) + f"] in so({self.ambient})"
 
 
-def _is_strict(pairs) -> bool:
-    xs, ys = pairs.xs, pairs.ys
-    for i in range(pairs.k):
-        if pairs.family == "D" and not xs[i] > ys[i]:
-            return False
-        if pairs.family == "B" and not ys[i] >= xs[i]:
-            return False
-        if i + 1 < pairs.k:
-            if pairs.family == "D" and not ys[i] >= xs[i + 1]:
-                return False
-            if pairs.family == "B" and not xs[i] > ys[i + 1]:
-                return False
-    return True
-
-
 def attach_orbit(pairs) -> OrbitColumns:
     """The nilpotent orbit attached to a strict core."""
-    if not _is_strict(pairs):
+    if not unitarity_test(pairs).strict:
         raise NotStrictCore(f"{pairs} does not satisfy the strict inequalities")
     n = pairs.n
     cols = []

@@ -21,7 +21,9 @@ indefinite spin-relevant K-types, so the transcript certifies the witness.
 
 from dataclasses import dataclass
 
-from .spinclass import StringPairs, peel_stein_factors, unitarity_test
+from .spinclass import (
+    StringPairs, peel_stein_factors, staircase_slacks, unitarity_test,
+)
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
 from .spinclass import extract_pairs  # noqa: F401
@@ -91,25 +93,17 @@ def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
 
 
 def _is_stein_column(col) -> bool:
+    """The shape of a shift-1/2 factor: the column slack of
+    :func:`~spindual.spinclass.staircase_slacks` is 0 or 1, which in both
+    families means x - y in {0, 1}."""
     x, y = col
     return x - y in (0, 1)
 
 
 def _violations(pairs: StringPairs):
     """Ordered violation positions: ('column', i) or ('gap', i), 0-based."""
-    out = []
-    xs, ys, fam = pairs.xs, pairs.ys, pairs.family
-    for i in range(pairs.k):
-        if fam == "D" and xs[i] < ys[i]:
-            out.append(("column", i))
-        if fam == "B" and xs[i] > ys[i] + 1:
-            out.append(("column", i))
-        if i + 1 < pairs.k:
-            if fam == "D" and ys[i] + 1 < xs[i + 1]:
-                out.append(("gap", i))
-            if fam == "B" and xs[i] < ys[i + 1]:
-                out.append(("gap", i))
-    return out
+    return [(("column", "gap")[j % 2], j // 2)
+            for j, slack in enumerate(staircase_slacks(pairs)) if slack < 0]
 
 
 def _pad_column_once(pairs: StringPairs, i: int) -> InductionStep:

@@ -15,7 +15,9 @@ Unitarity of the core is decided by the staircase inequalities
 strict inequalities give the isolated unipotent representations, equalities
 peel off as complementary-series factors at shift 1/2, and any violation is
 witnessed on a spin-relevant K-type eta(q) located through the rewriting
-engine in :mod:`spindual.rewriter`.
+engine in :mod:`spindual.rewriter`.  :func:`staircase_slacks` is the one
+statement of these inequalities: the unitarity test, peeling, the rewriter's
+violations and the orbit module's strictness check all read its slacks.
 """
 
 from collections import Counter
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, fmt, fmt_vec, residue_mod2, HALF
+from .halfint import vec, fmt, fmt_vec, residue_mod2, HALF
 from .weyl import (
     GenuineParam, GroupTag, dominantize, hermitian_witness, _mu_blocks,
 )
@@ -304,80 +306,70 @@ class UnitarityResult:
         return self.satisfied
 
 
+def staircase_slacks(pairs: StringPairs) -> tuple:
+    """The staircase inequalities as integer slacks, from left to right.
+
+    Entry 2i is column i and entry 2i+1 the gap between columns i and i+1:
+
+        D:  x_i - y_i       and  y_i + 1 - x_{i+1},
+        B:  y_i + 1 - x_i   and  x_i - y_{i+1}.
+
+    An inequality holds when its slack is >= 0 and is strict when it is > 0.
+    """
+    cols = pairs.pairs
+    if pairs.family == "D":
+        column = [x - y for x, y in cols]
+        gap = [y + 1 - x2 for (_, y), (x2, _) in zip(cols, cols[1:])]
+    else:
+        column = [y + 1 - x for x, y in cols]
+        gap = [x - y2 for (x, _), (_, y2) in zip(cols, cols[1:])]
+    slacks = column + gap
+    slacks[::2], slacks[1::2] = column, gap
+    return tuple(slacks)
+
+
 def unitarity_test(pairs: StringPairs) -> UnitarityResult:
     """The staircase inequalities, reporting the leftmost violation.
 
-    D: x_i >= y_i and y_i + 1 >= x_{i+1}.  B: y_i + 1 >= x_i and
-    x_i >= y_{i+1}.  ``strict`` means every inequality is strict, i.e. the
-    parameter is an isolated unipotent one.
+    ``strict`` means every slack is positive, i.e. the parameter is an
+    isolated unipotent one.  Empty pairs are satisfied and strict.
     """
-    xs, ys = pairs.xs, pairs.ys
-    k = pairs.k
-    strict = True
-    for i in range(k):
-        if pairs.family == "D":
-            col_ok, col_strict = xs[i] >= ys[i], xs[i] > ys[i]
-        else:
-            col_ok, col_strict = ys[i] + 1 >= xs[i], ys[i] >= xs[i]
-        if not col_ok:
-            return UnitarityResult(False, index=i + 1, kind="column")
-        strict &= col_strict
-        if i + 1 < k:
-            if pairs.family == "D":
-                gap_ok, gap_strict = ys[i] + 1 >= xs[i + 1], ys[i] >= xs[i + 1]
-            else:
-                gap_ok, gap_strict = xs[i] >= ys[i + 1], xs[i] > ys[i + 1]
-            if not gap_ok:
-                return UnitarityResult(False, index=i + 1, kind="gap")
-            strict &= gap_strict
-    return UnitarityResult(True, strict=strict)
+    slacks = staircase_slacks(pairs)
+    for j, slack in enumerate(slacks):
+        if slack < 0:
+            return UnitarityResult(False, index=j // 2 + 1,
+                                   kind=("column", "gap")[j % 2])
+    return UnitarityResult(True, strict=all(slack > 0 for slack in slacks))
 
 
 def peel_stein_factors(pairs: StringPairs):
     """Peel equality columns/gaps into shift-1/2 factors; the rest is strict.
 
-    Returns (factors, core) where each factor is a CompParams at t = 1/2 and
-    ``core`` is a StringPairs satisfying the strict inequalities (or None when
-    everything peels away).
+    Each round peels at the leftmost zero slack: a column leaves whole, a gap
+    merges its two columns into one.  Returns (factors, core) where each
+    factor is a CompParams at t = 1/2 and ``core`` is a StringPairs
+    satisfying the strict inequalities (or None when everything peels away).
     """
     if not unitarity_test(pairs):
         raise ValueError("peeling requires the staircase inequalities")
-    cols = list(pairs.pairs)
     fam = pairs.family
     factors = []
-    while True:
-        action = None
-        for i in range(len(cols)):
-            x, y = cols[i]
-            if fam == "D" and x == y:
-                action = ("column", i, x + y)
-                break
-            if fam == "B" and y + 1 == x:
-                action = ("column", i, x + y)
-                break
-            if i + 1 < len(cols):
-                x2, y2 = cols[i + 1]
-                if fam == "D" and y + 1 == x2:
-                    action = ("gap", i, x2 + y)
-                    break
-                if fam == "B" and x == y2:
-                    action = ("gap", i, x + y2)
-                    break
-        if action is None:
-            break
-        kind, i, size = action
-        factors.append(CompParams(size, HALF))
-        if kind == "column":
-            del cols[i]
+    core = pairs
+    while 0 in (slacks := staircase_slacks(core)):
+        j = slacks.index(0)
+        i = j // 2
+        cols = list(core.pairs)
+        if j % 2 == 0:
+            x, y = cols.pop(i)
+            size = x + y
         else:
-            x, y = cols[i]
-            x2, y2 = cols[i + 1]
-            merged = (x, y2) if fam == "D" else (x2, y)
+            (x, y), (x2, y2) = cols[i], cols[i + 1]
+            size, merged = (x2 + y, (x, y2)) if fam == "D" else (x + y2, (x2, y))
             cols[i:i + 2] = [merged]
-    core = StringPairs(fam, tuple(cols)) if cols else None
-    if core is not None:
-        assert unitarity_test(core).strict
-    return tuple(factors), core
+        factors.append(CompParams(size, HALF))
+        core = StringPairs(fam, tuple(cols))
+    assert unitarity_test(core).strict
+    return tuple(factors), (core if core.pairs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +533,9 @@ def classify(p: GenuineParam) -> Verdict:
         )
     if core_plus:
         chain.append(f"half-integral class {fmt_vec(core_plus)} <-> {pairs}")
-    result = unitarity_test(pairs) if pairs.pairs else UnitarityResult(True, strict=True)
+    result = unitarity_test(pairs)
     if result:
-        base = build_certificate(pairs) if pairs.pairs else UnitaryCertificate()
+        base = build_certificate(pairs)
         cert = UnitaryCertificate(base.stein_factors, tuple(gl_factors),
                                   base.core, base.orbit)
         if cert.core is not None:

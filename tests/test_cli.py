@@ -142,3 +142,26 @@ def test_document_booleans_rejected(tmp_path, capsys):
     code, err = classify_document(
         tmp_path, capsys, {"group": "D", "pairs": {"x": [True], "y": [False]}})
     assert code == 2 and "must be an integer, not true" in err
+
+
+def test_classify_rank_zero_rejected(capsys):
+    code, err = run_error(capsys, "classify", "--mu", "1/2,1/2", "--nu", "1,1/2",
+                          "--rank", "0")
+    assert code == 2 and "rank must be positive" in err
+
+
+def test_decimal_rationals_rejected(capsys):
+    for nu in ("1e0,5e-1", "1,0.5", "1,.5", "1_0,1/2"):
+        code, err = run_error(capsys, "classify", "--mu", "1/2,1/2", "--nu", nu)
+        assert code == 2 and "is not a rational like '-3/2'" in err, (nu, err)
+    code, out = run(capsys, "classify", "--mu", "1/2,1/2", "--nu", " +3/2 , -1/2 ")
+    assert code == 4 and "nu=(3/2, -1/2)" in out
+
+
+def test_document_decimal_rationals_rejected(tmp_path, capsys):
+    for entry in ("0.5", "1e3"):
+        for key in ("mu", "nu"):
+            doc = {"group": "D", "mu": ["1/2", "1/2"], "nu": ["1", "1/2"]}
+            doc[key] = [entry, "1/2"]
+            code, err = classify_document(tmp_path, capsys, doc)
+            assert code == 2 and f"'{entry}' is not a rational" in err, err

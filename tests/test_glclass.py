@@ -1,9 +1,11 @@
 """Tests for the GL chain classification."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
     Chain, CompParams, GLStatus, SteinPair, TrivialString, classify_gl,
@@ -198,6 +200,43 @@ def test_genuine_block_mixed_twist_pairing():
     assert sorted((f.a, f.twist) for f in v.factors) == [(1, -1), (1, 1)]
     v = classify_gl_genuine_block([(F(1, 4), 1), (F(-1, 4), -1)])
     assert v.status is GLStatus.NOT_HERMITIAN
+
+
+_signed_values = st.lists(
+    st.tuples(
+        st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4))),
+        st.sampled_from((1, -1)),
+    ),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(half=_signed_values, twisted=st.booleans())
+def test_symmetric_chains_pair_off(half, twisted):
+    """On symmetric input every non-centered chain meets its negation, at
+    the same twist and multiplicity, and no such step-2 string has an
+    integer center.
+
+    The chains are the multiplicity layers of each (residue, twist) class,
+    and negation maps the layers of one class onto those of its mate class;
+    an integer center would make the class its own mate and the chain
+    centered.  So the chain classifier always finds a partner, and a pair
+    outside Stein's range is never at an integer deformation.
+    """
+    signed = half + [(-v, s) for v, s in half]
+    if not twisted:
+        signed = [(v, 1) for v, _ in signed]
+    values = [v for v, _ in signed]
+    chains = decompose_chains(values, [s for _, s in signed]).chains
+    moving = [c for c in chains if not c.is_centered]
+    assert Counter(moving) == Counter(c.negated() for c in moving)
+    assert not any(c.center.denominator == 1 for c in moving if c.is_string)
+    verdicts = [classify_gl_genuine_block(signed)]
+    if not twisted:
+        verdicts.append(classify_gl(values))
+    for v in verdicts:
+        assert v.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), v
 
 
 def test_genuine_block_bad_shift():
