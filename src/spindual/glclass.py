@@ -22,11 +22,12 @@ The genuine variant carries a +-1 twist on each coordinate (the character
 constant-twist and pair with matching twist.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, residue_mod2, fmt, fmt_vec, HALF
+from .halfint import frac, vec, residue, scaled, fmt, fmt_vec, HALF
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,20 @@ def decompose_chains(nu, signs=None) -> ChainDecomposition:
     nu = vec(nu)
     if signs is None:
         signs = (1,) * len(nu)
+    L, ints = scaled(nu)
+    value_of = dict(zip(ints, nu))
     groups = {}
-    for v, s in zip(nu, signs):
-        key = (residue_mod2(v), s)
-        groups.setdefault(key, []).append(v)
+    for v, s in zip(ints, signs):
+        groups.setdefault((residue(v, L), s), []).append(v)
     chains = []
-    for (res, s), values in groups.items():
-        from collections import Counter
+    for (_, s), values in groups.items():
         counts = Counter(values)
         k = 1
         while True:
             layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
             if not layer:
                 break
-            chains.append(Chain(tuple(layer), s))
+            chains.append(Chain(tuple(value_of[v] for v in layer), s))
             k += 1
     chains.sort(key=lambda c: (-len(c), tuple(-v for v in c.values)))
     return ChainDecomposition(tuple(chains))

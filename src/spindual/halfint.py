@@ -1,11 +1,16 @@
 """Exact coordinate arithmetic for parameter vectors.
 
-All coordinates are :class:`fractions.Fraction`.  Classification inputs are
-half-integers (denominator 1 or 2); general rationals occur only in
-intertwining scalars and in deformation parameters of complementary series.
-No floating point is used anywhere.
+Every interface takes and returns :class:`fractions.Fraction` coordinates.
+Classification inputs are half-integers (denominator 1 or 2); general
+rationals occur in intertwining scalars and in the deformation parameters of
+complementary series.  Inside the front end of the classification
+(dominance, the Hermitian check, residue classes and GL chains) a vector is
+scaled by the least common denominator of its entries and handled as exact
+integers (:func:`scaled`, :func:`residue`).  No floating point is used
+anywhere.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -36,7 +41,7 @@ def frac(x) -> Fraction:
 
 
 def vec(values) -> tuple:
-    return tuple(frac(v) for v in values)
+    return tuple(map(frac, values))
 
 
 def is_half_odd(v: Fraction) -> bool:
@@ -45,15 +50,24 @@ def is_half_odd(v: Fraction) -> bool:
 
 
 def fmt(v: Fraction) -> str:
-    v = frac(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """``"3/2"``, or ``"3"`` for an integer."""
+    return str(frac(v))
+
 
 def fmt_vec(values) -> str:
-    return "(" + ", ".join(fmt(v) for v in values) + ")"
+    return "(" + ", ".join(map(fmt, values)) + ")"
 
 
-def residue_mod2(v: Fraction) -> Fraction:
-    """The representative of v mod 2Z lying in (-1, 1]."""
-    v = frac(v)
-    k = -((1 - v) // 2)  # ceil((v-1)/2)
-    return v - 2 * k
+def scaled(values) -> tuple:
+    """(L, ints): the least common denominator L of the Fractions and the
+    integers L*v.  Scaling is injective and linear, so equality, order,
+    negation and sums carry over to the integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    L = math.lcm(*{d for _, d in ratios})
+    return L, tuple([n * (L // d) for n, d in ratios])
+
+
+def residue(s: int, L: int) -> int:
+    """L times the representative of s/L mod 2Z in (-1, 1]: s mod 2L in (-L, L]."""
+    r = s % (2 * L)
+    return r - 2 * L if r > L else r

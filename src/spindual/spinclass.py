@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import vec, fmt, fmt_vec, residue_mod2, HALF
+from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
 from .weyl import (
     GenuineParam, GroupTag, dominantize, hermitian_witness, _mu_blocks,
 )
@@ -125,11 +125,18 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
 
 
 def partition_nt(nu) -> dict:
-    """Split nu into residue classes: t in (-1,1] with nu_i - t in 2Z."""
+    """Split nu into residue classes: t in (-1,1] with nu_i - t in 2Z.
+
+    Works on nu scaled to integers; each class lists its values descending.
+    """
+    nu = vec(nu)
+    L, ints = scaled(nu)
+    value_of = dict(zip(ints, nu))
     classes = {}
-    for v in vec(nu):
-        classes.setdefault(residue_mod2(v), []).append(v)
-    return {t: tuple(sorted(vals, reverse=True)) for t, vals in classes.items()}
+    for s in ints:
+        classes.setdefault(residue(s, L), []).append(s)
+    return {Fraction(r, L): tuple(value_of[s] for s in sorted(ss, reverse=True))
+            for r, ss in classes.items()}
 
 
 def _grouped_classes(classes: dict):
@@ -481,7 +488,9 @@ def classify(p: GenuineParam) -> Verdict:
         chain.append("diagram flip applied to make the last mu-coordinate positive")
     if hermitian_witness(q0) is None:
         return Verdict(Status.NOT_HERMITIAN, chain=tuple(chain))
-    blocks = _mu_blocks(q0.mu)
+    # mu-blocks read off the scaled mu; a block's value is q0.mu[start]
+    blocks = [(q0.mu[start], start, stop)
+              for _, start, stop in _mu_blocks(scaled(q0.mu)[1])]
     gl_factors = []
     # GL-blocks: mu-value (2r-1)/2 with r >= 2
     for value, start, stop in blocks:
@@ -507,7 +516,9 @@ def classify(p: GenuineParam) -> Verdict:
     start, stop = half_blocks[0]
     classes = partition_nt(q0.nu[start:stop])
     core_plus, core_minus, blocks_gl = _grouped_classes(classes)
-    assert sorted(core_minus) == sorted(-v for v in core_plus)
+    # the core values all have denominator 2: compare their numerators
+    assert sorted(v.numerator for v in core_minus) \
+        == sorted(-v.numerator for v in core_plus)
     for label, signed in blocks_gl:
         glv = classify_gl_genuine_block(signed)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv

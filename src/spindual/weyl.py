@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .halfint import frac, is_half_odd, vec
+from .halfint import is_half_odd, scaled, vec
 
 
 class DimensionError(ValueError):
@@ -87,14 +87,16 @@ def _preimage(perm, i):
 
 
 def apply(w: WeylElement, v) -> tuple:
-    """Entry i of the result is signs[i] * v[perm^{-1}(i)]."""
-    v = vec(v)
+    """Entry i of the result is signs[i] * v[perm^{-1}(i)].
+
+    A signed permutation of the entries: they keep their type (ints stay
+    ints, Fractions stay Fractions) and are not coerced.
+    """
     if len(v) != w.n:
         raise DimensionError(f"vector of length {len(v)} under rank-{w.n} element")
     out = [None] * w.n
-    for j in range(w.n):
-        i = w.perm[j]
-        out[i] = w.signs[i] * v[j]
+    for j, i in enumerate(w.perm):
+        out[i] = v[j] if w.signs[i] == 1 else -v[j]
     return tuple(out)
 
 
@@ -165,25 +167,19 @@ def dominantize(p: GenuineParam) -> DominantForm:
 
     For family D only an even number of sign flips is available; when an odd
     number would be needed the diagram flip of the last coordinate is applied
-    on top and reported in ``outer_applied``.
+    on top and reported in ``outer_applied``.  The signs and the order are
+    found on mu scaled to integers; the Fractions of mu and nu are permuted.
     """
     n = p.group.rank
-    signs = [1] * n
-    for j, m in enumerate(p.mu):
-        if m < 0:
-            signs[j] = -1
-    outer = False
-    if p.group.family == "D":
-        if sum(1 for s in signs if s == -1) % 2 == 1:
-            # leave the flip of smallest |mu| undone; D-dominance allows a
-            # single negative last coordinate, removed below by the outer flip
-            j_min = min(range(n), key=lambda j: (abs(p.mu[j]), signs[j]))
-            if signs[j_min] == -1:
-                signs[j_min] = 1
-            else:
-                signs[j_min] = -1
-    flipped_mu = [s * m for s, m in zip(signs, p.mu)]
-    order = sorted(range(n), key=lambda j: (-flipped_mu[j],))
+    _, mu = scaled(p.mu)
+    signs = [-1 if m < 0 else 1 for m in mu]
+    if p.group.family == "D" and signs.count(-1) % 2 == 1:
+        # leave the flip of smallest |mu| undone; D-dominance allows a
+        # single negative last coordinate, removed below by the outer flip
+        j_min = min(range(n), key=lambda j: (abs(mu[j]), signs[j]))
+        signs[j_min] = -signs[j_min]
+    flipped_mu = [s * m for s, m in zip(signs, mu)]
+    order = sorted(range(n), key=lambda j: -flipped_mu[j])
     # stable sort: order[i] is the source position landing at slot i
     perm = [0] * n
     out_signs = [1] * n
@@ -193,10 +189,10 @@ def dominantize(p: GenuineParam) -> DominantForm:
     w = WeylElement(tuple(perm), tuple(out_signs))
     mu2 = apply(w, p.mu)
     nu2 = apply(w, p.nu)
-    if p.group.family == "D" and mu2[-1] < 0:
+    outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
+    if outer:
         mu2 = mu2[:-1] + (-mu2[-1],)
         nu2 = nu2[:-1] + (-nu2[-1],)
-        outer = True
     return DominantForm(GenuineParam(p.group, mu2, nu2), w, outer)
 
 
@@ -217,20 +213,22 @@ def hermitian_witness(p: GenuineParam):
     Requires mu dominant.  Within each constant-mu block the nu-multiset is
     matched against its negative; sign flips are available only on zero
     mu-entries (a flip would negate a nonzero entry), and for family D the
-    total number of flips must be even.
+    total number of flips must be even.  The matching runs on mu and nu
+    scaled to integers.
     """
     n = p.group.rank
-    if list(p.mu) != sorted(p.mu, reverse=True):
+    _, mu = scaled(p.mu)
+    _, nu = scaled(p.nu)
+    if list(mu) != sorted(mu, reverse=True):
         raise ValueError("hermitian_witness expects dominant mu")
     perm = [None] * n
     signs = [1] * n
     flips = 0
     free_parity_slot = None
-    for value, start, stop in _mu_blocks(p.mu):
-        idx = list(range(start, stop))
+    for value, start, stop in _mu_blocks(mu):
         by_value = {}
-        for i in idx:
-            by_value.setdefault(p.nu[i], []).append(i)
+        for i in range(start, stop):
+            by_value.setdefault(nu[i], []).append(i)
         if value != 0:
             # no flips possible: nu restricted to the block must be symmetric
             for v, positions in by_value.items():
@@ -266,7 +264,9 @@ def hermitian_witness(p: GenuineParam):
             return None
         signs[free_parity_slot] *= -1
     w = WeylElement(tuple(perm), tuple(signs))
-    assert apply(w, p.mu) == p.mu and apply(w, p.nu) == tuple(-x for x in p.nu)
+    # on the scaled vectors: scaling is injective and linear, so this is
+    # w mu = mu and w nu = -nu
+    assert apply(w, mu) == mu and apply(w, nu) == tuple(-x for x in nu)
     return w
 
 

@@ -2,7 +2,7 @@
 
 import json
 
-from spindual.cli import main
+from spindual.cli import MAX_TABLE_RANK, main
 
 
 def run(capsys, *argv):
@@ -136,6 +136,15 @@ def test_table_rank_zero_rejected(capsys):
 def test_enumerate_rank_zero_rejected(capsys):
     code, err = run_error(capsys, "enumerate", "--rank", "0")
     assert code == 2 and "--rank must be positive" in err
+
+
+def test_table_rank_above_bound_rejected(capsys):
+    for command in ("table", "enumerate"):
+        code, err = run_error(capsys, command, "--group", "B",
+                              "--rank", str(MAX_TABLE_RANK + 1))
+        assert code == 2 and f"exceeds the table bound {MAX_TABLE_RANK}" in err
+    code, err = run_error(capsys, "table", "--rank", "40")
+    assert code == 2 and "--rank 40" in err
 
 
 def test_document_booleans_rejected(tmp_path, capsys):

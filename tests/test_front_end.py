@@ -1,0 +1,238 @@
+"""The integer front end of ``classify`` against the Fraction reference.
+
+``dominantize``, ``hermitian_witness``, ``partition_nt`` and the grouping of
+``decompose_chains`` work on vectors scaled to integers by their least common
+denominator.  The Fraction implementations they replaced are kept here as
+oracles, and hypothesis checks that both return equal results, including
+``None`` and the ``ValueError`` on non-dominant mu.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spindual.glclass import Chain, ChainDecomposition, decompose_chains
+from spindual.spinclass import partition_nt
+from spindual.weyl import (
+    DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
+    dominantize, hermitian_witness, _mu_blocks,
+)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference implementations
+
+def residue_mod2(v):
+    """The representative of v mod 2Z lying in (-1, 1]."""
+    k = -((1 - v) // 2)  # ceil((v-1)/2)
+    return v - 2 * k
+
+
+def dominantize_reference(p):
+    n = p.group.rank
+    signs = [1] * n
+    for j, m in enumerate(p.mu):
+        if m < 0:
+            signs[j] = -1
+    outer = False
+    if p.group.family == "D":
+        if sum(1 for s in signs if s == -1) % 2 == 1:
+            j_min = min(range(n), key=lambda j: (abs(p.mu[j]), signs[j]))
+            signs[j_min] = -signs[j_min]
+    flipped_mu = [s * m for s, m in zip(signs, p.mu)]
+    order = sorted(range(n), key=lambda j: (-flipped_mu[j],))
+    perm = [0] * n
+    out_signs = [1] * n
+    for i, j in enumerate(order):
+        perm[j] = i
+        out_signs[i] = signs[j]
+    w = WeylElement(tuple(perm), tuple(out_signs))
+    mu2 = apply(w, p.mu)
+    nu2 = apply(w, p.nu)
+    if p.group.family == "D" and mu2[-1] < 0:
+        mu2 = mu2[:-1] + (-mu2[-1],)
+        nu2 = nu2[:-1] + (-nu2[-1],)
+        outer = True
+    return DominantForm(GenuineParam(p.group, mu2, nu2), w, outer)
+
+
+def hermitian_witness_reference(p):
+    n = p.group.rank
+    if list(p.mu) != sorted(p.mu, reverse=True):
+        raise ValueError("hermitian_witness expects dominant mu")
+    perm = [None] * n
+    signs = [1] * n
+    flips = 0
+    free_parity_slot = None
+    for value, start, stop in _mu_blocks(p.mu):
+        by_value = {}
+        for i in range(start, stop):
+            by_value.setdefault(p.nu[i], []).append(i)
+        if value != 0:
+            for v, positions in by_value.items():
+                mates = by_value.get(-v, [])
+                if len(mates) != len(positions):
+                    return None
+                for i, j in zip(positions, mates):
+                    perm[j] = i
+        else:
+            done = set()
+            for v, positions in by_value.items():
+                if v in done:
+                    continue
+                done.add(v)
+                if v == 0:
+                    for i in positions:
+                        perm[i] = i
+                    free_parity_slot = positions[0]
+                    continue
+                done.add(-v)
+                mates = by_value.get(-v, [])
+                k = min(len(positions), len(mates))
+                for i, j in zip(positions[:k], mates[:k]):
+                    perm[j] = i
+                    perm[i] = j
+                for i in positions[k:] + mates[k:]:
+                    perm[i] = i
+                    signs[i] = -1
+                    flips += 1
+    if p.group.family == "D" and flips % 2 == 1:
+        if free_parity_slot is None:
+            return None
+        signs[free_parity_slot] *= -1
+    w = WeylElement(tuple(perm), tuple(signs))
+    assert apply(w, p.mu) == p.mu and apply(w, p.nu) == tuple(-x for x in p.nu)
+    return w
+
+
+def partition_nt_reference(nu):
+    classes = {}
+    for v in nu:
+        classes.setdefault(residue_mod2(v), []).append(v)
+    return {t: tuple(sorted(vals, reverse=True)) for t, vals in classes.items()}
+
+
+def decompose_chains_reference(nu, signs):
+    groups = {}
+    for v, s in zip(nu, signs):
+        groups.setdefault((residue_mod2(v), s), []).append(v)
+    chains = []
+    for (_, s), values in groups.items():
+        counts = Counter(values)
+        k = 1
+        while True:
+            layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
+            if not layer:
+                break
+            chains.append(Chain(tuple(layer), s))
+            k += 1
+    chains.sort(key=lambda c: (-len(c), tuple(-v for v in c.values)))
+    return ChainDecomposition(tuple(chains))
+
+
+# ---------------------------------------------------------------------------
+# strategies: ranks 1-8, denominators 1-6, genuine and non-genuine mu
+
+rationals = st.builds(Fraction, st.integers(-15, 15), st.integers(1, 6))
+half_odd = st.integers(-4, 3).map(lambda k: Fraction(2 * k + 1, 2))
+
+
+@st.composite
+def params(draw, dominant=False):
+    family = draw(st.sampled_from("BD"))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        mu = draw(st.lists(half_odd, min_size=n, max_size=n))
+        if family == "D" and draw(st.booleans()) and sum(m < 0 for m in mu) % 2 == 0:
+            # an odd number of negative entries needs the diagram flip
+            mu[0] = -mu[0]
+    else:
+        # a small pool of values, so that mu has runs of equal and zero entries
+        pool = draw(st.lists(rationals, min_size=1, max_size=3)) + [Fraction(0)]
+        mu = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if dominant:
+        mu.sort(reverse=True)
+    if draw(st.booleans()):
+        nu = draw(hermitian_nu(mu))
+    else:
+        nu = draw(st.lists(rationals, min_size=n, max_size=n))
+    return GenuineParam(GroupTag(family, n), mu, nu)
+
+
+@st.composite
+def hermitian_nu(draw, mu):
+    """nu whose restriction to each run of equal mu is symmetric under
+    negation, except for entries on zero mu, which a flip can negate."""
+    nu = []
+    start = 0
+    while start < len(mu):
+        stop = start
+        while stop < len(mu) and mu[stop] == mu[start]:
+            stop += 1
+        size = stop - start
+        values = []
+        for v in draw(st.lists(rationals, max_size=size // 2)):
+            values += [v, -v]
+        while len(values) < size:
+            values.append(draw(rationals) if mu[start] == 0 else Fraction(0))
+        nu += draw(st.permutations(values))
+        start = stop
+    return nu
+
+
+# ---------------------------------------------------------------------------
+# the integer front end equals the reference
+
+@settings(max_examples=400, deadline=None)
+@given(params())
+def test_dominantize_matches_reference(p):
+    assert dominantize(p) == dominantize_reference(p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params(dominant=True))
+def test_hermitian_witness_matches_reference(p):
+    assert hermitian_witness(p) == hermitian_witness_reference(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params())
+def test_hermitian_witness_on_dominant_form_and_non_dominant_mu(p):
+    q = dominantize(p).param
+    assert hermitian_witness(q) == hermitian_witness_reference(q)
+    if list(p.mu) != sorted(p.mu, reverse=True):
+        for fn in (hermitian_witness, hermitian_witness_reference):
+            with pytest.raises(ValueError, match="expects dominant mu"):
+                fn(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, max_size=16))
+def test_partition_nt_matches_reference(nu):
+    got = partition_nt(nu)
+    want = partition_nt_reference(tuple(nu))
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(rationals, st.sampled_from((1, -1))), max_size=16),
+       st.booleans())
+def test_decompose_chains_matches_reference(signed, symmetric):
+    if symmetric:
+        signed += [(-v, s) for v, s in signed]
+    nu = tuple(v for v, _ in signed)
+    signs = tuple(s for _, s in signed)
+    assert decompose_chains(nu, signs) == decompose_chains_reference(nu, signs)
+    assert decompose_chains(nu) == decompose_chains_reference(nu, (1,) * len(nu))
+
+
+def test_apply_keeps_entry_type():
+    w = WeylElement((2, 0, 1), (-1, 1, -1))
+    out = apply(w, (3, -5, 7))
+    assert out == (5, 7, -3)
+    assert all(type(x) is int for x in out)
+    assert apply(w, (Fraction(1, 2), 0, 1)) == (0, 1, Fraction(-1, 2))
+    with pytest.raises(DimensionError):
+        apply(w, (1, 2))
