@@ -18,11 +18,11 @@ from .glclass import (
     decompose_chains,
 )
 from .spinclass import (
-    MalformedParameter, SpinRelevantKType, Status, StringPairs,
+    MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs,
     UnitaryCertificate, Verdict, classify, decompose_alpha_beta,
     enumerate_pairs, eta_weight, extract_pairs_B, extract_pairs_D,
     pairs_to_param, partition_nt, peel_stein_factors, staircase_slacks,
-    unitarity_test, witness,
+    transcript, unitarity_test, witness,
 )
 from .rewriter import (
     CaseI, CaseII, InductionStep, NormalizedBase, full_staircase,

@@ -7,7 +7,8 @@ document (``--file`` or stdin) with fields {group, rank, mu, nu} or
 Rationals are serialized as strings like "3/2" to keep output exact.
 
 Exit codes: 0 unitary, 3 non-unitary (or module error), 4 not Hermitian or
-not genuine, 2 parse error.
+not genuine, 2 parse error.  ``classify --trace`` writes one JSON line per
+stage event of the classification to standard error.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from .halfint import frac, fmt
 from .weyl import GenuineParam, GroupTag, to_langlands, DimensionError
 from .spinclass import (
     MalformedParameter, Status, StringPairs, Verdict, classify,
-    enumerate_pairs, pairs_to_param,
+    enumerate_pairs, pairs_to_param, transcript,
 )
 # not called here: bench/tracing.py wraps ``cli.unitarity_test``, so the
 # name must still resolve on this module
@@ -39,6 +40,8 @@ def _parse_pairs(text: str, family: str) -> StringPairs:
         raise ParseError(f"cannot parse pairs {text!r}: {exc}") from None
     if len(xs) != len(ys):
         raise ParseError("x-row and y-row have different lengths")
+    if not xs:
+        raise ParseError(f"pairs {text!r} have no columns")
     try:
         return StringPairs(family, tuple(zip(xs, ys)))
     except MalformedParameter as exc:
@@ -111,12 +114,13 @@ def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:
             "lambda_L": [fmt(v) for v in lp.lambda_l],
             "lambda_R": [fmt(v) for v in lp.lambda_r],
         },
-        "transcript": list(verdict.chain),
+        "transcript": list(transcript(verdict)),
     }
     if verdict.witness is not None:
         doc["witness"] = {
             "eta_index": verdict.witness.q,
             "weight": [fmt(v) for v in verdict.witness.weight],
+            "group": str(verdict.witness.group),
         }
     if verdict.certificate is not None:
         cert = verdict.certificate
@@ -135,9 +139,20 @@ def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:
     return doc
 
 
+def _trace_record(event) -> dict:
+    """A stage event as one --trace line: stage, outcome, its integer
+    counters and its elapsed time."""
+    counters = {name: v for name, v in event.fields().items() if type(v) is int}
+    return {"stage": event.stage, "outcome": event.outcome, **counters,
+            "elapsed_ns": event.elapsed_ns}
+
+
 def cmd_classify(args) -> int:
     p = _load_document(args)
     verdict = classify(p)
+    if args.trace:
+        for event in verdict.chain:
+            print(json.dumps(_trace_record(event)), file=sys.stderr)
     doc = _verdict_document(p, verdict)
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -321,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="classify one parameter")
     common(sp)
+    sp.add_argument("--trace", action="store_true",
+                    help="one JSON line per pipeline stage on standard error")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("table", help="classification table for all pairs of a size")

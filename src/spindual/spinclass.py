@@ -21,9 +21,10 @@ violations and the orbit module's strictness check all read its slacks.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
 from .weyl import (
@@ -41,6 +42,15 @@ class MalformedParameter(ValueError):
 # ---------------------------------------------------------------------------
 # string pairs
 
+# The same small columns recur in every StringPairs the rewriter builds on the
+# way to a base, and a verdict keeps the pairs of all its induction steps.
+# Columns below the bound are shared tuples, so that retained verdicts hold
+# (and the garbage collector walks) few objects.
+_SHARED_BOUND = 32
+_SHARED_COLUMNS = {(x, y): (x, y)
+                   for x in range(_SHARED_BOUND) for y in range(_SHARED_BOUND)}
+
+
 @dataclass(frozen=True)
 class StringPairs:
     """Column pairs (x_i; y_i), both rows non-increasing.
@@ -56,7 +66,8 @@ class StringPairs:
     def __post_init__(self):
         if self.family not in ("B", "D"):
             raise ValueError("family must be 'B' or 'D'")
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
+        columns = ((int(x), int(y)) for x, y in self.pairs)
+        pairs = tuple(_SHARED_COLUMNS.get(c, c) for c in columns)
         ordered = tuple(sorted(pairs, key=lambda c: (-c[0], -c[1])))
         object.__setattr__(self, "pairs", ordered)
         ys = [y for _, y in ordered]
@@ -408,13 +419,19 @@ class SpinRelevantKType:
 
     ``q`` is the eta-index when the weight is a spin-relevant eta(q) (None
     for lifted GL-block witnesses, which are bottom-layer but not of eta
-    shape).
+    shape).  ``group`` is the group the weight lives on: the input group, or
+    the larger induced group when the witness of a padded core is read off
+    its normalized base.
     """
     q: int
     weight: tuple
+    group: GroupTag = None
 
     def __post_init__(self):
         object.__setattr__(self, "weight", vec(self.weight))
+        if self.group is not None and len(self.weight) != self.group.rank:
+            raise ValueError(
+                f"weight of length {len(self.weight)} on the group {self.group}")
 
 
 @dataclass(frozen=True)
@@ -438,8 +455,33 @@ class Status(Enum):
     NON_UNITARY = "NonUnitary"
 
 
+@dataclass(frozen=True, slots=True)
+class StageEvent:
+    """What one stage of :func:`classify` did.
+
+    ``stage`` is one of genuine, dominantize, hermitian, gl_block, partition,
+    extract_pairs, staircase, certificate, normalize and witness, in that
+    pipeline order; ``outcome`` says what the stage found.  ``data`` holds
+    the values the transcript line shows and the stage's integer counters;
+    :meth:`fields` names them.  Every value compares by value (Fractions,
+    ints, strings, tuples, frozen dataclasses), so classifying one parameter
+    twice gives equal verdicts.  ``elapsed_ns``, the time since the previous
+    event, is left out of comparisons and of the repr.
+    """
+    stage: str
+    outcome: str
+    data: tuple = ()
+    elapsed_ns: int = field(default=0, compare=False, repr=False)
+
+    def fields(self) -> dict:
+        """``data`` by name."""
+        names, _ = _EVENTS[self.stage, self.outcome]
+        return dict(zip(names, self.data, strict=True))
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """The result of :func:`classify`; ``chain`` is its tuple of StageEvents."""
     status: Status
     certificate: UnitaryCertificate = None
     witness: SpinRelevantKType = None
@@ -451,21 +493,118 @@ class Verdict:
         if (self.status is Status.UNITARY) != (self.certificate is not None):
             raise ValueError("certificate present iff Unitary")
 
+    def __str__(self):
+        return "\n".join(transcript(self))
+
+
+_CERTIFICATE = ("core", "orbit", "stein_factors", "gl_factors")
+_WITNESS = ("q", "rank")
+
+# (stage, outcome) -> (names of the data fields, transcript lines).  A name
+# in braces in a line is replaced by that field of the event.
+_EVENTS = {
+    ("genuine", "genuine"): ((), ()),
+    ("genuine", "integral mu"): ((), ("mu has integral entries: factors through SO",)),
+    ("dominantize", "dominant"): (("param",), ("dominant form: {param}",)),
+    ("dominantize", "diagram flip"): (("param",), (
+        "dominant form: {param}",
+        "diagram flip applied to make the last mu-coordinate positive",
+    )),
+    ("hermitian", "hermitian"): ((), ()),
+    ("hermitian", "not hermitian"): ((), ()),
+    ("gl_block", "unitary"): (("mu", "factors"), ()),
+    ("gl_block", "non-unitary"): (("mu", "reason"), (
+        "GL-block at mu={mu} is non-unitary ({reason}); "
+        "the witness lifts by a bottom-layer shift",
+    )),
+    ("partition", "unitary"): (("classes",), ()),
+    ("partition", "non-unitary"): (("label", "reason"), (
+        "residue class {label} is non-unitary ({reason})",
+    )),
+    ("extract_pairs", "empty"): (("half_class", "pairs", "columns"), ()),
+    ("extract_pairs", "pairs"): (("half_class", "pairs", "columns"), (
+        "half-integral class {half_class} <-> {pairs}",
+    )),
+    ("extract_pairs", "malformed"): (("error",), (
+        "half-integral class is not of string-pair shape: {error}",
+    )),
+    ("staircase", "strict"): ((), ()),
+    ("staircase", "satisfied"): ((), ()),
+    ("staircase", "violated"): (("kind", "index"), ()),
+    ("certificate", "no core"): (_CERTIFICATE, ()),
+    ("certificate", "strict core"): (_CERTIFICATE, (
+        "strict core {core} with attached orbit {orbit}",
+    )),
+    ("normalize", "normalized"): (("kind", "index", "base", "inductions"), (
+        "staircase violated at {kind} {index}; "
+        "normalized to base {base} after {inductions} inductions",
+    )),
+    ("witness", "eta"): (_WITNESS, ()),
+    ("witness", "lifted"): (_WITNESS, ()),
+    ("witness", "adjoint shift"): (_WITNESS, (
+        "the adjoint-shift K-type detects indefiniteness",
+    )),
+    ("witness", "none"): ((), ()),
+}
+
+
+def render(event: StageEvent) -> tuple:
+    """The transcript lines of one stage event; a tuple prints as a vector."""
+    _, templates = _EVENTS[event.stage, event.outcome]
+    if not templates:
+        return ()
+    values = {name: fmt_vec(v) if isinstance(v, tuple) else v
+              for name, v in event.fields().items()}
+    return tuple(t.format_map(values) for t in templates)
+
+
+def transcript(verdict: Verdict):
+    """The text transcript of a verdict, rendered line by line from its events."""
+    for event in verdict.chain:
+        yield from render(event)
+
+
+class _Stages:
+    """The stage events of one :func:`classify` call; each event is timed
+    from the previous one (the first from the start of the call)."""
+
+    def __init__(self):
+        self.events = []
+        self._mark = perf_counter_ns()
+
+    def record(self, stage: str, outcome: str, *data):
+        now = perf_counter_ns()
+        self.events.append(StageEvent(stage, outcome, data, now - self._mark))
+        self._mark = now
+
+    def verdict(self, status: Status, **fields) -> Verdict:
+        return Verdict(status, chain=tuple(self.events), **fields)
+
+    def non_unitary(self, wit, outcome: str, **fields) -> Verdict:
+        """Record the witness stage (outcome "none" without a witness) and
+        return the NonUnitary verdict."""
+        if wit is None:
+            self.record("witness", "none")
+        else:
+            self.record("witness", outcome, wit.q, wit.group.rank)
+        return self.verdict(Status.NON_UNITARY, witness=wit, **fields)
+
 
 def _embed_block_shift(mu, start, stop, shift):
     """mu plus a shift supported on positions [start, stop)."""
     out = list(mu)
     for i, s in enumerate(shift):
-        out[start + i] += s
+        if s:  # an entry plus 0 would be a new, equal Fraction
+            out[start + i] += s
     return tuple(out)
 
 
-def _eta_witness_full(mu, start, stop, family, q) -> SpinRelevantKType:
+def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
     """eta(q) of the D/B-factor on the mu-block [start, stop), lifted to mu."""
     m = stop - start
-    pattern = eta_weight(family, m, q)
+    pattern = eta_weight(group.family, m, q)
     shift = tuple(p - HALF for p in pattern)
-    return SpinRelevantKType(q, _embed_block_shift(mu, start, stop, shift))
+    return SpinRelevantKType(q, _embed_block_shift(mu, start, stop, shift), group)
 
 
 def classify(p: GenuineParam) -> Verdict:
@@ -474,20 +613,23 @@ def classify(p: GenuineParam) -> Verdict:
     Pipeline: genuineness, dominance normalization, Hermitian check, then the
     mu-blocks: blocks of value (2r-1)/2 with r >= 2 are GL-blocks; the value
     1/2 block splits into residue classes, with the +-1/2 core handled by
-    string pairs and the staircase criterion.
+    string pairs and the staircase criterion.  Each stage records a
+    :class:`StageEvent` in ``Verdict.chain``; :func:`transcript` renders them.
     """
     from . import rewriter
 
+    stages = _Stages()
     if not p.is_genuine():
-        return Verdict(Status.NOT_GENUINE,
-                       chain=("mu has integral entries: factors through SO",))
+        stages.record("genuine", "integral mu")
+        return stages.verdict(Status.NOT_GENUINE)
+    stages.record("genuine", "genuine")
     dom = dominantize(p)
     q0 = dom.param
-    chain = [f"dominant form: {q0}"]
-    if dom.outer_applied:
-        chain.append("diagram flip applied to make the last mu-coordinate positive")
+    stages.record("dominantize", "diagram flip" if dom.outer_applied else "dominant", q0)
     if hermitian_witness(q0) is None:
-        return Verdict(Status.NOT_HERMITIAN, chain=tuple(chain))
+        stages.record("hermitian", "not hermitian")
+        return stages.verdict(Status.NOT_HERMITIAN)
+    stages.record("hermitian", "hermitian")
     # mu-blocks read off the scaled mu; a block's value is q0.mu[start]
     blocks = [(q0.mu[start], start, stop)
               for _, start, stop in _mu_blocks(scaled(q0.mu)[1])]
@@ -498,21 +640,18 @@ def classify(p: GenuineParam) -> Verdict:
             continue
         glv = classify_gl(q0.nu[start:stop])
         if glv.status is GLStatus.NON_UNITARY:
-            chain.append(
-                f"GL-block at mu={fmt(value)} is non-unitary ({glv.reason}); "
-                "the witness lifts by a bottom-layer shift"
-            )
+            stages.record("gl_block", "non-unitary", value, glv.reason)
             weight = _embed_block_shift(q0.mu, start, stop, glv.witness)
-            return Verdict(Status.NON_UNITARY,
-                           witness=SpinRelevantKType(None, weight),
-                           chain=tuple(chain))
+            return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
         assert glv.status is GLStatus.UNITARY_FACTORS, glv
+        stages.record("gl_block", "unitary", value, len(glv.factors))
         gl_factors.extend((fmt(value), f) for f in glv.factors)
     # the mu = 1/2 block
     half_blocks = [(s, e) for v, s, e in blocks if v == HALF]
     if not half_blocks:
+        stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
-        return Verdict(Status.UNITARY, certificate=cert, chain=tuple(chain))
+        return stages.verdict(Status.UNITARY, certificate=cert)
     start, stop = half_blocks[0]
     classes = partition_nt(q0.nu[start:stop])
     core_plus, core_minus, blocks_gl = _grouped_classes(classes)
@@ -523,54 +662,48 @@ def classify(p: GenuineParam) -> Verdict:
         glv = classify_gl_genuine_block(signed)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
         if glv.status is GLStatus.NON_UNITARY:
-            chain.append(f"residue class {label} is non-unitary ({glv.reason})")
-            return Verdict(
-                Status.NON_UNITARY,
-                witness=_eta_witness_full(q0.mu, start, stop, p.group.family, glv.q),
-                chain=tuple(chain),
-            )
+            stages.record("partition", "non-unitary", label, glv.reason)
+            return stages.non_unitary(
+                _eta_witness_full(q0.mu, start, stop, p.group, glv.q), "eta")
         gl_factors.extend((label, f) for f in glv.factors)
+    stages.record("partition", "unitary", len(classes))
     # the +-1/2 core as string pairs
     try:
         pairs = extract_pairs(p.group.family, core_plus) if core_plus \
             else StringPairs(p.group.family, ())
     except MalformedParameter as exc:
-        chain.append(f"half-integral class is not of string-pair shape: {exc}")
-        chain.append("the adjoint-shift K-type detects indefiniteness")
-        return Verdict(
-            Status.NON_UNITARY,
-            witness=_eta_witness_full(q0.mu, start, stop, p.group.family, 1),
-            chain=tuple(chain),
-        )
-    if core_plus:
-        chain.append(f"half-integral class {fmt_vec(core_plus)} <-> {pairs}")
+        # the message, not the exception: exceptions compare by identity
+        stages.record("extract_pairs", "malformed", str(exc))
+        return stages.non_unitary(
+            _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
+    stages.record("extract_pairs", "pairs" if core_plus else "empty",
+                  core_plus, pairs, pairs.k)
     result = unitarity_test(pairs)
     if result:
+        stages.record("staircase", "strict" if result.strict else "satisfied")
         base = build_certificate(pairs)
         cert = UnitaryCertificate(base.stein_factors, tuple(gl_factors),
                                   base.core, base.orbit)
-        if cert.core is not None:
-            chain.append(f"strict core {cert.core} with attached orbit {cert.orbit}")
-        return Verdict(Status.UNITARY, certificate=cert,
-                       chain=tuple(chain), pairs=pairs)
+        stages.record("certificate", "strict core" if cert.core is not None else "no core",
+                      cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
+        return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
+    stages.record("staircase", "violated", result.kind, result.index)
     normal = rewriter.normalize_to_base(pairs)
+    stages.record("normalize", "normalized", result.kind, result.index,
+                  normal.base, len(normal.steps))
     wit = witness(pairs, normal)
-    chain.append(
-        f"staircase violated at {result.kind} {result.index}; "
-        f"normalized to base {normal.base} after {len(normal.steps)} inductions"
-    )
     if not normal.steps and wit is not None:
         # no padding: the witness lives on the original group
-        wit = _eta_witness_full(q0.mu, start, stop, p.group.family, wit.q)
-    return Verdict(Status.NON_UNITARY, witness=wit, chain=tuple(chain),
-                   pairs=pairs, normalized=normal)
+        wit = _eta_witness_full(q0.mu, start, stop, p.group, wit.q)
+    return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)
 
 
 def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     """The spin-relevant K-type detecting indefiniteness, from a normalized base.
 
     Case I and Case II bases give eta(2a+1) / eta(2e+2) in family D and
-    eta(2b+2) / eta(2c+1) in family B, at the rank of the normalized group.
+    eta(2b+2) / eta(2c+1) in family B, at the rank of the normalized group,
+    which is the group the returned K-type names.
     Returns None when normalization did not reach a padded base shape.
     """
     from .rewriter import CaseI, CaseII
@@ -585,7 +718,7 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
         q = 2 * base.e + 2 if fam == "D" else 2 * base.c + 1
     else:  # pragma: no cover
         return None
-    return SpinRelevantKType(q, eta_weight(fam, 2 * n, q))
+    return SpinRelevantKType(q, eta_weight(fam, 2 * n, q), GroupTag(fam, 2 * n))
 
 
 # ---------------------------------------------------------------------------

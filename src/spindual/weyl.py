@@ -187,9 +187,12 @@ def dominantize(p: GenuineParam) -> DominantForm:
         perm[j] = i
         out_signs[i] = signs[j]
     w = WeylElement(tuple(perm), tuple(out_signs))
+    outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
+    if not outer and -1 not in signs and perm == list(range(n)):
+        # p is dominant already: it is its own dominant form, not a copy
+        return DominantForm(p, w, False)
     mu2 = apply(w, p.mu)
     nu2 = apply(w, p.nu)
-    outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
     if outer:
         mu2 = mu2[:-1] + (-mu2[-1],)
         nu2 = nu2[:-1] + (-nu2[-1],)

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from spindual.cli import MAX_TABLE_RANK, main
+from tests.test_spinclass import PIPELINE
 
 
 def run(capsys, *argv):
@@ -174,3 +177,44 @@ def test_document_decimal_rationals_rejected(tmp_path, capsys):
             doc[key] = [entry, "1/2"]
             code, err = classify_document(tmp_path, capsys, doc)
             assert code == 2 and f"'{entry}' is not a rational" in err, err
+
+
+@pytest.mark.parametrize("command", ["classify", "rewrite", "orbit", "verify-chain"])
+def test_empty_pairs_rejected(capsys, command):
+    code = main([command, "--group", "D", "--pairs", ";"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "parse error: pairs ';' have no columns\n"
+
+
+def test_classify_json_witness_group(capsys):
+    # the padded core's witness lives on the induced group B1722
+    code, out = run(capsys, "classify", "--group", "B", "--pairs", "30,20,9;5,2,1",
+                    "--json")
+    assert code == 3
+    witness = json.loads(out)["witness"]
+    assert witness["group"] == "B1722" and len(witness["weight"]) == 1722
+    code, out = run(capsys, "classify", "--group", "D", "--pairs", "1;3", "--json")
+    assert json.loads(out)["witness"]["group"] == "D8"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "D", "--pairs", "4;0"],
+    ["classify", "--group", "B", "--pairs", "2,2;0,0", "--json"],
+    ["classify", "--mu=3/2,3/2,1/2,1/2", "--nu=5/2,-5/2,1/2,-1/2"],
+    ["classify", "--mu=1,0", "--nu=1,0", "--json"],
+])
+def test_classify_trace(capsys, argv):
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv + ["--trace"]) == code
+    traced = capsys.readouterr()
+    assert traced.out == plain.out and plain.err == ""
+    records = [json.loads(line) for line in traced.err.splitlines()]
+    order = [PIPELINE.index(r["stage"]) for r in records]
+    assert order and order == sorted(order)
+    for r in records:
+        assert isinstance(r.pop("stage"), str) and isinstance(r.pop("outcome"), str)
+        assert "elapsed_ns" in r
+        assert all(type(v) is int for v in r.values()), r

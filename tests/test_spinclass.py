@@ -1,17 +1,22 @@
 """Tests for string pairs, extraction, the staircase criterion and classify."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import CompParams
 from spindual.spinclass import (
-    MalformedParameter, Status, StringPairs, classify, decompose_alpha_beta,
-    enumerate_pairs, eta_weight, extract_pairs_B, extract_pairs_D,
-    pairs_to_param, partition_nt, peel_stein_factors, unitarity_test,
+    MalformedParameter, StageEvent, Status, StringPairs, classify,
+    decompose_alpha_beta, enumerate_pairs, eta_weight, extract_pairs_B,
+    extract_pairs_D, pairs_to_param, partition_nt, peel_stein_factors,
+    transcript, unitarity_test,
 )
-from spindual.weyl import GenuineParam, GroupTag, apply, hermitian_dual
+from spindual.weyl import (
+    GenuineParam, GroupTag, WeylElement, apply, hermitian_dual,
+)
 from tests.test_weyl import rnd_weyl
 
 F = Fraction
@@ -348,3 +353,169 @@ def test_classify_rank_one():
     # half-class (1/2) is the column (1, 0); its dual class is empty, so the
     # parameter is not Hermitian
     assert classify(p).status is Status.NOT_HERMITIAN
+
+
+# ---------------------------------------------------------------------------
+# stage events and the transcript
+
+# one parameter per branch of classify, with its transcript as printed
+# before the transcript was rendered from stage events
+TRANSCRIPT_GOLDEN = {
+    "not genuine": (
+        GenuineParam(GroupTag("D", 2), (F(1), F(0)), (F(1), F(0))),
+        ["mu has integral entries: factors through SO"],
+    ),
+    "not Hermitian": (
+        GenuineParam(GroupTag("D", 2), (H, H), (F(3), F(1))),
+        ["dominant form: D2: mu=(1/2, 1/2), nu=(3, 1)"],
+    ),
+    "diagram flip": (
+        GenuineParam(GroupTag("D", 2), (H, -H), (H, -H)),
+        ["dominant form: D2: mu=(1/2, 1/2), nu=(1/2, 1/2)",
+         "diagram flip applied to make the last mu-coordinate positive"],
+    ),
+    "GL block at mu = 3/2": (
+        GenuineParam(GroupTag("D", 4), (F(3, 2), F(3, 2), H, H),
+                     (F(5, 2), F(-5, 2), H, -H)),
+        ["dominant form: D4: mu=(3/2, 3/2, 1/2, 1/2), nu=(5/2, -5/2, 1/2, -1/2)",
+         "GL-block at mu=3/2 is non-unitary (deformation pair of size 1 at "
+         "|t|=5/2 outside the unitary range); the witness lifts by a "
+         "bottom-layer shift"],
+    ),
+    "residue class": (
+        GenuineParam(GroupTag("D", 4), (H,) * 4, (F(9, 4), F(-9, 4), H, -H)),
+        ["dominant form: D4: mu=(1/2, 1/2, 1/2, 1/2), nu=(9/4, -9/4, 1/2, -1/2)",
+         "residue class t=1/4 is non-unitary (deformation pair of size 1 at "
+         "|t|=9/4 outside the unitary range)"],
+    ),
+    "malformed half class": (
+        GenuineParam(GroupTag("D", 2), (H, H), (F(-3, 2), F(3, 2))),
+        ["dominant form: D2: mu=(1/2, 1/2), nu=(-3/2, 3/2)",
+         "half-integral class is not of string-pair shape: string (-3/2) "
+         "does not pass through 1/2",
+         "the adjoint-shift K-type detects indefiniteness"],
+    ),
+    "strict core": (
+        pairs_to_param(StringPairs("D", ((4, 0),))),
+        ["dominant form: D8: mu=(1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2), "
+         "nu=(13/2, 9/2, 5/2, 1/2, -1/2, -5/2, -9/2, -13/2)",
+         "half-integral class (13/2, 9/2, 5/2, 1/2) <-> (4; 0)",
+         "strict core (4; 0) with attached orbit [8,7,1] in so(16)"],
+    ),
+    "after inductions": (
+        pairs_to_param(StringPairs("B", ((2, 0), (2, 0)))),
+        ["dominant form: B8: mu=(1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2), "
+         "nu=(5/2, 5/2, 1/2, 1/2, -1/2, -1/2, -5/2, -5/2)",
+         "half-integral class (5/2, 5/2, 1/2, 1/2) <-> (2 2; 0 0)",
+         "staircase violated at column 1; normalized to base CaseI(a=2, b=0) "
+         "after 1 inductions"],
+    ),
+}
+
+PIPELINE = ("genuine", "dominantize", "hermitian", "gl_block", "partition",
+            "extract_pairs", "staircase", "certificate", "normalize", "witness")
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_GOLDEN))
+def test_transcript_golden(name):
+    p, lines = TRANSCRIPT_GOLDEN[name]
+    v = classify(p)
+    assert list(transcript(v)) == lines
+    assert str(v) == "\n".join(lines)
+    assert all(isinstance(e, StageEvent) for e in v.chain)
+
+
+def _check_events(v):
+    """The chain is in pipeline order, every event names all of its data,
+    and the verdict ends on the stage that decided it."""
+    order = [PIPELINE.index(e.stage) for e in v.chain]
+    assert order == sorted(order), [e.stage for e in v.chain]
+    for e in v.chain:
+        e.fields()  # raises when data and field names differ in length
+        assert type(e.elapsed_ns) is int and e.elapsed_ns >= 0
+    last = v.chain[-1].stage
+    if v.status is Status.UNITARY:
+        assert last == "certificate"
+    elif v.status is Status.NON_UNITARY:
+        assert last == "witness"
+
+
+def test_stage_events_on_table_rows():
+    for fam in ("B", "D"):
+        for n in range(1, 7):
+            for pairs in enumerate_pairs(fam, n):
+                _check_events(classify(pairs_to_param(pairs)))
+    for p, _ in TRANSCRIPT_GOLDEN.values():
+        _check_events(classify(p))
+
+
+def test_elapsed_time_is_not_compared():
+    v = classify(TRANSCRIPT_GOLDEN["strict core"][0])
+    event = v.chain[0]
+    later = dataclasses.replace(event, elapsed_ns=event.elapsed_ns + 1)
+    assert later == event and repr(later) == repr(event)
+
+
+@st.composite
+def mixed_params(draw):
+    """Hermitian parameters shaped like the mixed_blocks benchmark inputs: a
+    string-pair core and GL entries in the mu = 1/2 block, GL blocks at
+    mu = 3/2 and 5/2, all under a random Weyl element."""
+    family = draw(st.sampled_from("BD"))
+    t = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    mu, nu = [], []
+    n_core = draw(st.integers(0, 3))
+    if n_core:
+        rows = list(enumerate_pairs(family, n_core))
+        core = rows[draw(st.integers(0, len(rows) - 1))].half_class()
+    else:
+        core = ()
+    for value, size in ((H, None), (F(3, 2), draw(st.integers(0, 3))),
+                        (F(5, 2), draw(st.integers(0, 3)))):
+        part = list(core) + [-v for v in core] if value == H else []
+        for v in draw(st.lists(t, max_size=2 if size is None else size)):
+            part += [v, -v]
+        if value == H and not part:
+            part = [F(0)]
+        mu += [value] * len(part)
+        nu += part
+    n = len(mu)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    if family == "D" and signs.count(-1) % 2:
+        signs[0] = -signs[0]
+    w = WeylElement(tuple(perm), tuple(signs))
+    return GenuineParam(GroupTag(family, n), apply(w, mu), apply(w, nu))
+
+
+def _equal_twice(p):
+    first, second = classify(p), classify(p)
+    assert first == second
+    assert repr(first) == repr(second)
+    _check_events(first)
+
+
+def test_classify_twice_golden_inputs():
+    for p, _ in TRANSCRIPT_GOLDEN.values():
+        _equal_twice(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_params())
+def test_classify_twice_mixed(p):
+    _equal_twice(p)
+
+
+def test_witness_names_its_group():
+    # a padded core's witness lives on the induced group, and only then
+    for fam in ("B", "D"):
+        for n in range(1, 11):
+            for pairs in enumerate_pairs(fam, n):
+                if unitarity_test(pairs):
+                    continue
+                p = pairs_to_param(pairs)
+                v = classify(p)
+                wit = v.witness
+                assert len(wit.weight) == wit.group.rank
+                assert wit.group.family == fam
+                assert (wit.group == p.group) == (not v.normalized.steps), pairs
