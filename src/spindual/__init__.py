@@ -13,9 +13,8 @@ from .weyl import (
     is_conjugate, rho, to_langlands,
 )
 from .glclass import (
-    Chain, ChainDecomposition, CompParams, GLStatus, GLVerdict, SteinPair,
-    TrivialString, classify_gl, classify_gl_genuine_block, comp_nu,
-    decompose_chains,
+    Chain, CompParams, GLStatus, GLVerdict, SteinPair, TrivialString,
+    classify_gl, classify_gl_genuine_block, comp_nu, decompose_chains,
 )
 from .spinclass import (
     MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs,

@@ -329,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--pairs", help='string pairs "x1,..;y1,.."')
         if not pairs_only:
-            sp.add_argument("--mu", help="comma-separated rationals")
-            sp.add_argument("--nu", help="comma-separated rationals")
+            # argparse reads a value that starts with '-' as an option
+            sp.add_argument("--mu", help="comma-separated rationals; a list that "
+                            "starts with a minus needs the = form, --mu=-1/2,1/2")
+            sp.add_argument("--nu", help="comma-separated rationals; a list that "
+                            "starts with a minus needs the = form, --nu=-1,0")
             sp.add_argument("--rank", type=int)
             sp.add_argument("--file", help="JSON parameter document")
 

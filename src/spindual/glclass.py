@@ -17,9 +17,11 @@ attached to the chains.  It is unitary exactly when
 Failures report the K-type shift pattern (1,...,1,0,...,0,-1,...,-1) that
 detects indefiniteness, relative to the block's lowest K-type.
 
-The genuine variant carries a +-1 twist on each coordinate (the character
-(det/|det|)^{+-1/2} on the corresponding block); chains must then be
-constant-twist and pair with matching twist.
+Every block carries a +-1 twist on each coordinate (the character
+(det/|det|)^{+-1/2}; +1 for the spherical case); chains are constant-twist
+and pair with matching twist.  The classifier scales nu once by its least
+common denominator and works on the integers; Fractions appear only in the
+factors and reasons it returns.
 """
 
 from collections import Counter
@@ -71,44 +73,35 @@ class Chain:
         return Chain(tuple(-v for v in reversed(self.values)), self.sign)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
-    chains: tuple
+def _layers(L: int, ints, signs) -> list:
+    """The chains of the values ints/L as (twist, scaled values) layers.
 
-    def __iter__(self):
-        return iter(self.chains)
-
-    def __len__(self):
-        return len(self.chains)
-
-
-def decompose_chains(nu, signs=None) -> ChainDecomposition:
-    """Greedy longest-chain decomposition of the multiset nu.
-
-    Within each (residue mod 2, twist) class the k-th chain consists of the
+    Within each (residue mod 2, twist) class the k-th layer consists of the
     distinct values of multiplicity >= k, in descending order; this realizes
     the greedy longest-subsequence rule with deterministic tie-breaking.
+    Layers sort longest first, then by their values descending.
     """
+    groups = {}
+    for v, s in zip(ints, signs):
+        groups.setdefault((residue(v, L), s), []).append(v)
+    layers = []
+    for (_, s), values in groups.items():
+        counts = Counter(values)
+        for k in range(1, max(counts.values()) + 1):
+            layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
+            layers.append((s, tuple(layer)))
+    return sorted(layers, key=lambda sl: (-len(sl[1]), tuple(-v for v in sl[1])))
+
+
+def decompose_chains(nu, signs=None) -> tuple:
+    """Greedy longest-chain decomposition of the multiset nu, as Chains."""
     nu = vec(nu)
     if signs is None:
         signs = (1,) * len(nu)
     L, ints = scaled(nu)
     value_of = dict(zip(ints, nu))
-    groups = {}
-    for v, s in zip(ints, signs):
-        groups.setdefault((residue(v, L), s), []).append(v)
-    chains = []
-    for (_, s), values in groups.items():
-        counts = Counter(values)
-        k = 1
-        while True:
-            layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
-            if not layer:
-                break
-            chains.append(Chain(tuple(value_of[v] for v in layer), s))
-            k += 1
-    chains.sort(key=lambda c: (-len(c), tuple(-v for v in c.values)))
-    return ChainDecomposition(tuple(chains))
+    return tuple(Chain(tuple(value_of[v] for v in layer), s)
+                 for s, layer in _layers(L, ints, signs))
 
 
 def comp_nu(a: int, t) -> tuple:
@@ -184,61 +177,48 @@ def _shift(n: int, q: int) -> tuple:
     return (1,) * q + (0,) * (n - 2 * q) + (-1,) * q
 
 
-def _classify_chain_system(chains, n: int) -> GLVerdict:
-    """Shared classifier: chains must be strings and pair as characters/Stein."""
+def _classify_layers(L: int, layers, n: int) -> GLVerdict:
+    """Chains must be strings and pair as characters/Stein pairs.
+
+    The input is symmetric, so the negation of a non-centered layer is
+    another layer of the same length and twist.  Of the two, the one with
+    positive center has the larger top value and comes first; it stands for
+    the pair, and the layer with negative center is skipped.
+    """
     # step gaps first: a chain that is not a pure step-2 string is attached to
     # a module that is not one-dimensional
-    for c in chains:
-        if not c.is_string:
+    for _, layer in layers:
+        if any(a - b != 2 * L for a, b in zip(layer, layer[1:])):
             return GLVerdict(
                 GLStatus.NON_UNITARY, witness=_adjoint_shift(n), q=1,
-                reason=f"chain {fmt_vec(c.values)} has a gap larger than 2",
+                reason=f"chain {fmt_vec(Fraction(v, L) for v in layer)} has a gap larger than 2",
             )
-    pool = list(chains)
     factors = []
-    while pool:
-        c = pool.pop(0)
-        if c.is_centered:
-            factors.append(TrivialString(len(c), c.sign))
-            continue
-        # on symmetric input the negation of a non-centered chain is another
-        # chain of the decomposition, and its center is not an integer (an
-        # integer center would put the chain in a self-dual residue class,
-        # where every multiplicity layer is centered)
-        mate = c.negated()
-        pool.remove(mate)
-        a = len(c)
-        t = max(c.center, mate.center)
-        if abs(t) < 1:
-            factors.append(SteinPair(a, t, c.sign))
-            continue
-        q = abs(t).__floor__()
-        if q <= a:
-            qw = a - q + 1
-        else:
-            qw = 1
-        return GLVerdict(
-            GLStatus.NON_UNITARY, witness=_shift(n, qw), q=qw,
-            reason=f"deformation pair of size {a} at |t|={fmt(abs(t))} outside the unitary range",
-        )
+    for s, layer in layers:
+        a = len(layer)
+        total = sum(layer)
+        if total == 0:
+            factors.append(TrivialString(a, s))
+        elif total > 0:
+            # the deformation t of the pair is the center total / (a L)
+            t = Fraction(total, a * L)
+            if t < 1:
+                factors.append(SteinPair(a, t, s))
+                continue
+            qw = max(a - total // (a * L) + 1, 1)
+            return GLVerdict(
+                GLStatus.NON_UNITARY, witness=_shift(n, qw), q=qw,
+                reason=f"deformation pair of size {a} at |t|={fmt(t)} outside the unitary range",
+            )
     order = {TrivialString: 0, SteinPair: 1}
     factors.sort(key=lambda f: (order[type(f)], -f.a))
     return GLVerdict(GLStatus.UNITARY_FACTORS, factors=tuple(factors))
 
 
-def classify_gl(nu, signs=None) -> GLVerdict:
-    """Unitarity of the spherical module attached to nu (optionally twisted).
-
-    A constant twist (the pseudo-spherical case) does not affect unitarity.
-    Mixed twists are routed through the genuine-block classifier.
-    """
-    nu = vec(nu)
-    if signs is not None and len(set(signs)) > 1:
-        return classify_gl_genuine_block(list(zip(nu, signs)))
-    if sorted(nu) != sorted(-v for v in nu):
-        return GLVerdict(GLStatus.NOT_HERMITIAN, reason="nu is not symmetric under negation")
-    chains = decompose_chains(nu)
-    return _classify_chain_system(chains.chains, len(nu))
+def classify_gl(nu) -> GLVerdict:
+    """Unitarity of the spherical module attached to nu: the genuine block
+    with every twist +1 (a constant twist does not affect unitarity)."""
+    return classify_gl_genuine_block([(v, 1) for v in nu])
 
 
 def classify_gl_genuine_block(signed_nu) -> GLVerdict:
@@ -252,9 +232,7 @@ def classify_gl_genuine_block(signed_nu) -> GLVerdict:
     signs = tuple(s for _, s in signed_nu)
     if any(s not in (1, -1) for s in signs):
         raise ValueError("twists must be +1/-1")
-    pairs = sorted(zip(values, signs))
-    dual = sorted(zip((-v for v in values), signs))
-    if pairs != dual:
+    L, ints = scaled(values)
+    if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):
         return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
-    chains = decompose_chains(values, signs)
-    return _classify_chain_system(chains.chains, len(values))
+    return _classify_layers(L, _layers(L, ints, signs), len(ints))

@@ -55,9 +55,6 @@ class CaseI:
     a: int
     b: int
 
-    def __str__(self):
-        return f"CaseI(a={self.a}, b={self.b})"
-
 
 @dataclass(frozen=True)
 class CaseII:
@@ -65,9 +62,6 @@ class CaseII:
     d: int
     e: int
     f: int
-
-    def __str__(self):
-        return f"CaseII(c={self.c}, d={self.d}, e={self.e}, f={self.f})"
 
 
 @dataclass(frozen=True)
@@ -125,6 +119,24 @@ def _pad_column_once(pairs: StringPairs, i: int) -> InductionStep:
     raise ValueError("column is already a staircase step")
 
 
+def _pad(pairs: StringPairs, target):
+    """Pad column ``target(current)`` once per round until it is None."""
+    steps = []
+    current = pairs
+    while (i := target(current)) is not None:
+        step = _pad_column_once(current, i)
+        steps.append(step)
+        current = step.after
+        if len(steps) > 10000:  # pragma: no cover
+            raise RuntimeError("padding failed to terminate")
+    return tuple(steps), current
+
+
+def _first_where(bad):
+    """The padding target: the first column (x; y) with bad(x, y), or None."""
+    return lambda pairs: next((i for i, col in enumerate(pairs.pairs) if bad(*col)), None)
+
+
 def pad_case_a(pairs: StringPairs):
     """Flatten columns with x <= y into equal columns by (x+1; x) insertions.
 
@@ -133,26 +145,12 @@ def pad_case_a(pairs: StringPairs):
     """
     if any(x > y for x, y in pairs.pairs):
         raise ValueError("pad_case_a expects columns with x <= y")
-    steps = []
-    current = pairs
-    while any(x < y for x, y in current.pairs):
-        i = next(i for i, (x, y) in enumerate(current.pairs) if x < y)
-        step = _pad_column_once(current, i)
-        steps.append(step)
-        current = step.after
-    return tuple(steps), current
+    return _pad(pairs, _first_where(lambda x, y: x < y))
 
 
 def pad_case_b(pairs: StringPairs):
     """Smooth columns with x >= y + 2 into a staircase by (a; a) insertions."""
-    steps = []
-    current = pairs
-    while any(x >= y + 2 for x, y in current.pairs):
-        i = next(i for i, (x, y) in enumerate(current.pairs) if x >= y + 2)
-        step = _pad_column_once(current, i)
-        steps.append(step)
-        current = step.after
-    return tuple(steps), current
+    return _pad(pairs, _first_where(lambda x, y: x >= y + 2))
 
 
 def full_staircase(pairs: StringPairs):
@@ -160,20 +158,7 @@ def full_staircase(pairs: StringPairs):
 
     This is the plain rewriting transcript: no violation is preserved.
     """
-    steps = []
-    current = pairs
-    while True:
-        bad = next(
-            (i for i, col in enumerate(current.pairs) if not _is_stein_column(col)),
-            None,
-        )
-        if bad is None:
-            return tuple(steps), current
-        step = _pad_column_once(current, bad)
-        steps.append(step)
-        current = step.after
-        if len(steps) > 10000:  # pragma: no cover
-            raise RuntimeError("padding failed to terminate")
+    return _pad(pairs, _first_where(lambda x, y: not _is_stein_column((x, y))))
 
 
 def _base_at(pairs: StringPairs, violation):
@@ -199,29 +184,20 @@ def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
         factors, _ = peel_stein_factors(pairs)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
-    steps = []
-    current = pairs
-    while True:
+    viols = base = base_cols = None
+
+    def target(current):
+        # the insertions re-sort globally: re-locate the base every round
+        nonlocal viols, base, base_cols
         viols = _violations(current)
         assert viols, "violated input cannot normalize to a satisfied shape"
         base, base_cols = _base_at(current, viols[0])
-        bad = next(
-            (
-                i for i, col in enumerate(current.pairs)
-                if i not in base_cols and not _is_stein_column(col)
-            ),
-            None,
-        )
-        if bad is None:
-            # staircase steps cannot create violations next to the base, so
-            # the base violation is the only one left
-            assert len(viols) == 1, (current, viols)
-            stein = tuple(
-                col for i, col in enumerate(current.pairs) if i not in base_cols
-            )
-            return NormalizedBase(tuple(steps), stein, base, current)
-        step = _pad_column_once(current, bad)
-        steps.append(step)
-        current = step.after
-        if len(steps) > 10000:  # pragma: no cover
-            raise RuntimeError("normalization failed to terminate")
+        return next((i for i, col in enumerate(current.pairs)
+                     if i not in base_cols and not _is_stein_column(col)), None)
+
+    steps, current = _pad(pairs, target)
+    # staircase steps cannot create violations next to the base, so the base
+    # violation is the only one left
+    assert len(viols) == 1, (current, viols)
+    stein = tuple(col for i, col in enumerate(current.pairs) if i not in base_cols)
+    return NormalizedBase(steps, stein, base, current)

@@ -733,39 +733,21 @@ def enumerate_pairs(family: str, n: int):
     if n < 1:
         raise ValueError("n must be positive")
 
-    def columns(fam):
-        for x in range(n, -1, -1):
-            for y in range(n, -1, -1):
-                if x == 0 and y == 0:
-                    continue
-                if fam == "D" and x == 0:
-                    continue
-                yield (x, y)
-
     results = []
+    x_low = 1 if family == "D" else 0
 
-    def extend(cols, remaining):
+    def extend(cols, remaining, last_x, last_y):
+        # both rows non-increasing: each column fits under the one before
         if remaining == 0:
-            try:
-                results.append(StringPairs(family, tuple(cols)))
-            except MalformedParameter:
-                pass
+            results.append(StringPairs(family, tuple(cols)))
             return
-        last = cols[-1] if cols else (n, n)
-        for x, y in columns(family):
-            if x + y > remaining:
-                continue
-            if x > last[0] or y > last[1]:
-                continue
-            extend(cols + [(x, y)], remaining - (x + y))
+        for x in range(min(last_x, remaining), x_low - 1, -1):
+            for y in range(min(last_y, remaining - x), -1, -1):
+                if x or y:
+                    extend(cols + [(x, y)], remaining - (x + y), x, y)
 
-    extend([], n)
-    results.sort(key=_table_key)
-    seen = set()
-    for p in results:
-        if p.pairs not in seen:
-            seen.add(p.pairs)
-            yield p
+    extend([], n, n, n)
+    yield from sorted(results, key=_table_key)
 
 
 def _table_key(p: StringPairs):

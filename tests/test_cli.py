@@ -104,6 +104,19 @@ def test_non_rational_input_rejected(capsys):
     assert code == 2
 
 
+def test_mu_starting_with_minus_needs_equals_form(capsys):
+    # joined by '=', a list starting with a minus is read as the value
+    code, out = run(capsys, "classify", "--mu=-1/2,1/2", "--nu", "1,0")
+    assert code == 4 and "status: NotHermitian" in out
+    # with a space, argparse reads it as an option: exit 2, a message, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--mu", "-1/2,1/2", "--nu", "1,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --mu: expected one argument" in err
+    assert "Traceback" not in err
+
+
 def run_error(capsys, *argv):
     """Exit code and standard error of a call that must fail cleanly."""
     code = main(list(argv))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindual.glclass import Chain, ChainDecomposition, decompose_chains
+from spindual.glclass import Chain, decompose_chains
 from spindual.spinclass import partition_nt
 from spindual.weyl import (
     DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
@@ -129,7 +129,7 @@ def decompose_chains_reference(nu, signs):
             chains.append(Chain(tuple(layer), s))
             k += 1
     chains.sort(key=lambda c: (-len(c), tuple(-v for v in c.values)))
-    return ChainDecomposition(tuple(chains))
+    return tuple(chains)
 
 
 # ---------------------------------------------------------------------------

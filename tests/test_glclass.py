@@ -228,7 +228,7 @@ def test_symmetric_chains_pair_off(half, twisted):
     if not twisted:
         signed = [(v, 1) for v, _ in signed]
     values = [v for v, _ in signed]
-    chains = decompose_chains(values, [s for _, s in signed]).chains
+    chains = decompose_chains(values, [s for _, s in signed])
     moving = [c for c in chains if not c.is_centered]
     assert Counter(moving) == Counter(c.negated() for c in moving)
     assert not any(c.center.denominator == 1 for c in moving if c.is_string)
