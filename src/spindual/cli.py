@@ -55,10 +55,15 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_list(value, what: str, items: str) -> list:
+    """A JSON array; a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of {items}")
+    return value
+
+
 def _json_row(doc: dict, key: str) -> list:
-    row = doc["pairs"][key]
-    if not isinstance(row, list):
-        raise ParseError(f"pairs.{key} must be a list of integers")
+    row = _json_list(doc["pairs"][key], f"pairs.{key}", "integers")
     return [_json_int(v, f"pairs.{key} entry") for v in row]
 
 
@@ -72,8 +77,8 @@ def _param_from_document(doc: dict) -> GenuineParam:
                 raise ParseError("x-row and y-row have different lengths")
             pairs = StringPairs(family, tuple(zip(xs, ys)))
             return pairs_to_param(pairs)
-        mu = [frac(s) for s in doc["mu"]]
-        nu = [frac(s) for s in doc["nu"]]
+        mu = [frac(s) for s in _json_list(doc["mu"], "mu", "rationals")]
+        nu = [frac(s) for s in _json_list(doc["nu"], "nu", "rationals")]
         rank = _json_int(doc["rank"], "rank") if "rank" in doc else len(mu)
         return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu))
     except ParseError:
@@ -187,9 +192,8 @@ def _row_for(pairs: StringPairs):
         tag = "Yes" if verdict.certificate.stein_factors else "Yes - unipotent"
         witness = ""
     else:
-        q = verdict.witness.q if verdict.witness else None
         tag = "No"
-        witness = f"eta({q})" if q is not None else "?"
+        witness = f"eta({verdict.witness.q})"
     return {
         "pairs": str(pairs),
         "lambda_L": [fmt(v) for v in lp.lambda_l],

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, residue, scaled, fmt, fmt_vec, HALF
+from .halfint import frac, vec, is_sign, residue, scaled, fmt, fmt_vec, HALF
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Chain:
             gap = a - b
             if gap <= 0 or gap % 2 != 0:
                 raise ValueError(f"invalid chain gap {fmt(gap)} in {fmt_vec(self.values)}")
-        if self.sign not in (1, -1):
+        if not is_sign(self.sign):
             raise ValueError("sign must be +1/-1")
 
     def __len__(self):
@@ -96,8 +96,9 @@ def _layers(L: int, ints, signs) -> list:
 def decompose_chains(nu, signs=None) -> tuple:
     """Greedy longest-chain decomposition of the multiset nu, as Chains."""
     nu = vec(nu)
-    if signs is None:
-        signs = (1,) * len(nu)
+    signs = (1,) * len(nu) if signs is None else tuple(signs)
+    if len(signs) != len(nu):
+        raise ValueError(f"{len(nu)} values but {len(signs)} twists")
     L, ints = scaled(nu)
     value_of = dict(zip(ints, nu))
     return tuple(Chain(tuple(value_of[v] for v in layer), s)
@@ -230,7 +231,7 @@ def classify_gl_genuine_block(signed_nu) -> GLVerdict:
     """
     values = vec(v for v, _ in signed_nu)
     signs = tuple(s for _, s in signed_nu)
-    if any(s not in (1, -1) for s in signs):
+    if not all(map(is_sign, signs)):
         raise ValueError("twists must be +1/-1")
     L, ints = scaled(values)
     if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):

@@ -49,6 +49,11 @@ def is_half_odd(v: Fraction) -> bool:
     return frac(v).denominator == 2
 
 
+def is_sign(s) -> bool:
+    """s is +1 or -1; ``True == 1``, but a bool is not a sign."""
+    return s in (1, -1) and not isinstance(s, bool)
+
+
 def fmt(v: Fraction) -> str:
     """``"3/2"``, or ``"3"`` for an integer."""
     return str(frac(v))

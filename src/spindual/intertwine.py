@@ -16,7 +16,7 @@ replay is evidence, not proof.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import frac, fmt, HALF
+from .halfint import frac, fmt, is_sign, HALF
 
 
 class Pole(ArithmeticError):
@@ -85,7 +85,7 @@ class SignedEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "value", frac(self.value))
-        if self.sign not in (1, -1):
+        if not is_sign(self.sign):
             raise ValueError("sign must be +1/-1")
 
     def bar(self) -> "SignedEntry":
@@ -134,14 +134,11 @@ def pass_left_ok(chain, xi: SignedEntry) -> bool:
 def sort_ok(prefix, chain) -> bool:
     """May the anti-dominant prefix sort past the chain injectively?
 
-    Excluded: xi = nu_last + 2 (same sign) resp. nu_last + 3 (opposite).
+    No prefix entry may sit at the pole of its pass over the chain:
+    xi = nu_last + 2 (same sign) resp. nu_last + 3 (opposite).
     """
-    vals, sign = _check_chain(chain)
-    for xi in prefix:
-        c = 2 if xi.sign == sign else 3
-        if xi.value == vals[-1] + c:
-            return False
-    return True
+    _check_chain(chain)
+    return all(_pass_left_scalar(chain, xi) is not None for xi in prefix)
 
 
 def short_root_ok(a) -> bool:
@@ -330,6 +327,26 @@ def _string_asc(x: int, y: int):
     return tuple(lo + 2 * k for k in range(x + y))
 
 
+def _flip_and_pass(seq, script, top, flip):
+    """Flip the entry top^+ by the move ``flip`` and pass it left over the
+    positive entries strictly between -top and top; returns the new seq."""
+    ti = _index_of(seq, top, 1)
+    script.append(flip(ti))
+    seq = _apply(seq, script[-1])
+    run = [i for i, e in enumerate(seq) if e.sign == 1 and -top < e.value < top]
+    if run:
+        script.append(PassLeft(run[0], run[-1] + 1, ti))
+        seq = _apply(seq, script[-1])
+    return seq
+
+
+def _pass_block(m: int, count: int) -> list:
+    """Pass the ``count`` entries after a block of length m left over it, one
+    by one: after k passes the block occupies [k, k+m) and the next entry
+    sits immediately to its right."""
+    return [PassLeft(k, k + m, k + m) for k in range(count)]
+
+
 def case_i_script_d(a: int, b: int):
     """Scripts replaying the single-string move for family D pairs (a; b).
 
@@ -343,14 +360,7 @@ def case_i_script_d(a: int, b: int):
     script = []
     for _ in range(max(a - 1, 0)):
         top = max(e.value for e in seq if e.sign == 1)
-        ti = _index_of(seq, top, 1)
-        script.append(BarGL(ti))
-        seq = _apply(seq, script[-1])
-        run = [i for i, e in enumerate(seq) if e.sign == 1 and -top < e.value < top]
-        if run:
-            move = PassLeft(run[0], run[-1] + 1, ti)
-            script.append(move)
-            seq = _apply(seq, move)
+        seq = _flip_and_pass(seq, script, top, BarGL)
     parts.append(("omega", start, tuple(script)))
     # dual side: flip the positive tail pairwise, then one descending sort
     seq = entries(tuple(-v for v in reversed(_string_asc(a, b))))
@@ -381,15 +391,7 @@ def case_i_script_b(a: int, b: int):
         tops = [e.value for e in seq if e.sign == 1 and e.value >= Fraction(9, 2)]
         if not tops:
             break
-        top = max(tops)
-        ti = _index_of(seq, top, 1)
-        script.append(ShortRootFlip(ti))
-        seq = _apply(seq, script[-1])
-        run = [i for i, e in enumerate(seq) if e.sign == 1 and -top < e.value < top]
-        if run:
-            move = PassLeft(run[0], run[-1] + 1, ti)
-            script.append(move)
-            seq = _apply(seq, move)
+        seq = _flip_and_pass(seq, script, max(tops), ShortRootFlip)
     if a > b + 1:
         script.append(Uncertified(
             "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"))
@@ -405,19 +407,11 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     if not (c >= d and e >= f):
         raise ScriptError("columns must be doubly non-increasing")
     block_de = entries(_string_asc(d, e))
-    block_f = entries(_string_asc(0, f)) if f else ()
-    seq = block_de + block_f
-    start = seq
-    script = []
-    for k in range(len(block_f)):
-        # after k passes the de-chain occupies [k, k+m) and the next f-entry
-        # sits immediately to its right
-        move = PassLeft(k, k + len(block_de), len(block_de) + k)
-        script.append(move)
-        seq = _apply(seq, move)
+    block_f = entries(_string_asc(0, f))
+    script = _pass_block(len(block_de), len(block_f))
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
-    return [("delta", start, tuple(script))]
+    return [("delta", block_de + block_f, tuple(script))]
 
 
 def padding_script(s: int, t: int, rest_pairs):
@@ -431,14 +425,8 @@ def padding_script(s: int, t: int, rest_pairs):
     gammas = []
     for x, y in rest_pairs:
         gammas.extend(_string_asc(x, y))
-    seq = block + entries(tuple(sorted(gammas)))
-    start = seq
-    script = []
-    for k in range(len(gammas)):
-        move = PassLeft(k, k + len(block), k + len(block))
-        script.append(move)
-        seq = _apply(seq, move)
-    return [("pad", start, tuple(script))]
+    start = block + entries(tuple(sorted(gammas)))
+    return [("pad", start, tuple(_pass_block(len(block), len(gammas))))]
 
 
 def build_case_script(family: str, pairs):
@@ -458,38 +446,41 @@ def build_case_script(family: str, pairs):
 # ---------------------------------------------------------------------------
 # reflection-word scalars (consistency of non-reduced expressions)
 
+# (simple root, coroot) of each generator, in coordinates
+_SIMPLE_ROOTS = {
+    "A2": {"s1": ((1, -1, 0), (1, -1, 0)), "s2": ((0, 1, -1), (0, 1, -1))},
+    "B2": {"s1": ((1, -1), (1, -1)), "s2": ((0, 1), (0, 2))},
+}
+
+
 class WordSystem:
-    """Coordinate models of small reflection groups for word-scalar tests."""
+    """Coordinate models of small reflection groups for word-scalar tests.
+
+    The generator with simple root alpha and coroot alpha^v acts by
+    nu -> nu - <nu, alpha^v> alpha.
+    """
 
     def __init__(self, name: str):
-        if name == "A2":
-            self.dim = 3
-            self.gens = ("s1", "s2")
-        elif name == "B2":
-            self.dim = 2
-            self.gens = ("s1", "s2")
-        else:
+        if name not in _SIMPLE_ROOTS:
             raise ValueError("supported systems: A2, B2")
         self.name = name
+        self._roots = _SIMPLE_ROOTS[name]
+        self.gens = tuple(self._roots)
+        self.dim = len(self._roots["s1"][0])
+
+    def _simple(self, gen: str):
+        if gen not in self._roots:
+            raise ValueError(f"{self.name} has no generator {gen!r}")
+        return self._roots[gen]
 
     def pairing(self, gen: str, nu) -> Fraction:
-        if self.name == "A2":
-            i = 0 if gen == "s1" else 1
-            return nu[i] - nu[i + 1]
-        if gen == "s1":
-            return nu[0] - nu[1]
-        return 2 * nu[1]
+        _, coroot = self._simple(gen)
+        return sum(v * c for v, c in zip(nu, coroot, strict=True))
 
     def reflect(self, gen: str, nu):
-        nu = list(nu)
-        if self.name == "A2":
-            i = 0 if gen == "s1" else 1
-            nu[i], nu[i + 1] = nu[i + 1], nu[i]
-        elif gen == "s1":
-            nu[0], nu[1] = nu[1], nu[0]
-        else:
-            nu[1] = -nu[1]
-        return tuple(nu)
+        root, _ = self._simple(gen)
+        p = self.pairing(gen, nu)
+        return tuple(v - p * a for v, a in zip(nu, root, strict=True))
 
 
 def word_action(system: WordSystem, word, nu):

@@ -105,11 +105,8 @@ class StringPairs:
 
     def half_class(self) -> tuple:
         """The multiset of string values, descending: the +1/2 residue class."""
-        values = []
-        for x, y in self.pairs:
-            top = Fraction(4 * x - 3, 2)
-            values.extend(top - 2 * k for k in range(x + y))
-        return tuple(sorted(values, reverse=True))
+        return tuple(sorted((v for x, y in self.pairs for v in string_of_column(x, y)),
+                            reverse=True))
 
 
 def string_of_column(x: int, y: int) -> tuple:
@@ -245,6 +242,12 @@ def _extract_runs(doubled, anchor=None):
     return runs, counts
 
 
+def _columns(runs) -> tuple:
+    """The column (x, y) of each doubled run: the run from 2x-3/2 down to
+    1/2-2y, inverting :func:`string_of_column`."""
+    return tuple(((top + 3) // 4, (1 - bottom) // 4) for top, bottom in runs)
+
+
 def extract_pairs_D(n_half) -> StringPairs:
     """String pairs of a +1/2 residue class for family D.
 
@@ -252,15 +255,13 @@ def extract_pairs_D(n_half) -> StringPairs:
     to 1/2-2y becomes the column (x, y).
     """
     runs, _ = _extract_runs(_doubled(n_half))
-    cols = []
     for top, bottom in runs:
         if top < 1 or bottom > 1:
             run = _halves(range(top, bottom - 1, -4))
             raise MalformedParameter(
                 f"string {fmt_vec(run)} does not pass through 1/2"
             )
-        cols.append(((top + 3) // 4, (1 - bottom) // 4))
-    return StringPairs("D", tuple(cols))
+    return StringPairs("D", _columns(runs))
 
 
 def _beta_runs(n_half):
@@ -285,25 +286,15 @@ def extract_pairs_B(n_half) -> StringPairs:
     Beta runs (through -3/2) give columns with y >= 1 and x >= 0; alpha runs
     must be step-2 strings ending exactly at 1/2 and give columns (x, 0).
     """
-    betas, counts = _beta_runs(n_half)
-    # a beta run tops at -3/2 (x = 0) or at 2x - 3/2 >= 1/2
-    cols = [((top + 3) // 4, (1 - bottom) // 4) for top, bottom in betas]
-    while counts:
-        if 1 not in counts:
-            rest = _halves(sorted(counts.elements()))
-            raise MalformedParameter(
-                f"remaining values {fmt_vec(rest)} "
-                "contain no string ending at 1/2"
-            )
-        top = 1
-        while top in counts:
-            counts[top] -= 1
-            if counts[top] == 0:
-                del counts[top]
-            top += 4
-        # the run climbed from 1/2 to (top - 4)/2 = 2x - 3/2
-        cols.append(((top - 1) // 4, 0))
-    return StringPairs("B", tuple(cols))
+    betas, rest = _beta_runs(n_half)
+    # no -3/2 is left, so a run through 1/2 ends there
+    alphas, rest = _extract_runs(rest, anchor=1)
+    if rest:
+        raise MalformedParameter(
+            f"remaining values {fmt_vec(_halves(sorted(rest.elements())))} "
+            "contain no string ending at 1/2"
+        )
+    return StringPairs("B", _columns(betas + alphas))
 
 
 def extract_pairs(family: str, n_half) -> StringPairs:
@@ -544,7 +535,6 @@ _EVENTS = {
     ("witness", "adjoint shift"): (_WITNESS, (
         "the adjoint-shift K-type detects indefiniteness",
     )),
-    ("witness", "none"): ((), ()),
 }
 
 
@@ -581,12 +571,8 @@ class _Stages:
         return Verdict(status, chain=tuple(self.events), **fields)
 
     def non_unitary(self, wit, outcome: str, **fields) -> Verdict:
-        """Record the witness stage (outcome "none" without a witness) and
-        return the NonUnitary verdict."""
-        if wit is None:
-            self.record("witness", "none")
-        else:
-            self.record("witness", outcome, wit.q, wit.group.rank)
+        """Record the witness stage and return the NonUnitary verdict."""
+        self.record("witness", outcome, wit.q, wit.group.rank)
         return self.verdict(Status.NON_UNITARY, witness=wit, **fields)
 
 
@@ -692,7 +678,7 @@ def classify(p: GenuineParam) -> Verdict:
     stages.record("normalize", "normalized", result.kind, result.index,
                   normal.base, len(normal.steps))
     wit = witness(pairs, normal)
-    if not normal.steps and wit is not None:
+    if not normal.steps:
         # no padding: the witness lives on the original group
         wit = _eta_witness_full(q0.mu, start, stop, p.group, wit.q)
     return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)
@@ -703,10 +689,10 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
 
     Case I and Case II bases give eta(2a+1) / eta(2e+2) in family D and
     eta(2b+2) / eta(2c+1) in family B, at the rank of the normalized group,
-    which is the group the returned K-type names.
-    Returns None when normalization did not reach a padded base shape.
+    which is the group the returned K-type names.  Returns None for a
+    satisfied normal form, which has no base.
     """
-    from .rewriter import CaseI, CaseII
+    from .rewriter import CaseI
     base = normal_form.base
     if base is None:
         return None
@@ -714,10 +700,8 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     fam = pairs.family
     if isinstance(base, CaseI):
         q = 2 * base.a + 1 if fam == "D" else 2 * base.b + 2
-    elif isinstance(base, CaseII):
+    else:
         q = 2 * base.e + 2 if fam == "D" else 2 * base.c + 1
-    else:  # pragma: no cover
-        return None
     return SpinRelevantKType(q, eta_weight(fam, 2 * n, q), GroupTag(fam, 2 * n))
 
 

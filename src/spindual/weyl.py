@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .halfint import is_half_odd, scaled, vec
+from .halfint import is_half_odd, is_sign, scaled, vec
 
 
 class DimensionError(ValueError):
@@ -46,7 +46,7 @@ class WeylElement:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
             raise ValueError("invalid signed permutation")
-        if any(s not in (1, -1) for s in self.signs):
+        if not all(map(is_sign, self.signs)):
             raise ValueError("signs must be +1/-1")
 
     @staticmethod
@@ -73,17 +73,11 @@ class WeylElement:
         if self.n != other.n:
             raise DimensionError("rank mismatch in composition")
         perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        signs = tuple(
-            self.signs[i] * other.signs[_preimage(self.perm, i)] for i in range(self.n)
-        )
-        return WeylElement(perm, signs)
-
-
-def _preimage(perm, i):
-    for j, pj in enumerate(perm):
-        if pj == i:
-            return j
-    raise ValueError
+        # slot i = self.perm[j] receives the sign other.signs[j] picked up at j
+        signs = [None] * self.n
+        for j, i in enumerate(self.perm):
+            signs[i] = self.signs[i] * other.signs[j]
+        return WeylElement(perm, tuple(signs))
 
 
 def apply(w: WeylElement, v) -> tuple:
@@ -232,36 +226,23 @@ def hermitian_witness(p: GenuineParam):
         by_value = {}
         for i in range(start, stop):
             by_value.setdefault(nu[i], []).append(i)
-        if value != 0:
-            # no flips possible: nu restricted to the block must be symmetric
-            for v, positions in by_value.items():
-                mates = by_value.get(-v, [])
-                if len(mates) != len(positions):
-                    return None
-                for i, j in zip(positions, mates):
-                    perm[j] = i  # slot i receives nu[j] = -nu[i]
-        else:
-            # flips allowed on zero mu-entries: swap +v/-v pairs, flip the rest
-            done = set()
-            for v, positions in by_value.items():
-                if v in done:
-                    continue
-                done.add(v)
-                if v == 0:
-                    for i in positions:
-                        perm[i] = i
-                    free_parity_slot = positions[0]
-                    continue
-                done.add(-v)
-                mates = by_value.get(-v, [])
-                k = min(len(positions), len(mates))
-                for i, j in zip(positions[:k], mates[:k]):
-                    perm[j] = i
-                    perm[i] = j
-                for i in positions[k:] + mates[k:]:
-                    perm[i] = i
-                    signs[i] = -1
-                    flips += 1
+        for v, positions in by_value.items():
+            if v < 0 and -v in by_value:
+                continue  # matched from the side of -v
+            # pair +v with -v (0 with itself); slot i receives nu[j] = -nu[i]
+            mates = by_value.get(-v, [])
+            for i, j in zip(positions, mates):
+                perm[j] = i
+                perm[i] = j
+            unmatched = positions[len(mates):] + mates[len(positions):]
+            if unmatched and value != 0:
+                return None  # a flip would negate a nonzero mu-entry
+            for i in unmatched:
+                perm[i] = i
+                signs[i] = -1
+            flips += len(unmatched)
+        if value == 0 and 0 in by_value:
+            free_parity_slot = by_value[0][0]
     if p.group.family == "D" and flips % 2 == 1:
         if free_parity_slot is None:
             return None

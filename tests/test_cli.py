@@ -231,3 +231,76 @@ def test_classify_trace(capsys, argv):
         assert isinstance(r.pop("stage"), str) and isinstance(r.pop("outcome"), str)
         assert "elapsed_ns" in r
         assert all(type(v) is int for v in r.values()), r
+
+
+@pytest.mark.parametrize("key", ["mu", "nu"])
+def test_document_string_vectors_rejected(tmp_path, capsys, key):
+    # a string is not read one character at a time: "10" is not nu = (1, 0)
+    doc = {"group": "D", "mu": ["1/2", "1/2"], "nu": ["1", "0"]}
+    doc[key] = "10"
+    code, err = classify_document(tmp_path, capsys, doc)
+    assert code == 2 and err == f"parse error: {key} must be a list of rationals"
+
+
+def run_json(capsys, *argv):
+    code, out = run(capsys, *argv, "--json")
+    return code, json.loads(out)
+
+
+# the --json documents below were recorded before the extraction, matching and
+# replay code was restated, and must not change
+
+
+def test_table_json_golden(capsys):
+    def row(pairs, lam_l, lam_r, verdict, witness=""):
+        return {"pairs": pairs, "lambda_L": lam_l.split(), "lambda_R": lam_r.split(),
+                "verdict": verdict, "witness": witness}
+
+    code, doc = run_json(capsys, "table", "--group", "B", "--rank", "2")
+    assert code == 0
+    assert doc == [
+        row("(2; 0)", "3/2 1/2 0 -1", "1 0 -1/2 -3/2", "No", "eta(2)"),
+        row("(1 1; 0 0)", "1/2 1/2 0 0", "0 0 -1/2 -1/2", "Yes"),
+        row("(1; 1)", "1/2 -1/2 1 0", "0 -1 1/2 -1/2", "Yes - unipotent"),
+        row("(0 0; 1 1)", "-1/2 -1/2 1 1", "-1 -1 1/2 1/2", "No", "eta(1)"),
+        row("(0; 2)", "-1/2 -3/2 2 1", "-1 -2 3/2 1/2", "Yes - unipotent"),
+    ]
+
+
+def test_rewrite_json_golden(capsys):
+    code, doc = run_json(capsys, "rewrite", "--group", "D", "--pairs", "1;3")
+    assert code == 0
+    assert doc == {
+        "sizes": [2, 3],
+        "steps": ["(1; 3) --2--> (2 1; 3 1)", "(2 1; 3 1) --3--> (3 2 1; 3 2 1)"],
+        "final": "(3 2 1; 3 2 1)",
+    }
+
+
+def test_orbit_json_golden(capsys):
+    code, doc = run_json(capsys, "orbit", "--group", "D", "--pairs", "3;0")
+    assert code == 0
+    assert doc == {"columns": [6, 5, 1], "ambient": 12, "dimension": 36,
+                   "nilcone_dimension": 60, "codimension_identity": True}
+
+
+def test_verify_chain_json_golden(capsys):
+    def step(move, injective=True, scalar=None, reason=""):
+        return {"move": move, "well_defined": True, "injective": injective,
+                "scalar": scalar, "reason": reason}
+
+    code, doc = run_json(capsys, "verify-chain", "--group", "D", "--pairs", "3;1")
+    assert code == 0
+    assert doc == [
+        {"part": "omega", "start": ["-3/2^+", "1/2^+", "5/2^+", "9/2^+"], "steps": [
+            step("bar-reading 9/2^+ as -9/2^-"),
+            step("pass -9/2^- left over (-3/2^+ 1/2^+ 5/2^+)", False, "0",
+                 "zero of the rank-one scalar: not injective"),
+            step("bar-reading 5/2^+ as -5/2^-"),
+            step("pass -5/2^- left over (-3/2^+ 1/2^+)", scalar="-1/3"),
+        ]},
+        {"part": "omega-dual", "start": ["-9/2^+", "-5/2^+", "-1/2^+", "3/2^+"], "steps": [
+            step("bar-reading 3/2^+ as -3/2^-"),
+            step("sort (-9/2^+ -5/2^+ -1/2^+ | -3/2^-) descending"),
+        ]},
+    ]

@@ -244,3 +244,23 @@ def test_genuine_block_bad_shift():
         [(F(9, 4), 1), (F(-9, 4), 1)]
     )
     assert v.status is GLStatus.NON_UNITARY and v.q == 1
+
+
+def test_decompose_chains_rejects_missing_twists():
+    # every value needs its twist: nothing is dropped silently
+    with pytest.raises(ValueError, match="3 values but 1 twists"):
+        decompose_chains(fr(1, -1, 3), (1,))
+    with pytest.raises(ValueError):
+        decompose_chains(fr(1), (1, 1))
+
+
+def test_genuine_block_rejects_boolean_twists():
+    # True == 1, but a bool is not a twist
+    with pytest.raises(ValueError, match="twists must be"):
+        classify_gl_genuine_block([(F(1), True), (F(-1), True)])
+
+
+def test_chain_rejects_boolean_sign():
+    with pytest.raises(ValueError, match="sign must be"):
+        Chain(fr(1, -1), True)
+    assert Chain(fr(1, -1), -1).sign == -1

@@ -173,3 +173,25 @@ def test_word_scalar_consistency():
                     assert by_element[key] == val, (name, word, nu)
                 else:
                     by_element[key] = val
+
+
+def test_signed_entry_rejects_boolean_sign():
+    # True == 1, but a bool is not a sign
+    with pytest.raises(ValueError, match="sign must be"):
+        SignedEntry(H, True)
+    assert str(SignedEntry(H, -1)) == "1/2^-"
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_word_system_rejects_unknown_generator_and_wrong_rank(name):
+    system = WordSystem(name)
+    nu = (F(1), F(2), F(3))[:system.dim]
+    for fn in (system.reflect, system.pairing):
+        with pytest.raises(ValueError, match="no generator 's3'"):
+            fn("s3", nu)
+    with pytest.raises(ValueError):
+        word_action(system, ("s1", "s3"), nu)
+    # nor is a coordinate left out or ignored
+    for bad in (nu[:-1], nu + (F(4),)):
+        with pytest.raises(ValueError):
+            word_scalar(system, ("s1",), bad)

@@ -188,3 +188,10 @@ def test_is_conjugate_vs_bruteforce():
 def test_rho():
     assert rho(GroupTag("D", 4)) == (F(3), F(2), F(1), F(0))
     assert rho(GroupTag("B", 2)) == (F(3, 2), H)
+
+
+def test_weyl_element_rejects_boolean_signs():
+    # True == 1, but a bool is not a sign
+    with pytest.raises(ValueError, match="signs must be"):
+        WeylElement((0, 1), (True, 1))
+    assert WeylElement((0, 1), (1, -1)).flip_count() == 1
