@@ -103,7 +103,14 @@ def _load_document(args) -> GenuineParam:
             return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu))
         except (DimensionError, ValueError) as exc:
             raise ParseError(str(exc)) from None
-    text = open(args.file).read() if args.file else sys.stdin.read()
+    try:
+        if args.file:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read the parameter document: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -284,40 +291,36 @@ def cmd_verify_chain(args) -> int:
     except intertwine.ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    out = []
-    all_ok = True
-    for name, start, script in parts:
-        reports = intertwine.verify_chain(script, start)
-        for rep in reports:
-            all_ok &= rep.ok
-        out.append((name, start, reports))
+    reports = [intertwine.verify_chain(script, start) for _, start, script in parts]
+    doc = [
+        {
+            "part": name,
+            "start": [str(e) for e in start],
+            "steps": [
+                {
+                    "move": rep.description,
+                    "well_defined": rep.well_defined,
+                    "injective": rep.injective,
+                    "scalar": fmt(rep.scalar) if rep.scalar is not None else None,
+                    "reason": rep.reason,
+                }
+                for rep in part_reports
+            ],
+        }
+        for (name, start, _), part_reports in zip(parts, reports)
+    ]
     if args.json:
-        print(json.dumps([
-            {
-                "part": name,
-                "start": [str(e) for e in start],
-                "steps": [
-                    {
-                        "move": rep.description,
-                        "well_defined": rep.well_defined,
-                        "injective": rep.injective,
-                        "scalar": fmt(rep.scalar) if rep.scalar is not None else None,
-                        "reason": rep.reason,
-                    }
-                    for rep in reports
-                ],
-            }
-            for name, start, reports in out
-        ], indent=2))
-    else:
-        for name, start, reports in out:
-            print(f"[{name}] start: " + " ".join(str(e) for e in start))
-            for rep in reports:
-                mark = "ok" if rep.ok else "FAIL"
-                scalar = f"  scalar {fmt(rep.scalar)}" if rep.scalar is not None else ""
-                reason = f"  ({rep.reason})" if rep.reason else ""
-                print(f"  {mark:<5} {rep.description}{scalar}{reason}")
-        print("all steps OK" if all_ok else "some steps are not certified")
+        print(json.dumps(doc, indent=2))
+        return 0
+    for part, part_reports in zip(doc, reports):
+        print(f"[{part['part']}] start: " + " ".join(part["start"]))
+        for step, rep in zip(part["steps"], part_reports):
+            mark = "ok" if rep.ok else "FAIL"
+            scalar = f"  scalar {step['scalar']}" if step["scalar"] is not None else ""
+            reason = f"  ({step['reason']})" if step["reason"] else ""
+            print(f"  {mark:<5} {step['move']}{scalar}{reason}")
+    all_ok = all(rep.ok for part_reports in reports for rep in part_reports)
+    print("all steps OK" if all_ok else "some steps are not certified")
     return 0
 
 
@@ -382,6 +385,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except rewriter.PaddingBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MalformedParameter, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

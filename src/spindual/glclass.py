@@ -170,10 +170,6 @@ class GLVerdict:
     reason: str = ""
 
 
-def _adjoint_shift(n: int) -> tuple:
-    return (1,) + (0,) * (n - 2) + (-1,)
-
-
 def _shift(n: int, q: int) -> tuple:
     return (1,) * q + (0,) * (n - 2 * q) + (-1,) * q
 
@@ -191,7 +187,7 @@ def _classify_layers(L: int, layers, n: int) -> GLVerdict:
     for _, layer in layers:
         if any(a - b != 2 * L for a, b in zip(layer, layer[1:])):
             return GLVerdict(
-                GLStatus.NON_UNITARY, witness=_adjoint_shift(n), q=1,
+                GLStatus.NON_UNITARY, witness=_shift(n, 1), q=1,
                 reason=f"chain {fmt_vec(Fraction(v, L) for v in layer)} has a gap larger than 2",
             )
     factors = []

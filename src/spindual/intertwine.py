@@ -16,7 +16,8 @@ replay is evidence, not proof.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfint import frac, fmt, is_sign, HALF
+from .halfint import frac, fmt, is_sign
+from .spinclass import string_of_column
 
 
 class Pole(ArithmeticError):
@@ -321,12 +322,6 @@ def _index_of(seq, value, sign):
     raise ScriptError(f"entry {fmt(value)}^{sign} not found")
 
 
-def _string_asc(x: int, y: int):
-    """Ascending step-2 values 1/2-2y, ..., 2x-3/2."""
-    lo = HALF - 2 * y
-    return tuple(lo + 2 * k for k in range(x + y))
-
-
 def _flip_and_pass(seq, script, top, flip):
     """Flip the entry top^+ by the move ``flip`` and pass it left over the
     positive entries strictly between -top and top; returns the new seq."""
@@ -355,7 +350,7 @@ def case_i_script_d(a: int, b: int):
     """
     parts = []
     # omega side: pass each flipped top left over the interior run
-    seq = entries(_string_asc(a, b))
+    seq = entries(string_of_column(a, b)[::-1])
     start = seq
     script = []
     for _ in range(max(a - 1, 0)):
@@ -363,7 +358,7 @@ def case_i_script_d(a: int, b: int):
         seq = _flip_and_pass(seq, script, top, BarGL)
     parts.append(("omega", start, tuple(script)))
     # dual side: flip the positive tail pairwise, then one descending sort
-    seq = entries(tuple(-v for v in reversed(_string_asc(a, b))))
+    seq = entries(tuple(-v for v in string_of_column(a, b)))
     start = seq
     script = []
     tail = [i for i, e in enumerate(seq) if e.value >= Fraction(3, 2)]
@@ -384,7 +379,7 @@ def case_i_script_d(a: int, b: int):
 def case_i_script_b(a: int, b: int):
     """Replay for family B single strings (a; b): short-root flips carry the
     tops across; strings with a > b + 1 end in an external core."""
-    seq = entries(_string_asc(a, b))
+    seq = entries(string_of_column(a, b)[::-1])
     start = seq
     script = []
     while True:
@@ -406,8 +401,8 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     """
     if not (c >= d and e >= f):
         raise ScriptError("columns must be doubly non-increasing")
-    block_de = entries(_string_asc(d, e))
-    block_f = entries(_string_asc(0, f))
+    block_de = entries(string_of_column(d, e)[::-1])
+    block_f = entries(string_of_column(0, f)[::-1])
     script = _pass_block(len(block_de), len(block_f))
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
@@ -421,10 +416,10 @@ def padding_script(s: int, t: int, rest_pairs):
     block dominates the core strings (s >= x_i, y_i)."""
     if s - t not in (0, 1):
         raise ScriptError("the leading block must have s - t in {0, 1}")
-    block = entries(_string_asc(s, t))
+    block = entries(string_of_column(s, t)[::-1])
     gammas = []
     for x, y in rest_pairs:
-        gammas.extend(_string_asc(x, y))
+        gammas.extend(string_of_column(x, y))
     start = block + entries(tuple(sorted(gammas)))
     return [("pad", start, tuple(_pass_block(len(block), len(gammas))))]
 

@@ -94,12 +94,6 @@ def _is_stein_column(col) -> bool:
     return x - y in (0, 1)
 
 
-def _violations(pairs: StringPairs):
-    """Ordered violation positions: ('column', i) or ('gap', i), 0-based."""
-    return [(("column", "gap")[j % 2], j // 2)
-            for j, slack in enumerate(staircase_slacks(pairs)) if slack < 0]
-
-
 def _pad_column_once(pairs: StringPairs, i: int) -> InductionStep:
     """One padding insertion aimed at column i (which must be non-stein).
 
@@ -119,16 +113,29 @@ def _pad_column_once(pairs: StringPairs, i: int) -> InductionStep:
     raise ValueError("column is already a staircase step")
 
 
+# Every insertion adds its size to n, so padding ends; but a column (x; 0)
+# pads x - 1 times up to n = x^2.  The largest padded n on the benchmark's
+# inputs is 1,184, and (x; 0) passes this bound at x = 317.
+MAX_PADDED_N = 100_000
+
+
+class PaddingBoundExceeded(ValueError):
+    """Padding would pass :data:`MAX_PADDED_N`."""
+
+
 def _pad(pairs: StringPairs, target):
     """Pad column ``target(current)`` once per round until it is None."""
     steps = []
     current = pairs
+    n = pairs.n
     while (i := target(current)) is not None:
         step = _pad_column_once(current, i)
         steps.append(step)
         current = step.after
-        if len(steps) > 10000:  # pragma: no cover
-            raise RuntimeError("padding failed to terminate")
+        n += step.size
+        if n > MAX_PADDED_N:
+            raise PaddingBoundExceeded(
+                f"padding {pairs} passes the padded-size bound n = {MAX_PADDED_N}")
     return tuple(steps), current
 
 
@@ -161,14 +168,18 @@ def full_staircase(pairs: StringPairs):
     return _pad(pairs, _first_where(lambda x, y: not _is_stein_column((x, y))))
 
 
-def _base_at(pairs: StringPairs, violation):
-    kind, i = violation
-    if kind == "column":
-        x, y = pairs.pairs[i]
-        return CaseI(x, y), {i}
+def _base_at(pairs: StringPairs):
+    """The base at the first negative slack j of :func:`staircase_slacks`:
+    column j // 2 when j is even, otherwise the gap after it.  Returns the
+    base, its column indices and the number of negative slacks."""
+    negative = [j for j, slack in enumerate(staircase_slacks(pairs)) if slack < 0]
+    assert negative, "violated input cannot normalize to a satisfied shape"
+    i = negative[0] // 2
     x, y = pairs.pairs[i]
+    if negative[0] % 2 == 0:
+        return CaseI(x, y), {i}, len(negative)
     x2, y2 = pairs.pairs[i + 1]
-    return CaseII(x, x2, y, y2), {i, i + 1}
+    return CaseII(x, x2, y, y2), {i, i + 1}, len(negative)
 
 
 def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
@@ -184,20 +195,17 @@ def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
         factors, _ = peel_stein_factors(pairs)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
-    viols = base = base_cols = None
 
     def target(current):
         # the insertions re-sort globally: re-locate the base every round
-        nonlocal viols, base, base_cols
-        viols = _violations(current)
-        assert viols, "violated input cannot normalize to a satisfied shape"
-        base, base_cols = _base_at(current, viols[0])
+        _, base_cols, _ = _base_at(current)
         return next((i for i, col in enumerate(current.pairs)
                      if i not in base_cols and not _is_stein_column(col)), None)
 
     steps, current = _pad(pairs, target)
+    base, base_cols, violations = _base_at(current)
     # staircase steps cannot create violations next to the base, so the base
     # violation is the only one left
-    assert len(viols) == 1, (current, viols)
+    assert violations == 1, (current, violations)
     stein = tuple(col for i, col in enumerate(current.pairs) if i not in base_cols)
     return NormalizedBase(steps, stein, base, current)

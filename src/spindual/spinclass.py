@@ -66,7 +66,10 @@ class StringPairs:
     def __post_init__(self):
         if self.family not in ("B", "D"):
             raise ValueError("family must be 'B' or 'D'")
-        columns = ((int(x), int(y)) for x, y in self.pairs)
+        columns = tuple((x, y) for x, y in self.pairs)
+        # bool is an int subclass, and int() would truncate 2.5 or parse "3"
+        if not all(type(x) is int and type(y) is int for x, y in columns):
+            raise TypeError(f"string-pair entries must be ints, not {columns}")
         pairs = tuple(_SHARED_COLUMNS.get(c, c) for c in columns)
         ordered = tuple(sorted(pairs, key=lambda c: (-c[0], -c[1])))
         object.__setattr__(self, "pairs", ordered)
@@ -151,33 +154,20 @@ def _grouped_classes(classes: dict):
     """Merge residue classes into GL-blocks and the half-integral core.
 
     Returns (core_plus, core_minus, gl_blocks) where gl_blocks is a list of
-    (label, signed entries): classes {0, 1} merge with twist +/- on the 0/1
-    residues, and {t, -t, 1-t, t-1} merge with twist - on the +-(1-t) part.
+    (label, signed entries): each class t other than +-1/2 joins the block of
+    t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and - otherwise.  The
+    block t0 = 0 is {0 with +, 1 with -} and comes first; the others follow
+    in the order of their least class.
     """
-    core_plus = classes.get(HALF, ())
-    core_minus = classes.get(-HALF, ())
-    gl_blocks = []
-    zero_one = []
-    for t in (Fraction(0), Fraction(1)):
-        if t in classes:
-            s = 1 if t == 0 else -1
-            zero_one.extend((v, s) for v in classes[t])
-    if zero_one:
-        gl_blocks.append(("t=0,1", tuple(zero_one)))
-    seen = set()
+    blocks = {0: []}
     for t in sorted(classes):
-        if t in (Fraction(0), Fraction(1), HALF, -HALF) or t in seen:
-            continue
-        t0 = min(abs(t), 1 - abs(t))
-        group = {t0, -t0, 1 - t0, t0 - 1}
-        seen |= group
-        entries = []
-        for r in sorted(group, reverse=True):
-            if r in classes:
-                s = 1 if r in (t0, -t0) else -1
-                entries.extend((v, s) for v in classes[r])
-        gl_blocks.append((f"t={fmt(t0)}", tuple(entries)))
-    return core_plus, core_minus, gl_blocks
+        if abs(t) != HALF:
+            t0 = min(abs(t), 1 - abs(t))
+            s = 1 if abs(t) == t0 else -1
+            blocks.setdefault(t0, []).extend((v, s) for v in classes[t])
+    gl_blocks = [("t=0,1" if t0 == 0 else f"t={fmt(t0)}", tuple(entries))
+                 for t0, entries in blocks.items() if entries]
+    return classes.get(HALF, ()), classes.get(-HALF, ()), gl_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +566,8 @@ class _Stages:
         return self.verdict(Status.NON_UNITARY, witness=wit, **fields)
 
 
-def _embed_block_shift(mu, start, stop, shift):
-    """mu plus a shift supported on positions [start, stop)."""
+def _embed_block_shift(mu, start, shift):
+    """mu plus a shift supported on the positions from start on."""
     out = list(mu)
     for i, s in enumerate(shift):
         if s:  # an entry plus 0 would be a new, equal Fraction
@@ -590,7 +580,7 @@ def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
     m = stop - start
     pattern = eta_weight(group.family, m, q)
     shift = tuple(p - HALF for p in pattern)
-    return SpinRelevantKType(q, _embed_block_shift(mu, start, stop, shift), group)
+    return SpinRelevantKType(q, _embed_block_shift(mu, start, shift), group)
 
 
 def classify(p: GenuineParam) -> Verdict:
@@ -620,25 +610,24 @@ def classify(p: GenuineParam) -> Verdict:
     blocks = [(q0.mu[start], start, stop)
               for _, start, stop in _mu_blocks(scaled(q0.mu)[1])]
     gl_factors = []
-    # GL-blocks: mu-value (2r-1)/2 with r >= 2
+    # GL-blocks: mu-value (2r-1)/2 with r >= 2; the dominant mu descends, so
+    # the mu = 1/2 block, if any, is the last one
     for value, start, stop in blocks:
         if value == HALF:
-            continue
+            break
         glv = classify_gl(q0.nu[start:stop])
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
-            weight = _embed_block_shift(q0.mu, start, stop, glv.witness)
+            weight = _embed_block_shift(q0.mu, start, glv.witness)
             return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
         assert glv.status is GLStatus.UNITARY_FACTORS, glv
         stages.record("gl_block", "unitary", value, len(glv.factors))
         gl_factors.extend((fmt(value), f) for f in glv.factors)
-    # the mu = 1/2 block
-    half_blocks = [(s, e) for v, s, e in blocks if v == HALF]
-    if not half_blocks:
+    else:
         stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
-    start, stop = half_blocks[0]
+    assert stop == len(q0.mu), blocks
     classes = partition_nt(q0.nu[start:stop])
     core_plus, core_minus, blocks_gl = _grouped_classes(classes)
     # the core values all have denominator 2: compare their numerators
@@ -696,7 +685,7 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     base = normal_form.base
     if base is None:
         return None
-    n = sum(x + y for x, y in normal_form.final.pairs)
+    n = normal_form.final.n
     fam = pairs.family
     if isinstance(base, CaseI):
         q = 2 * base.a + 1 if fam == "D" else 2 * base.b + 2

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 
 import pytest
 
 from spindual.cli import MAX_TABLE_RANK, main
+from spindual.rewriter import MAX_PADDED_N
 from tests.test_spinclass import PIPELINE
 
 
@@ -303,4 +305,67 @@ def test_verify_chain_json_golden(capsys):
             step("bar-reading 3/2^+ as -3/2^-"),
             step("sort (-9/2^+ -5/2^+ -1/2^+ | -3/2^-) descending"),
         ]},
+    ]
+
+
+def test_file_that_cannot_be_read(tmp_path, capsys):
+    code, err = run_error(capsys, "classify", "--file", str(tmp_path / "missing.json"))
+    assert code == 2 and "No such file" in err
+    code, err = run_error(capsys, "classify", "--file", str(tmp_path))
+    assert code == 2 and "Is a directory" in err
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"group": "D", "mu": ["\xbd"]}')
+    code, err = run_error(capsys, "classify", "--file", str(path))
+    assert code == 2 and "utf-8" in err
+
+
+def test_pairs_of_no_string_pair_shape(capsys):
+    # (2; 0) and (1; 1) have no arrangement with both rows non-increasing
+    code, err = run_error(capsys, "classify", "--group", "D", "--pairs", "2,1;0,1")
+    assert code == 2 and "non-increasing" in err
+
+
+def test_mu_without_nu(capsys):
+    code, err = run_error(capsys, "classify", "--mu", "1/2,1/2")
+    assert code == 2 and "--mu and --nu" in err
+
+
+def test_invalid_json_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D",'))
+    code, err = run_error(capsys, "classify")
+    assert code == 2 and "invalid JSON" in err
+
+
+def test_verify_chain_without_script(capsys):
+    code, err = run_error(capsys, "verify-chain", "--group", "B", "--pairs", "2,1;1,0")
+    assert code == 3 and err.startswith("error: ")
+
+
+def test_padding_bound(capsys):
+    # (x; 0) pads to n = x^2, past the bound at x = 317
+    code, err = run_error(capsys, "rewrite", "--group", "D", "--pairs", "317;0")
+    assert code == 2 and f"n = {MAX_PADDED_N}" in err
+    # the violated column (1; 3) is the base, and (400; 5) pads past the bound
+    code, err = run_error(capsys, "classify", "--group", "D", "--pairs", "400,1;5,3")
+    assert code == 2 and f"n = {MAX_PADDED_N}" in err
+
+
+def test_classify_gl_factors_json_golden(capsys):
+    code, doc = run_json(capsys, "classify", "--mu", ",".join(["1/2"] * 8),
+                         "--nu", "1,-1,0,0,1/4,-1/4,3/4,-3/4")
+    assert code == 0
+    assert doc["certificate"] == {
+        "stein_sizes": [],
+        "gl_factors": [
+            {"class": "t=0,1", "kind": "TrivialString", "size": 2},
+            {"class": "t=0,1", "kind": "TrivialString", "size": 1},
+            {"class": "t=0,1", "kind": "TrivialString", "size": 1},
+            {"class": "t=1/4", "kind": "SteinPair", "size": 1},
+            {"class": "t=1/4", "kind": "SteinPair", "size": 1},
+        ],
+        "core": None, "orbit_columns": None, "orbit_dimension": None,
+    }
+    assert doc["transcript"] == [
+        "dominant form: D8: mu=(1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2), "
+        "nu=(1, -1, 0, 0, 1/4, -1/4, 3/4, -3/4)",
     ]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spindual.rewriter import (
-    CaseI, CaseII, _insert, full_staircase, normalize_to_base, pad_case_a,
-    pad_case_b,
+    MAX_PADDED_N, CaseI, CaseII, PaddingBoundExceeded, _insert, full_staircase,
+    normalize_to_base, pad_case_a, pad_case_b,
 )
 from spindual.spinclass import (
     MalformedParameter, StringPairs, enumerate_pairs, extract_pairs,
@@ -180,3 +180,14 @@ def test_insert_half_into_zero_x_column_example():
     step = _insert(StringPairs("B", ((0, 2),)), 1, 0)
     assert step.after == StringPairs("B", ((1, 2),))
     assert step.after == insert_by_strings(StringPairs("B", ((0, 2),)), 1, 0)
+
+
+def test_padding_bound():
+    # a column (x; 0) pads x - 1 times, up to n = x^2
+    steps, final = full_staircase(D((316, 0)))
+    assert len(steps) == 315 and final.n == 316 ** 2 <= MAX_PADDED_N
+    with pytest.raises(PaddingBoundExceeded, match=str(MAX_PADDED_N)):
+        full_staircase(D((317, 0)))
+    with pytest.raises(PaddingBoundExceeded):
+        normalize_to_base(D((400, 5), (1, 3)))
+    assert issubclass(PaddingBoundExceeded, ValueError)

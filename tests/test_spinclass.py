@@ -519,3 +519,12 @@ def test_witness_names_its_group():
                 assert len(wit.weight) == wit.group.rank
                 assert wit.group.family == fam
                 assert (wit.group == p.group) == (not v.normalized.steps), pairs
+
+
+@pytest.mark.parametrize("entry", [2.5, True, "3", F(3)])
+def test_string_pairs_take_only_ints(entry):
+    # int() would make (2.5; 0.9) the Unitary (2; 0) and read "3" as 3
+    with pytest.raises(TypeError, match="must be ints"):
+        StringPairs("D", ((entry, 0),))
+    with pytest.raises(TypeError, match="must be ints"):
+        StringPairs("B", ((3, 1), (1, entry)))
