@@ -286,6 +286,9 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify_chain(args) -> int:
     pairs = _parse_pairs(args.pairs, args.group)
+    if pairs.n > intertwine.MAX_SCRIPT_SIZE:
+        raise ParseError(f"pairs of total size {pairs.n} exceed the bound "
+                         f"{intertwine.MAX_SCRIPT_SIZE} of verify-chain")
     try:
         parts = intertwine.build_case_script(args.group, pairs.pairs)
     except intertwine.ScriptError as exc:

@@ -3,11 +3,10 @@
 Every interface takes and returns :class:`fractions.Fraction` coordinates.
 Classification inputs are half-integers (denominator 1 or 2); general
 rationals occur in intertwining scalars and in the deformation parameters of
-complementary series.  Inside the front end of the classification
-(dominance, the Hermitian check, residue classes and GL chains) a vector is
-scaled by the least common denominator of its entries and handled as exact
-integers (:func:`scaled`, :func:`residue`).  No floating point is used
-anywhere.
+complementary series.  The front end of the classification (genuineness,
+dominance, the Hermitian check, residue classes, string extraction, GL chains)
+runs on vectors scaled by the least common denominator of their entries to
+exact integers (:func:`scaled`, :func:`residue`).  No floating point is used.
 """
 
 import math
@@ -41,12 +40,8 @@ def frac(x) -> Fraction:
 
 
 def vec(values) -> tuple:
-    return tuple(map(frac, values))
-
-
-def is_half_odd(v: Fraction) -> bool:
-    """True for strictly half-integral values: ..., -3/2, -1/2, 1/2, ..."""
-    return frac(v).denominator == 2
+    """The entries as Fractions; entries that are Fractions already are kept."""
+    return tuple([v if type(v) is Fraction else frac(v) for v in values])
 
 
 def is_sign(s) -> bool:

@@ -135,6 +135,15 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
     return GenuineParam(group, (HALF,) * n2, nu)
 
 
+def _partition_scaled(L: int, ints) -> dict:
+    """Residue classes of the values ints/L in order of first occurrence,
+    as L*t -> the ints of the class t, descending."""
+    classes = {}
+    for s in ints:
+        classes.setdefault(residue(s, L), []).append(s)
+    return {r: sorted(ss, reverse=True) for r, ss in classes.items()}
+
+
 def partition_nt(nu) -> dict:
     """Split nu into residue classes: t in (-1,1] with nu_i - t in 2Z.
 
@@ -143,31 +152,29 @@ def partition_nt(nu) -> dict:
     nu = vec(nu)
     L, ints = scaled(nu)
     value_of = dict(zip(ints, nu))
-    classes = {}
-    for s in ints:
-        classes.setdefault(residue(s, L), []).append(s)
-    return {Fraction(r, L): tuple(value_of[s] for s in sorted(ss, reverse=True))
-            for r, ss in classes.items()}
+    return {Fraction(r, L): tuple(value_of[s] for s in ss)
+            for r, ss in _partition_scaled(L, ints).items()}
 
 
-def _grouped_classes(classes: dict):
-    """Merge residue classes into GL-blocks and the half-integral core.
+def _grouped_classes(L: int, classes: dict, value_of: dict):
+    """Merge residue classes of :func:`_partition_scaled` (L even) into
+    GL-blocks and the half-integral core.
 
-    Returns (core_plus, core_minus, gl_blocks) where gl_blocks is a list of
-    (label, signed entries): each class t other than +-1/2 joins the block of
-    t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and - otherwise.  The
-    block t0 = 0 is {0 with +, 1 with -} and comes first; the others follow
-    in the order of their least class.
+    Returns (core_plus, core_minus, gl_blocks): the ints of the classes +-1/2
+    and a list of (label, signed entries ``value_of[v]``): each class t other
+    than +-1/2 joins the block of t0 = min(|t|, 1-|t|), with twist + when
+    |t| = t0 and - otherwise.  The block t0 = 0 is {0 with +, 1 with -} and
+    comes first; the others follow in the order of their least class.
     """
     blocks = {0: []}
-    for t in sorted(classes):
-        if abs(t) != HALF:
-            t0 = min(abs(t), 1 - abs(t))
-            s = 1 if abs(t) == t0 else -1
-            blocks.setdefault(t0, []).extend((v, s) for v in classes[t])
-    gl_blocks = [("t=0,1" if t0 == 0 else f"t={fmt(t0)}", tuple(entries))
-                 for t0, entries in blocks.items() if entries]
-    return classes.get(HALF, ()), classes.get(-HALF, ()), gl_blocks
+    for r in sorted(classes):
+        if 2 * abs(r) != L:
+            r0 = min(abs(r), L - abs(r))
+            s = 1 if abs(r) == r0 else -1
+            blocks.setdefault(r0, []).extend((value_of[v], s) for v in classes[r])
+    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(Fraction(r0, L))}", tuple(entries))
+                 for r0, entries in blocks.items() if entries]
+    return classes.get(L // 2, ()), classes.get(-(L // 2), ()), gl_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -238,45 +245,24 @@ def _columns(runs) -> tuple:
     return tuple(((top + 3) // 4, (1 - bottom) // 4) for top, bottom in runs)
 
 
-def extract_pairs_D(n_half) -> StringPairs:
-    """String pairs of a +1/2 residue class for family D.
+def _pairs_from_doubled(family: str, doubled) -> StringPairs:
+    """String pairs of a +1/2 residue class given by its doubled values.
 
-    Every maximal step-2 run must pass through 1/2; the run from 2x-3/2 down
-    to 1/2-2y becomes the column (x, y).
+    Family D: every maximal step-2 run must pass through 1/2; the run from
+    2x-3/2 down to 1/2-2y becomes the column (x, y).  Family B: beta runs
+    (through -3/2) give columns with y >= 1 and x >= 0; alpha runs must be
+    step-2 strings ending exactly at 1/2 and give columns (x, 0).
     """
-    runs, _ = _extract_runs(_doubled(n_half))
-    for top, bottom in runs:
-        if top < 1 or bottom > 1:
-            run = _halves(range(top, bottom - 1, -4))
-            raise MalformedParameter(
-                f"string {fmt_vec(run)} does not pass through 1/2"
-            )
-    return StringPairs("D", _columns(runs))
-
-
-def _beta_runs(n_half):
-    """Family B on doubled values: the runs through -3 (that is, -3/2) and
-    the Counter of the remaining alpha values."""
-    return _extract_runs(_doubled(n_half), anchor=-3)
-
-
-def decompose_alpha_beta(n_half):
-    """Family B splitting: beta strings are the maximal runs through -3/2
-    (extracted repeatedly); alpha is whatever remains, in ascending order.
-    """
-    betas, rest = _beta_runs(n_half)
-    alpha = _halves(sorted(rest.elements()))
-    betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
-    return alpha, betas_asc
-
-
-def extract_pairs_B(n_half) -> StringPairs:
-    """String pairs of a +1/2 residue class for family B.
-
-    Beta runs (through -3/2) give columns with y >= 1 and x >= 0; alpha runs
-    must be step-2 strings ending exactly at 1/2 and give columns (x, 0).
-    """
-    betas, rest = _beta_runs(n_half)
+    if family == "D":
+        runs, _ = _extract_runs(doubled)
+        for top, bottom in runs:
+            if top < 1 or bottom > 1:
+                run = _halves(range(top, bottom - 1, -4))
+                raise MalformedParameter(
+                    f"string {fmt_vec(run)} does not pass through 1/2"
+                )
+        return StringPairs("D", _columns(runs))
+    betas, rest = _extract_runs(doubled, anchor=-3)
     # no -3/2 is left, so a run through 1/2 ends there
     alphas, rest = _extract_runs(rest, anchor=1)
     if rest:
@@ -287,8 +273,28 @@ def extract_pairs_B(n_half) -> StringPairs:
     return StringPairs("B", _columns(betas + alphas))
 
 
+def extract_pairs_D(n_half) -> StringPairs:
+    """String pairs of a +1/2 residue class for family D."""
+    return _pairs_from_doubled("D", _doubled(n_half))
+
+
+def decompose_alpha_beta(n_half):
+    """Family B splitting: beta strings are the maximal runs through -3/2
+    (extracted repeatedly); alpha is whatever remains, in ascending order.
+    """
+    betas, rest = _extract_runs(_doubled(n_half), anchor=-3)
+    alpha = _halves(sorted(rest.elements()))
+    betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
+    return alpha, betas_asc
+
+
+def extract_pairs_B(n_half) -> StringPairs:
+    """String pairs of a +1/2 residue class for family B."""
+    return _pairs_from_doubled("B", _doubled(n_half))
+
+
 def extract_pairs(family: str, n_half) -> StringPairs:
-    return extract_pairs_D(n_half) if family == "D" else extract_pairs_B(n_half)
+    return _pairs_from_doubled(family, _doubled(n_half))
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +612,9 @@ def classify(p: GenuineParam) -> Verdict:
         stages.record("hermitian", "not hermitian")
         return stages.verdict(Status.NOT_HERMITIAN)
     stages.record("hermitian", "hermitian")
-    # mu-blocks read off the scaled mu; a block's value is q0.mu[start]
-    blocks = [(q0.mu[start], start, stop)
-              for _, start, stop in _mu_blocks(scaled(q0.mu)[1])]
+    L, mu_ints, nu_ints = q0.integer_form
+    # mu-blocks read off the integer form; a block's value is q0.mu[start]
+    blocks = [(q0.mu[start], start, stop) for _, start, stop in _mu_blocks(mu_ints)]
     gl_factors = []
     # GL-blocks: mu-value (2r-1)/2 with r >= 2; the dominant mu descends, so
     # the mu = 1/2 block, if any, is the last one
@@ -628,11 +634,10 @@ def classify(p: GenuineParam) -> Verdict:
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
     assert stop == len(q0.mu), blocks
-    classes = partition_nt(q0.nu[start:stop])
-    core_plus, core_minus, blocks_gl = _grouped_classes(classes)
-    # the core values all have denominator 2: compare their numerators
-    assert sorted(v.numerator for v in core_minus) \
-        == sorted(-v.numerator for v in core_plus)
+    value_of = dict(zip(nu_ints, q0.nu))
+    classes = _partition_scaled(L, nu_ints[start:])
+    core_plus, core_minus, blocks_gl = _grouped_classes(L, classes, value_of)
+    assert sorted(core_minus) == sorted(-s for s in core_plus)
     for label, signed in blocks_gl:
         glv = classify_gl_genuine_block(signed)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
@@ -644,15 +649,15 @@ def classify(p: GenuineParam) -> Verdict:
     stages.record("partition", "unitary", len(classes))
     # the +-1/2 core as string pairs
     try:
-        pairs = extract_pairs(p.group.family, core_plus) if core_plus \
-            else StringPairs(p.group.family, ())
+        # the class is 1/2 mod 2, so each doubled value L*v // (L/2) is an int
+        pairs = _pairs_from_doubled(p.group.family, [s // (L // 2) for s in core_plus])
     except MalformedParameter as exc:
         # the message, not the exception: exceptions compare by identity
         stages.record("extract_pairs", "malformed", str(exc))
         return stages.non_unitary(
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
-                  core_plus, pairs, pairs.k)
+                  tuple(value_of[s] for s in core_plus), pairs, pairs.k)
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")

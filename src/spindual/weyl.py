@@ -11,9 +11,10 @@ family D).  Everything here is exact and immutable.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
-from .halfint import is_half_odd, is_sign, scaled, vec
+from .halfint import fmt_vec, scaled, vec
 
 
 class DimensionError(ValueError):
@@ -46,7 +47,8 @@ class WeylElement:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
             raise ValueError("invalid signed permutation")
-        if not all(map(is_sign, self.signs)):
+        # True == 1, but a bool is not a sign
+        if self.signs.count(1) + self.signs.count(-1) != n or bool in map(type, self.signs):
             raise ValueError("signs must be +1/-1")
 
     @staticmethod
@@ -110,11 +112,20 @@ class GenuineParam:
                 f"got {len(self.mu)}/{len(self.nu)}"
             )
 
+    @cached_property
+    def integer_form(self) -> tuple:
+        """(L, mu_ints, nu_ints): the least common denominator L of mu and nu
+        and the integers L*v, computed once; the classification reads these."""
+        L, ints = scaled(self.mu + self.nu)
+        n = len(self.mu)
+        return L, ints[:n], ints[n:]
+
     def is_genuine(self) -> bool:
-        return all(is_half_odd(m) for m in self.mu)
+        """Every mu-entry is strictly half-integral: L*m = L/2 mod L."""
+        L, mu, _ = self.integer_form
+        return L % 2 == 0 and all(m % L == L // 2 for m in mu)
 
     def __str__(self):
-        from .halfint import fmt_vec
         return f"{self.group}: mu={fmt_vec(self.mu)}, nu={fmt_vec(self.nu)}"
 
 
@@ -162,10 +173,11 @@ def dominantize(p: GenuineParam) -> DominantForm:
     For family D only an even number of sign flips is available; when an odd
     number would be needed the diagram flip of the last coordinate is applied
     on top and reported in ``outer_applied``.  The signs and the order are
-    found on mu scaled to integers; the Fractions of mu and nu are permuted.
+    found on the integer form; the Fractions of mu and nu and their integers
+    are permuted alike, so the dominant form is not scaled again.
     """
     n = p.group.rank
-    _, mu = scaled(p.mu)
+    L, mu, nu = p.integer_form
     signs = [-1 if m < 0 else 1 for m in mu]
     if p.group.family == "D" and signs.count(-1) % 2 == 1:
         # leave the flip of smallest |mu| undone; D-dominance allows a
@@ -185,12 +197,13 @@ def dominantize(p: GenuineParam) -> DominantForm:
     if not outer and -1 not in signs and perm == list(range(n)):
         # p is dominant already: it is its own dominant form, not a copy
         return DominantForm(p, w, False)
-    mu2 = apply(w, p.mu)
-    nu2 = apply(w, p.nu)
+    vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
     if outer:
-        mu2 = mu2[:-1] + (-mu2[-1],)
-        nu2 = nu2[:-1] + (-nu2[-1],)
-    return DominantForm(GenuineParam(p.group, mu2, nu2), w, outer)
+        vectors = [v[:-1] + (-v[-1],) for v in vectors]
+    q = GenuineParam(p.group, *vectors[:2])
+    # the cached_property's slot: the permuted integers are q's integer form
+    q.__dict__["integer_form"] = (L, *vectors[2:])
+    return DominantForm(q, w, outer)
 
 
 def _mu_blocks(mu):
@@ -210,12 +223,11 @@ def hermitian_witness(p: GenuineParam):
     Requires mu dominant.  Within each constant-mu block the nu-multiset is
     matched against its negative; sign flips are available only on zero
     mu-entries (a flip would negate a nonzero entry), and for family D the
-    total number of flips must be even.  The matching runs on mu and nu
-    scaled to integers.
+    total number of flips must be even.  The matching runs on the integer
+    form of p.
     """
     n = p.group.rank
-    _, mu = scaled(p.mu)
-    _, nu = scaled(p.nu)
+    _, mu, nu = p.integer_form
     if list(mu) != sorted(mu, reverse=True):
         raise ValueError("hermitian_witness expects dominant mu")
     perm = [None] * n

@@ -2,9 +2,11 @@
 
 import io
 import json
+import time
 
 import pytest
 
+from spindual import intertwine
 from spindual.cli import MAX_TABLE_RANK, main
 from spindual.rewriter import MAX_PADDED_N
 from tests.test_spinclass import PIPELINE
@@ -339,6 +341,25 @@ def test_invalid_json_on_stdin(monkeypatch, capsys):
 def test_verify_chain_without_script(capsys):
     code, err = run_error(capsys, "verify-chain", "--group", "B", "--pairs", "2,1;1,0")
     assert code == 3 and err.startswith("error: ")
+
+
+def test_verify_chain_size_bound(capsys, monkeypatch):
+    size = intertwine.MAX_SCRIPT_SIZE
+    # a cheap script at the bound still replays
+    code, out = run(capsys, "verify-chain", "--group", "D", "--pairs", f"1;{size - 1}")
+    assert code == 0 and out.endswith("all steps OK\n")
+
+    def unbuilt(*args):
+        raise AssertionError("a script was built above the bound")
+
+    monkeypatch.setattr(intertwine, "build_case_script", unbuilt)
+    for family, pairs in (("D", f"{size + 1};0"), ("B", f"{size + 1};0"),
+                          ("D", f"{size // 2 + 1};{size // 2}")):
+        start = time.perf_counter()
+        code, err = run_error(capsys, "verify-chain", "--group", family, "--pairs", pairs)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and err == (f"parse error: pairs of total size {size + 1} "
+                                     f"exceed the bound {size} of verify-chain"), err
 
 
 def test_padding_bound(capsys):

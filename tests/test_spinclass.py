@@ -247,6 +247,61 @@ def test_classify_dual_invariance():
                 assert classify(p).status == classify(hermitian_dual(p)).status
 
 
+TABLE_ROWS = tuple((fam, pairs) for fam in ("B", "D") for n in range(1, 7)
+                   for pairs in enumerate_pairs(fam, n))
+
+
+def _restricted(perm, signs, family, rank):
+    """The signed permutation that perm and signs induce on range(rank),
+    with an even number of flips in family D."""
+    signs = list(signs[:rank])
+    if family == "D" and signs.count(-1) % 2 == 1:
+        signs[0] = -signs[0]
+    return WeylElement(tuple(j for j in perm if j < rank), tuple(signs))
+
+
+def _invariants(v):
+    return v.status, v.certificate, v.witness and (v.witness.q, v.witness.group)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(range(12)),
+       st.lists(st.sampled_from((1, -1)), min_size=12, max_size=12))
+def test_classify_weyl_invariance_on_table_rows(perm, signs):
+    # every D/B row with n <= 6 (rank <= 12): a Weyl conjugate and its
+    # Hermitian dual give the row's status, certificate and witness (q, group)
+    for fam, pairs in TABLE_ROWS:
+        p = pairs_to_param(pairs)
+        want = _invariants(classify(p))
+        w = _restricted(perm, signs, fam, p.group.rank)
+        q = GenuineParam(p.group, apply(w, p.mu), apply(w, p.nu))
+        for r in (q, hermitian_dual(q)):
+            assert _invariants(classify(r)) == want, (fam, pairs, w)
+
+
+def test_classify_scales_once(monkeypatch):
+    from spindual import halfint, spinclass, weyl
+    calls = []
+
+    def counting_scaled(values):
+        calls.append(len(values))
+        return halfint.scaled(values)
+
+    monkeypatch.setattr(weyl, "scaled", counting_scaled)
+    monkeypatch.setattr(spinclass, "scaled", counting_scaled)
+    flips = WeylElement((1, 0, 3, 2), (-1, 1, 1, -1))
+    for fam, cols in (("D", ((3, 1), (2, 0))), ("B", ((2, 2), (1, 0))), ("D", ((1, 3),))):
+        p = pairs_to_param(StringPairs(fam, cols))
+        want = classify(p).status
+        # a fresh dominant parameter, and a conjugate that dominantize moves
+        for q in (pairs_to_param(StringPairs(fam, cols)),
+                  GenuineParam(p.group, apply(flips, p.mu[:4]) + p.mu[4:],
+                               apply(flips, p.nu[:4]) + p.nu[4:])):
+            calls.clear()
+            assert classify(q).status is want
+            assert calls == [2 * q.group.rank], (fam, cols)
+
+
 def test_witness_parity():
     # family D: odd index for single-column bases, even for gap bases;
     # family B the other way around

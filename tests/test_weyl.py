@@ -1,9 +1,11 @@
 """Tests for the Weyl-action and parameter layer."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindual.weyl import (
     DimensionError, GenuineParam, GroupTag, WeylElement, apply, dominantize,
@@ -195,3 +197,43 @@ def test_weyl_element_rejects_boolean_signs():
     with pytest.raises(ValueError, match="signs must be"):
         WeylElement((0, 1), (True, 1))
     assert WeylElement((0, 1), (1, -1)).flip_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer form (L, mu_ints, nu_ints)
+
+def is_half_odd(v):
+    """The per-entry definition of genuineness: v is strictly half-integral."""
+    return v.denominator == 2
+
+
+rationals = st.builds(Fraction, st.integers(-15, 15), st.integers(1, 6))
+mu_entries = {
+    "half-integral": st.integers(-8, 7).map(lambda k: F(2 * k + 1, 2)),
+    "integral": st.integers(-8, 8).map(F),
+    "rational": rationals,
+}
+
+
+@st.composite
+def params_of_any_denominators(draw):
+    n = draw(st.integers(1, 6))
+    mu = draw(st.lists(mu_entries[draw(st.sampled_from(sorted(mu_entries)))],
+                       min_size=n, max_size=n))
+    if draw(st.booleans()):
+        mu[draw(st.integers(0, n - 1))] = draw(rationals)
+    nu = draw(st.lists(rationals, min_size=n, max_size=n))
+    return GenuineParam(GroupTag(draw(st.sampled_from("BD")), n), mu, nu)
+
+
+@settings(max_examples=500, deadline=None)
+@given(params_of_any_denominators())
+def test_integer_form(p):
+    assert p.is_genuine() == all(is_half_odd(m) for m in p.mu)
+    L, mu, nu = p.integer_form
+    assert L == math.lcm(*(v.denominator for v in p.mu + p.nu))
+    assert tuple(F(m, L) for m in mu) == p.mu
+    assert tuple(F(v, L) for v in nu) == p.nu
+    # dominantize hands its dominant form the permuted integers
+    q = dominantize(p).param
+    assert q.integer_form == GenuineParam(q.group, q.mu, q.nu).integer_form
