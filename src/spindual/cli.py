@@ -12,6 +12,7 @@ stage event of the classification to standard error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,8 +211,8 @@ def _row_for(pairs: StringPairs):
     }
 
 
-# enumeration grows about 2.7x per +2 in n: 13,602 rows for D 20 and 24,842
-# for B 20 already take seconds, and rank 40 would never return
+# rows per +2 in n: x2.6 at n = 8, still x2.0 at n = 20 (D 13,602 and
+# B 24,842 rows); table --rank 20 takes ~9 s (D) and 12-19 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
 
@@ -327,6 +328,7 @@ def cmd_verify_chain(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, shared by in-process main() calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spindual",

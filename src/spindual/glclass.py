@@ -19,9 +19,9 @@ detects indefiniteness, relative to the block's lowest K-type.
 
 Every block carries a +-1 twist on each coordinate (the character
 (det/|det|)^{+-1/2}; +1 for the spherical case); chains are constant-twist
-and pair with matching twist.  The classifier scales nu once by its least
-common denominator and works on the integers; Fractions appear only in the
-factors and reasons it returns.
+and pair with matching twist.  The classifier runs on nu scaled to integers
+by a common denominator: its own least one, or the parameter's integer form
+in ``spinclass.classify``; Fractions appear only in the factors and reasons.
 """
 
 from collections import Counter
@@ -215,7 +215,8 @@ def _classify_layers(L: int, layers, n: int) -> GLVerdict:
 def classify_gl(nu) -> GLVerdict:
     """Unitarity of the spherical module attached to nu: the genuine block
     with every twist +1 (a constant twist does not affect unitarity)."""
-    return classify_gl_genuine_block([(v, 1) for v in nu])
+    L, ints = scaled(vec(nu))
+    return _classify_scaled(L, ints, (1,) * len(ints))
 
 
 def classify_gl_genuine_block(signed_nu) -> GLVerdict:
@@ -230,6 +231,12 @@ def classify_gl_genuine_block(signed_nu) -> GLVerdict:
     if not all(map(is_sign, signs)):
         raise ValueError("twists must be +1/-1")
     L, ints = scaled(values)
+    return _classify_scaled(L, ints, signs)
+
+
+def _classify_scaled(L: int, ints, signs) -> GLVerdict:
+    """The block of values ints/L with the twists signs, L any common
+    denominator: the public classifiers and ``spinclass.classify`` run this."""
     if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):
         return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
     return _classify_layers(L, _layers(L, ints, signs), len(ints))

@@ -1,12 +1,12 @@
 """Exact coordinate arithmetic for parameter vectors.
 
-Every interface takes and returns :class:`fractions.Fraction` coordinates.
-Classification inputs are half-integers (denominator 1 or 2); general
-rationals occur in intertwining scalars and in the deformation parameters of
-complementary series.  The front end of the classification (genuineness,
-dominance, the Hermitian check, residue classes, string extraction, GL chains)
-runs on vectors scaled by the least common denominator of their entries to
-exact integers (:func:`scaled`, :func:`residue`).  No floating point is used.
+Public coordinates are :class:`fractions.Fraction` values: half-integers in
+classification inputs, general rationals in intertwining scalars and in the
+deformations of complementary series.  The classification (genuineness,
+dominance, the Hermitian check, residue classes, string extraction, GL
+blocks) runs on the integers L*v of a parameter scaled once by a common
+denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``;
+:func:`residue`).  No floating point is used.
 """
 
 import math

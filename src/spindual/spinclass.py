@@ -30,9 +30,9 @@ from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
 from .weyl import (
     GenuineParam, GroupTag, dominantize, hermitian_witness, _mu_blocks,
 )
-from .glclass import (
-    GLStatus, CompParams, classify_gl, classify_gl_genuine_block,
-)
+from .glclass import GLStatus, CompParams, _classify_scaled
+# not called here: bench/tracing.py wraps these names on this module
+from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
 
 
 class MalformedParameter(ValueError):
@@ -114,8 +114,12 @@ class StringPairs:
 
 def string_of_column(x: int, y: int) -> tuple:
     """The descending step-2 string from 2x-3/2 down to 1/2-2y."""
-    top = Fraction(4 * x - 3, 2)
-    return tuple(top - 2 * k for k in range(x + y))
+    return _halves(_doubled_string(x, y))
+
+
+def _doubled_string(x: int, y: int) -> range:
+    """The doubled values 4x-3, 4x-7, ..., 1-4y of :func:`string_of_column`."""
+    return range(4 * x - 3, -4 * y, -4)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +130,13 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
 
     mu is all 1/2 of length 2n; nu is the +1/2 class (descending) followed by
     its negation (descending), matching the Langlands-coordinate convention
-    of the classification tables.
+    of the classification tables.  Its integer form (L = 2) is built first.
     """
-    half = pairs.half_class()
-    nu = half + tuple(sorted((-v for v in half), reverse=True))
+    half = sorted((d for x, y in pairs.pairs for d in _doubled_string(x, y)), reverse=True)
+    doubled = (*half, *(-d for d in reversed(half)))
     n2 = 2 * pairs.n
-    group = GroupTag(pairs.family, n2)
-    return GenuineParam(group, (HALF,) * n2, nu)
+    return GenuineParam._with_integer_form(GroupTag(pairs.family, n2), (HALF,) * n2,
+                                           _halves(doubled), (2, (1,) * n2, doubled))
 
 
 def _partition_scaled(L: int, ints) -> dict:
@@ -156,24 +160,25 @@ def partition_nt(nu) -> dict:
             for r, ss in _partition_scaled(L, ints).items()}
 
 
-def _grouped_classes(L: int, classes: dict, value_of: dict):
+def _grouped_classes(L: int, classes: dict):
     """Merge residue classes of :func:`_partition_scaled` (L even) into
     GL-blocks and the half-integral core.
 
     Returns (core_plus, core_minus, gl_blocks): the ints of the classes +-1/2
-    and a list of (label, signed entries ``value_of[v]``): each class t other
-    than +-1/2 joins the block of t0 = min(|t|, 1-|t|), with twist + when
-    |t| = t0 and - otherwise.  The block t0 = 0 is {0 with +, 1 with -} and
-    comes first; the others follow in the order of their least class.
+    and a list of (label, ints, twists): each class t other than +-1/2 joins
+    the block of t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and -
+    otherwise.  The block t0 = 0 is {0 with +, 1 with -} and comes first; the
+    others follow in the order of their least class.
     """
-    blocks = {0: []}
+    blocks = {0: ([], [])}
     for r in sorted(classes):
         if 2 * abs(r) != L:
             r0 = min(abs(r), L - abs(r))
-            s = 1 if abs(r) == r0 else -1
-            blocks.setdefault(r0, []).extend((value_of[v], s) for v in classes[r])
-    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(Fraction(r0, L))}", tuple(entries))
-                 for r0, entries in blocks.items() if entries]
+            ints, twists = blocks.setdefault(r0, ([], []))
+            ints += classes[r]
+            twists += [1 if abs(r) == r0 else -1] * len(classes[r])
+    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(Fraction(r0, L))}", ints, twists)
+                 for r0, (ints, twists) in blocks.items() if ints]
     return classes.get(L // 2, ()), classes.get(-(L // 2), ()), gl_blocks
 
 
@@ -621,7 +626,7 @@ def classify(p: GenuineParam) -> Verdict:
     for value, start, stop in blocks:
         if value == HALF:
             break
-        glv = classify_gl(q0.nu[start:stop])
+        glv = _classify_scaled(L, nu_ints[start:stop], (1,) * (stop - start))
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
             weight = _embed_block_shift(q0.mu, start, glv.witness)
@@ -634,12 +639,11 @@ def classify(p: GenuineParam) -> Verdict:
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
     assert stop == len(q0.mu), blocks
-    value_of = dict(zip(nu_ints, q0.nu))
     classes = _partition_scaled(L, nu_ints[start:])
-    core_plus, core_minus, blocks_gl = _grouped_classes(L, classes, value_of)
+    core_plus, core_minus, blocks_gl = _grouped_classes(L, classes)
     assert sorted(core_minus) == sorted(-s for s in core_plus)
-    for label, signed in blocks_gl:
-        glv = classify_gl_genuine_block(signed)
+    for label, ints, twists in blocks_gl:
+        glv = _classify_scaled(L, ints, twists)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("partition", "non-unitary", label, glv.reason)
@@ -656,6 +660,7 @@ def classify(p: GenuineParam) -> Verdict:
         stages.record("extract_pairs", "malformed", str(exc))
         return stages.non_unitary(
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
+    value_of = dict(zip(nu_ints, q0.nu))
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
                   tuple(value_of[s] for s in core_plus), pairs, pairs.k)
     result = unitarity_test(pairs)

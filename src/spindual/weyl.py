@@ -120,6 +120,13 @@ class GenuineParam:
         n = len(self.mu)
         return L, ints[:n], ints[n:]
 
+    @classmethod
+    def _with_integer_form(cls, group, mu, nu, form) -> "GenuineParam":
+        """The parameter, with the integer form its caller already holds."""
+        p = cls(group, mu, nu)
+        p.__dict__["integer_form"] = form  # the cached_property's slot
+        return p
+
     def is_genuine(self) -> bool:
         """Every mu-entry is strictly half-integral: L*m = L/2 mod L."""
         L, mu, _ = self.integer_form
@@ -143,9 +150,10 @@ class LanglandsPair:
 
 
 def to_langlands(p: GenuineParam) -> LanglandsPair:
-    """(lambda_L, lambda_R) = ((mu+nu)/2, (nu-mu)/2)."""
-    lam_l = tuple((m + n) / 2 for m, n in zip(p.mu, p.nu))
-    lam_r = tuple((n - m) / 2 for m, n in zip(p.mu, p.nu))
+    """(lambda_L, lambda_R) = ((mu+nu)/2, (nu-mu)/2), read off the integer form."""
+    L, mu, nu = p.integer_form
+    lam_l = tuple([Fraction(m + n, 2 * L) for m, n in zip(mu, nu)])
+    lam_r = tuple([Fraction(n - m, 2 * L) for m, n in zip(mu, nu)])
     return LanglandsPair(p.group, lam_l, lam_r)
 
 
@@ -200,9 +208,7 @@ def dominantize(p: GenuineParam) -> DominantForm:
     vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
     if outer:
         vectors = [v[:-1] + (-v[-1],) for v in vectors]
-    q = GenuineParam(p.group, *vectors[:2])
-    # the cached_property's slot: the permuted integers are q's integer form
-    q.__dict__["integer_form"] = (L, *vectors[2:])
+    q = GenuineParam._with_integer_form(p.group, *vectors[:2], (L, *vectors[2:]))
     return DominantForm(q, w, outer)
 
 

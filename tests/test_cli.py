@@ -2,14 +2,20 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from spindual import intertwine
-from spindual.cli import MAX_TABLE_RANK, main
+from spindual.cli import MAX_TABLE_RANK, build_parser, main
 from spindual.rewriter import MAX_PADDED_N
 from tests.test_spinclass import PIPELINE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -390,3 +396,27 @@ def test_classify_gl_factors_json_golden(capsys):
         "dominant form: D8: mu=(1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2), "
         "nu=(1, -1, 0, 0, 1/4, -1/4, 3/4, -3/4)",
     ]
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout and stderr of ``python -m spindual.cli`` in a new process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "spindual.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_reused(capsys):
+    assert build_parser() is build_parser()
+    # an argparse error and a traced call leave nothing behind in the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--group", "D"])
+    assert exc.value.code == 2
+    assert main(["classify", "--group", "D", "--pairs", "1;3", "--trace"]) == 3
+    assert capsys.readouterr().err.count("elapsed_ns") > 0
+    for argv in (["classify", "--group", "B", "--pairs", "2,1;1,0", "--json"],
+                 ["table", "--group", "B", "--rank", "3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(*argv), argv

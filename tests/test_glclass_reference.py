@@ -1,12 +1,13 @@
 """The integer GL classifier against the Fraction reference.
 
 ``classify_gl`` and ``classify_gl_genuine_block`` scale a block once to
-integers, take its chains as integer layers and let the chain with positive
-center stand for each dual pair.  The Fraction implementation they replaced
-is kept here as the oracle: Fraction symmetry checks, validated ``Chain``
-objects, and each chain's mate found with ``negated()`` in a pool.
-Hypothesis checks that both give equal verdicts: status, factors, witness,
-q and reason.
+integers and run ``_classify_scaled``, which ``classify`` calls directly on
+slices of a parameter's integer form.  It takes the chains as integer layers
+and lets the chain with positive center stand for each dual pair.  The
+Fraction implementation it replaced is kept here as the oracle: Fraction
+symmetry checks, validated ``Chain`` objects, and each chain's mate found
+with ``negated()`` in a pool.  Hypothesis checks that both give equal
+verdicts: status, factors, witness, q and reason.
 """
 
 import importlib
@@ -17,10 +18,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
-    Chain, GLStatus, GLVerdict, SteinPair, TrivialString, classify_gl,
-    classify_gl_genuine_block, comp_nu, decompose_chains,
+    Chain, GLStatus, GLVerdict, SteinPair, TrivialString, _classify_scaled,
+    classify_gl, classify_gl_genuine_block, comp_nu, decompose_chains,
 )
-from spindual.halfint import fmt, fmt_vec
+from spindual.halfint import fmt, fmt_vec, scaled, vec
 from spindual import spinclass
 from spindual.spinclass import Status
 from spindual.weyl import GenuineParam, GroupTag
@@ -150,16 +151,20 @@ def test_classify_gl_matches_reference(signed):
         assert got == want
 
 
-def _counted(calls, name, fn):
-    def wrapper(*args):
-        calls[name] += 1
-        return fn(*args)
-    return wrapper
+@settings(max_examples=300, deadline=None)
+@given(signed_blocks(), st.integers(2, 6))
+def test_any_common_multiple_classifies_alike(signed, k):
+    # classify passes blocks scaled by the parameter's L, a multiple of the
+    # block's least common denominator
+    L, ints = scaled(vec(v for v, _ in signed))
+    signs = [s for _, s in signed]
+    assert _classify_scaled(k * L, [k * v for v in ints], signs) \
+        == classify_gl_genuine_block(signed)
 
 
 def test_classify_builds_no_chain(monkeypatch):
-    """The 800 ``mixed_blocks`` parameters of seed 1 reach both GL
-    classifiers and never build a ``Chain``."""
+    """The 800 ``mixed_blocks`` parameters of seed 1 reach the integer GL
+    classifier with both kinds of block and never build a ``Chain``."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     built = []
@@ -170,14 +175,27 @@ def test_classify_builds_no_chain(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Chain, "__post_init__", counting)
-    calls = Counter()
-    for name in ("classify_gl", "classify_gl_genuine_block"):
-        monkeypatch.setattr(spinclass, name, _counted(calls, name, getattr(spinclass, name)))
+    calls = []
+
+    def counted(L, ints, twists):
+        calls.append(len(ints))
+        return _classify_scaled(L, ints, twists)
+
+    monkeypatch.setattr(spinclass, "_classify_scaled", counted)
     statuses = Counter()
+    kinds = Counter()
     for family, mu, nu in workloads.gen_mixed_blocks(None, 1):
-        statuses[spinclass.classify(GenuineParam(GroupTag(family, len(mu)), mu, nu)).status] += 1
+        calls.clear()
+        v = spinclass.classify(GenuineParam(GroupTag(family, len(mu)), mu, nu))
+        statuses[v.status] += 1
+        # one gl_block event per classified block of mu-value > 1/2; the
+        # other calls are the residue-class blocks of the mu = 1/2 block
+        gl = sum(e.stage == "gl_block" for e in v.chain)
+        assert len(calls) >= gl
+        kinds["mu > 1/2"] += gl
+        kinds["residue class"] += len(calls) - gl
     assert built == []
-    assert calls["classify_gl"] > 0 and calls["classify_gl_genuine_block"] > 0
+    assert kinds["mu > 1/2"] > 0 and kinds["residue class"] > 0
     assert statuses[Status.UNITARY] > 0 and statuses[Status.NON_UNITARY] > 0
     # the counter is live: the public decomposition does build Chains
     decompose_chains((Fraction(1), Fraction(-1)))

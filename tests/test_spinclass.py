@@ -1,8 +1,10 @@
 """Tests for string pairs, extraction, the staircase criterion and classify."""
 
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from tests.test_weyl import rnd_weyl
 
 F = Fraction
 H = F(1, 2)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def halves(*numerators):
@@ -279,27 +282,50 @@ def test_classify_weyl_invariance_on_table_rows(perm, signs):
             assert _invariants(classify(r)) == want, (fam, pairs, w)
 
 
+def test_pairs_to_param_integer_form():
+    # the integer form pairs_to_param builds is the one scaling would give,
+    # and nu is the half-integral class followed by its negation
+    for fam, pairs in TABLE_ROWS:
+        p = pairs_to_param(pairs)
+        half = pairs.half_class()
+        assert p.nu == half + tuple(-v for v in reversed(half))
+        assert p.integer_form == GenuineParam(p.group, p.mu, p.nu).integer_form
+
+
 def test_classify_scales_once(monkeypatch):
-    from spindual import halfint, spinclass, weyl
+    """classify scales nothing that already carries its integer form: a
+    pairs_to_param parameter costs no scaling, and any other parameter is
+    scaled once, for its integer form, GL blocks included."""
+    from spindual import glclass, halfint, spinclass, weyl
     calls = []
 
     def counting_scaled(values):
         calls.append(len(values))
         return halfint.scaled(values)
 
-    monkeypatch.setattr(weyl, "scaled", counting_scaled)
-    monkeypatch.setattr(spinclass, "scaled", counting_scaled)
+    for module in (weyl, spinclass, glclass):
+        monkeypatch.setattr(module, "scaled", counting_scaled)
     flips = WeylElement((1, 0, 3, 2), (-1, 1, 1, -1))
     for fam, cols in (("D", ((3, 1), (2, 0))), ("B", ((2, 2), (1, 0))), ("D", ((1, 3),))):
         p = pairs_to_param(StringPairs(fam, cols))
         want = classify(p).status
         # a fresh dominant parameter, and a conjugate that dominantize moves
-        for q in (pairs_to_param(StringPairs(fam, cols)),
-                  GenuineParam(p.group, apply(flips, p.mu[:4]) + p.mu[4:],
-                               apply(flips, p.nu[:4]) + p.nu[4:])):
+        for q, scalings in ((pairs_to_param(StringPairs(fam, cols)), []),
+                            (GenuineParam(p.group, apply(flips, p.mu[:4]) + p.mu[4:],
+                                          apply(flips, p.nu[:4]) + p.nu[4:]),
+                             [2 * p.group.rank])):
             calls.clear()
             assert classify(q).status is want
-            assert calls == [2 * q.group.rank], (fam, cols)
+            assert calls == scalings, (fam, cols)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    statuses = set()
+    for family, mu, nu in workloads.gen_mixed_blocks(None, 1):
+        q = GenuineParam(GroupTag(family, len(mu)), mu, nu)
+        calls.clear()
+        statuses.add(classify(q).status)
+        assert calls == [2 * len(mu)], (family, mu, nu)
+    assert statuses == {Status.UNITARY, Status.NON_UNITARY}
 
 
 def test_witness_parity():
