@@ -13,15 +13,14 @@ from .weyl import (
     is_conjugate, rho, to_langlands,
 )
 from .glclass import (
-    Chain, CompParams, GLStatus, GLVerdict, SteinPair, TrivialString,
-    classify_gl, classify_gl_genuine_block, comp_nu, decompose_chains,
+    CompParams, GLStatus, GLVerdict, SteinPair, TrivialString, classify_gl,
+    classify_gl_genuine_block, comp_nu,
 )
 from .spinclass import (
     MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs,
     UnitaryCertificate, Verdict, classify, decompose_alpha_beta,
-    enumerate_pairs, eta_weight, extract_pairs_B, extract_pairs_D,
-    pairs_to_param, partition_nt, peel_stein_factors, staircase_slacks,
-    transcript, unitarity_test, witness,
+    enumerate_pairs, eta_weight, extract_pairs, pairs_to_param, partition_nt,
+    peel_stein_factors, staircase_slacks, transcript, unitarity_test, witness,
 )
 from .rewriter import (
     CaseI, CaseII, InductionStep, NormalizedBase, full_staircase,

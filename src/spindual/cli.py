@@ -211,7 +211,7 @@ def _row_for(pairs: StringPairs):
     }
 
 
-# rows per +2 in n: x2.6 at n = 8, still x2.0 at n = 20 (D 13,602 and
+# rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
 # B 24,842 rows); table --rank 20 takes ~9 s (D) and 12-19 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, pairs_only=False):
         sp.add_argument("--group", choices=("B", "D"), default="D")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--pairs", help='string pairs "x1,..;y1,.."')
+        sp.add_argument("--pairs", required=pairs_only, help='string pairs "x1,..;y1,.."')
         if not pairs_only:
             # argparse reads a value that starts with '-' as an option
             sp.add_argument("--mu", help="comma-separated rationals; a list that "

@@ -32,47 +32,6 @@ from fractions import Fraction
 from .halfint import frac, vec, is_sign, residue, scaled, fmt, fmt_vec, HALF
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A strictly descending run with even positive gaps, carrying a twist.
-
-    ``sign`` is the det^{+-1/2}-twist of the block (+1 for untwisted
-    spherical usage).
-    """
-    values: tuple
-    sign: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", vec(self.values))
-        if not self.values:
-            raise ValueError("chain must be nonempty")
-        for a, b in zip(self.values, self.values[1:]):
-            gap = a - b
-            if gap <= 0 or gap % 2 != 0:
-                raise ValueError(f"invalid chain gap {fmt(gap)} in {fmt_vec(self.values)}")
-        if not is_sign(self.sign):
-            raise ValueError("sign must be +1/-1")
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def is_string(self) -> bool:
-        """All gaps exactly 2 (the attached module is one-dimensional)."""
-        return all(a - b == 2 for a, b in zip(self.values, self.values[1:]))
-
-    @property
-    def center(self) -> Fraction:
-        return sum(self.values, Fraction(0)) / len(self.values)
-
-    @property
-    def is_centered(self) -> bool:
-        return self.center == 0
-
-    def negated(self) -> "Chain":
-        return Chain(tuple(-v for v in reversed(self.values)), self.sign)
-
-
 def _layers(L: int, ints, signs) -> list:
     """The chains of the values ints/L as (twist, scaled values) layers.
 
@@ -91,18 +50,6 @@ def _layers(L: int, ints, signs) -> list:
             layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
             layers.append((s, tuple(layer)))
     return sorted(layers, key=lambda sl: (-len(sl[1]), tuple(-v for v in sl[1])))
-
-
-def decompose_chains(nu, signs=None) -> tuple:
-    """Greedy longest-chain decomposition of the multiset nu, as Chains."""
-    nu = vec(nu)
-    signs = (1,) * len(nu) if signs is None else tuple(signs)
-    if len(signs) != len(nu):
-        raise ValueError(f"{len(nu)} values but {len(signs)} twists")
-    L, ints = scaled(nu)
-    value_of = dict(zip(ints, nu))
-    return tuple(Chain(tuple(value_of[v] for v in layer), s)
-                 for s, layer in _layers(L, ints, signs))
 
 
 def comp_nu(a: int, t) -> tuple:
@@ -135,9 +82,6 @@ class CompParams:
     def is_reducible(self) -> bool:
         """Integer |t| >= 1: the endpoint parameter names no irreducible deformation."""
         return self.t.denominator == 1 and abs(self.t) >= 1
-
-    def nu(self) -> tuple:
-        return comp_nu(self.a, self.t)
 
 
 class GLStatus(Enum):

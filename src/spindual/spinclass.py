@@ -278,11 +278,6 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
     return StringPairs("B", _columns(betas + alphas))
 
 
-def extract_pairs_D(n_half) -> StringPairs:
-    """String pairs of a +1/2 residue class for family D."""
-    return _pairs_from_doubled("D", _doubled(n_half))
-
-
 def decompose_alpha_beta(n_half):
     """Family B splitting: beta strings are the maximal runs through -3/2
     (extracted repeatedly); alpha is whatever remains, in ascending order.
@@ -293,12 +288,10 @@ def decompose_alpha_beta(n_half):
     return alpha, betas_asc
 
 
-def extract_pairs_B(n_half) -> StringPairs:
-    """String pairs of a +1/2 residue class for family B."""
-    return _pairs_from_doubled("B", _doubled(n_half))
-
-
 def extract_pairs(family: str, n_half) -> StringPairs:
+    """String pairs of a +1/2 residue class for family B or D."""
+    if family not in ("B", "D"):
+        raise ValueError("family must be 'B' or 'D'")
     return _pairs_from_doubled(family, _doubled(n_half))
 
 

@@ -127,6 +127,17 @@ def test_mu_starting_with_minus_needs_equals_form(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["rewrite", "orbit", "verify-chain"])
+def test_pairs_commands_require_pairs(capsys, command):
+    # these commands read only --pairs: without it, exit 2 with a message
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "D"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --pairs" in err
+    assert "Traceback" not in err
+
+
 def run_error(capsys, *argv):
     """Exit code and standard error of a call that must fail cleanly."""
     code = main(list(argv))

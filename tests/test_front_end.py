@@ -1,10 +1,10 @@
 """The integer front end of ``classify`` against the Fraction reference.
 
-``dominantize``, ``hermitian_witness``, ``partition_nt`` and the grouping of
-``decompose_chains`` work on vectors scaled to integers by their least common
-denominator.  The Fraction implementations they replaced are kept here as
-oracles, and hypothesis checks that both return equal results, including
-``None`` and the ``ValueError`` on non-dominant mu.
+``dominantize``, ``hermitian_witness``, ``partition_nt`` and the chain
+layers of ``glclass._layers`` work on vectors scaled to integers by their
+least common denominator.  The Fraction implementations they replaced are
+kept here as oracles, and hypothesis checks that both return equal results,
+including ``None`` and the ``ValueError`` on non-dominant mu.
 """
 
 from collections import Counter
@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindual.glclass import Chain, decompose_chains
 from spindual.spinclass import partition_nt
 from spindual.weyl import (
     DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
     dominantize, hermitian_witness, _mu_blocks,
 )
+from tests.test_glclass import layer_chains
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,7 @@ def partition_nt_reference(nu):
 
 
 def decompose_chains_reference(nu, signs):
+    """The chains as (twist, values) tuples, longest first."""
     groups = {}
     for v, s in zip(nu, signs):
         groups.setdefault((residue_mod2(v), s), []).append(v)
@@ -126,9 +127,9 @@ def decompose_chains_reference(nu, signs):
             layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
             if not layer:
                 break
-            chains.append(Chain(tuple(layer), s))
+            chains.append((s, tuple(layer)))
             k += 1
-    chains.sort(key=lambda c: (-len(c), tuple(-v for v in c.values)))
+    chains.sort(key=lambda c: (-len(c[1]), tuple(-v for v in c[1])))
     return tuple(chains)
 
 
@@ -224,8 +225,8 @@ def test_decompose_chains_matches_reference(signed, symmetric):
         signed += [(-v, s) for v, s in signed]
     nu = tuple(v for v, _ in signed)
     signs = tuple(s for _, s in signed)
-    assert decompose_chains(nu, signs) == decompose_chains_reference(nu, signs)
-    assert decompose_chains(nu) == decompose_chains_reference(nu, (1,) * len(nu))
+    assert layer_chains(nu, signs) == decompose_chains_reference(nu, signs)
+    assert layer_chains(nu) == decompose_chains_reference(nu, (1,) * len(nu))
 
 
 def test_apply_keeps_entry_type():

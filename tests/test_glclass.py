@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
-    Chain, CompParams, GLStatus, SteinPair, TrivialString, classify_gl,
-    classify_gl_genuine_block, comp_nu, decompose_chains,
+    CompParams, GLStatus, SteinPair, TrivialString, _layers, classify_gl,
+    classify_gl_genuine_block, comp_nu,
 )
+from spindual.halfint import scaled, vec
 
 F = Fraction
 H = F(1, 2)
@@ -26,6 +27,14 @@ def halves(*numerators):
 
 # ---------------------------------------------------------------------------
 # chain decomposition
+
+def layer_chains(nu, signs=None):
+    """The chains of nu as (twist, values) tuples: the layers of
+    ``_layers`` mapped back to Fractions."""
+    L, ints = scaled(vec(nu))
+    signs = (1,) * len(ints) if signs is None else tuple(signs)
+    return tuple((s, tuple(F(v, L) for v in layer)) for s, layer in _layers(L, ints, signs))
+
 
 def _brute_chains(values):
     """Independent oracle: repeatedly take the longest valid subsequence,
@@ -53,12 +62,12 @@ def _brute_chains(values):
 
 
 def test_decompose_examples():
-    got = decompose_chains(fr(6, 4, 2, 0))
-    assert [c.values for c in got] == [fr(6, 4, 2, 0)]
-    got = decompose_chains(halves(9, 5, 5, 1, 1, -3, -7))
-    assert [c.values for c in got] == [halves(9, 5, 1, -3, -7), halves(5, 1)]
-    got = decompose_chains(fr(0))
-    assert [c.values for c in got] == [fr(0)]
+    got = layer_chains(fr(6, 4, 2, 0))
+    assert [c for _, c in got] == [fr(6, 4, 2, 0)]
+    got = layer_chains(halves(9, 5, 5, 1, 1, -3, -7))
+    assert [c for _, c in got] == [halves(9, 5, 1, -3, -7), halves(5, 1)]
+    got = layer_chains(fr(0))
+    assert [c for _, c in got] == [fr(0)]
 
 
 def test_decompose_vs_bruteforce():
@@ -67,23 +76,12 @@ def test_decompose_vs_bruteforce():
         n = rng.randint(1, 8)
         parity = rng.choice((0, 1))
         values = [F(2 * rng.randint(-3, 3) + parity) for _ in range(n)]
-        got = [c.values for c in decompose_chains(values)]
+        got = [c for _, c in layer_chains(values)]
         want = _brute_chains(values)
         assert sorted(got) == sorted(want), values
         # concatenation invariant and validity
         flat = sorted(v for c in got for v in c)
         assert flat == sorted(values)
-
-
-def test_chain_validity():
-    with pytest.raises(ValueError):
-        Chain(fr(1, 0))  # odd gap
-    with pytest.raises(ValueError):
-        Chain(fr(0, 0))  # zero gap
-    c = Chain(fr(3, 1, -1, -3))
-    assert c.is_string and c.is_centered
-    c = Chain(fr(2, -2))
-    assert not c.is_string and c.is_centered
 
 
 def test_comp_nu():
@@ -214,8 +212,8 @@ _signed_values = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(half=_signed_values, twisted=st.booleans())
 def test_symmetric_chains_pair_off(half, twisted):
-    """On symmetric input every non-centered chain meets its negation, at
-    the same twist and multiplicity, and no such step-2 string has an
+    """On symmetric input every layer with a nonzero sum meets its negation,
+    at the same twist and multiplicity, and no such step-2 string has an
     integer center.
 
     The chains are the multiplicity layers of each (residue, twist) class,
@@ -228,10 +226,10 @@ def test_symmetric_chains_pair_off(half, twisted):
     if not twisted:
         signed = [(v, 1) for v, _ in signed]
     values = [v for v, _ in signed]
-    chains = decompose_chains(values, [s for _, s in signed])
-    moving = [c for c in chains if not c.is_centered]
-    assert Counter(moving) == Counter(c.negated() for c in moving)
-    assert not any(c.center.denominator == 1 for c in moving if c.is_string)
+    moving = [(s, c) for s, c in layer_chains(values, [s for _, s in signed]) if sum(c)]
+    assert Counter(moving) == Counter((s, tuple(-v for v in reversed(c))) for s, c in moving)
+    assert not any((sum(c) / len(c)).denominator == 1 for _, c in moving
+                   if all(a - b == 2 for a, b in zip(c, c[1:])))
     verdicts = [classify_gl_genuine_block(signed)]
     if not twisted:
         verdicts.append(classify_gl(values))
@@ -246,21 +244,7 @@ def test_genuine_block_bad_shift():
     assert v.status is GLStatus.NON_UNITARY and v.q == 1
 
 
-def test_decompose_chains_rejects_missing_twists():
-    # every value needs its twist: nothing is dropped silently
-    with pytest.raises(ValueError, match="3 values but 1 twists"):
-        decompose_chains(fr(1, -1, 3), (1,))
-    with pytest.raises(ValueError):
-        decompose_chains(fr(1), (1, 1))
-
-
 def test_genuine_block_rejects_boolean_twists():
     # True == 1, but a bool is not a twist
     with pytest.raises(ValueError, match="twists must be"):
         classify_gl_genuine_block([(F(1), True), (F(-1), True)])
-
-
-def test_chain_rejects_boolean_sign():
-    with pytest.raises(ValueError, match="sign must be"):
-        Chain(fr(1, -1), True)
-    assert Chain(fr(1, -1), -1).sign == -1

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from spindual.glclass import CompParams
 from spindual.spinclass import (
     MalformedParameter, StageEvent, Status, StringPairs, classify,
-    decompose_alpha_beta, enumerate_pairs, eta_weight, extract_pairs_B,
-    extract_pairs_D, pairs_to_param, partition_nt, peel_stein_factors,
-    transcript, unitarity_test,
+    decompose_alpha_beta, enumerate_pairs, eta_weight, extract_pairs,
+    pairs_to_param, partition_nt, peel_stein_factors, transcript,
+    unitarity_test,
 )
 from spindual.weyl import (
     GenuineParam, GroupTag, WeylElement, apply, hermitian_dual,
@@ -51,27 +51,27 @@ def test_string_pairs_invariants():
 
 
 def test_extract_pairs_d_examples():
-    got = extract_pairs_D(halves(9, 5, 1, -3, -7, 5, 1))
+    got = extract_pairs("D", halves(9, 5, 1, -3, -7, 5, 1))
     assert got.pairs == ((3, 2), (2, 0))
-    got = extract_pairs_D(halves(5, 1, -3, -7, -11, -15))
+    got = extract_pairs("D", halves(5, 1, -3, -7, -11, -15))
     assert got.pairs == ((2, 4),)
-    got = extract_pairs_D(halves(13, 9, 5, 1))
+    got = extract_pairs("D", halves(13, 9, 5, 1))
     assert got.pairs == ((4, 0),)
 
 
 def test_extract_pairs_d_malformed():
     with pytest.raises(MalformedParameter):
-        extract_pairs_D(halves(-3, -7))  # no string through 1/2
+        extract_pairs("D", halves(-3, -7))  # no string through 1/2
     with pytest.raises(MalformedParameter):
-        extract_pairs_D(halves(5))  # bottom above 1/2
+        extract_pairs("D", halves(5))  # bottom above 1/2
     with pytest.raises(MalformedParameter):
-        extract_pairs_D((F(1), F(-1)))  # wrong residue
+        extract_pairs("D", (F(1), F(-1)))  # wrong residue
 
 
 def test_extract_pairs_d_roundtrip():
     for n in range(1, 9):
         for pairs in enumerate_pairs("D", n):
-            assert extract_pairs_D(pairs.half_class()) == pairs
+            assert extract_pairs("D", pairs.half_class()) == pairs
 
 
 def test_decompose_alpha_beta_golden():
@@ -81,17 +81,22 @@ def test_decompose_alpha_beta_golden():
 
 
 def test_extract_pairs_b():
-    assert extract_pairs_B(halves(5, 1, -3)).pairs == ((2, 1),)
-    assert extract_pairs_B(halves(-3, -7)).pairs == ((0, 2),)
-    assert extract_pairs_B(halves(9, 5, 1, 5, 1)).pairs == ((3, 0), (2, 0))
+    assert extract_pairs("B", halves(5, 1, -3)).pairs == ((2, 1),)
+    assert extract_pairs("B", halves(-3, -7)).pairs == ((0, 2),)
+    assert extract_pairs("B", halves(9, 5, 1, 5, 1)).pairs == ((3, 0), (2, 0))
     with pytest.raises(MalformedParameter):
-        extract_pairs_B(halves(13, 5, 1, -3, -7, -7, -11))
+        extract_pairs("B", halves(13, 5, 1, -3, -7, -7, -11))
+
+
+def test_extract_pairs_rejects_unknown_family():
+    with pytest.raises(ValueError, match="family must be 'B' or 'D'"):
+        extract_pairs("Q", halves(5, 1))
 
 
 def test_extract_pairs_b_roundtrip():
     for n in range(1, 9):
         for pairs in enumerate_pairs("B", n):
-            assert extract_pairs_B(pairs.half_class()) == pairs
+            assert extract_pairs("B", pairs.half_class()) == pairs
 
 
 def test_unitarity_test_examples():
