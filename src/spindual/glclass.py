@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, is_sign, residue, scaled, fmt, fmt_vec, HALF
+from .halfint import frac, vec, is_sign, scaled, fmt, fmt_vec, HALF
 
 
 def _layers(L: int, ints, signs) -> list:
@@ -41,8 +41,10 @@ def _layers(L: int, ints, signs) -> list:
     Layers sort longest first, then by their values descending.
     """
     groups = {}
+    modulus = 2 * L
     for v, s in zip(ints, signs):
-        groups.setdefault((residue(v, L), s), []).append(v)
+        # v mod 2L names the residue class; the key is never read as a value
+        groups.setdefault((v % modulus, s), []).append(v)
     layers = []
     for (_, s), values in groups.items():
         counts = Counter(values)

@@ -27,12 +27,11 @@ from fractions import Fraction
 from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
-from .weyl import (
-    GenuineParam, GroupTag, dominantize, hermitian_witness, _mu_blocks,
-)
+from .weyl import GenuineParam, GroupTag, dominantize, _mu_blocks
 from .glclass import GLStatus, CompParams, _classify_scaled
 # not called here: bench/tracing.py wraps these names on this module
 from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
+from .weyl import hermitian_witness  # noqa: F401
 
 
 class MalformedParameter(ValueError):
@@ -143,9 +142,11 @@ def _partition_scaled(L: int, ints) -> dict:
     """Residue classes of the values ints/L in order of first occurrence,
     as L*t -> the ints of the class t, descending."""
     classes = {}
+    modulus = 2 * L
     for s in ints:
-        classes.setdefault(residue(s, L), []).append(s)
-    return {r: sorted(ss, reverse=True) for r, ss in classes.items()}
+        classes.setdefault(s % modulus, []).append(s)
+    # s mod 2L names the class; residue moves it into (-L, L] once per class
+    return {residue(r, L): sorted(ss, reverse=True) for r, ss in classes.items()}
 
 
 def partition_nt(nu) -> dict:
@@ -179,7 +180,7 @@ def _grouped_classes(L: int, classes: dict):
             twists += [1 if abs(r) == r0 else -1] * len(classes[r])
     gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(Fraction(r0, L))}", ints, twists)
                  for r0, (ints, twists) in blocks.items() if ints]
-    return classes.get(L // 2, ()), classes.get(-(L // 2), ()), gl_blocks
+    return classes.get(L // 2, []), classes.get(-(L // 2), []), gl_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +588,12 @@ def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
     return SpinRelevantKType(q, _embed_block_shift(mu, start, shift), group)
 
 
+def _symmetric(ints) -> bool:
+    """The multiset of ints is closed under negation."""
+    ordered = sorted(ints)
+    return ordered == [-s for s in reversed(ordered)]
+
+
 def classify(p: GenuineParam) -> Verdict:
     """End-to-end classification of a genuine parameter.
 
@@ -606,13 +613,15 @@ def classify(p: GenuineParam) -> Verdict:
     dom = dominantize(p)
     q0 = dom.param
     stages.record("dominantize", "diagram flip" if dom.outer_applied else "dominant", q0)
-    if hermitian_witness(q0) is None:
-        stages.record("hermitian", "not hermitian")
-        return stages.verdict(Status.NOT_HERMITIAN)
-    stages.record("hermitian", "hermitian")
     L, mu_ints, nu_ints = q0.integer_form
     # mu-blocks read off the integer form; a block's value is q0.mu[start]
     blocks = [(q0.mu[start], start, stop) for _, start, stop in _mu_blocks(mu_ints)]
+    # q0 is genuine, so no mu-entry is 0 and no sign flip is available: it is
+    # Hermitian exactly when each block's nu is closed under negation
+    if not all(_symmetric(nu_ints[start:stop]) for _, start, stop in blocks):
+        stages.record("hermitian", "not hermitian")
+        return stages.verdict(Status.NOT_HERMITIAN)
+    stages.record("hermitian", "hermitian")
     gl_factors = []
     # GL-blocks: mu-value (2r-1)/2 with r >= 2; the dominant mu descends, so
     # the mu = 1/2 block, if any, is the last one
@@ -634,7 +643,8 @@ def classify(p: GenuineParam) -> Verdict:
     assert stop == len(q0.mu), blocks
     classes = _partition_scaled(L, nu_ints[start:])
     core_plus, core_minus, blocks_gl = _grouped_classes(L, classes)
-    assert sorted(core_minus) == sorted(-s for s in core_plus)
+    # both classes descend
+    assert core_minus == [-s for s in reversed(core_plus)]
     for label, ints, twists in blocks_gl:
         glv = _classify_scaled(L, ints, twists)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
@@ -655,7 +665,7 @@ def classify(p: GenuineParam) -> Verdict:
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
     value_of = dict(zip(nu_ints, q0.nu))
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
-                  tuple(value_of[s] for s in core_plus), pairs, pairs.k)
+                  tuple(map(value_of.__getitem__, core_plus)), pairs, pairs.k)
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")

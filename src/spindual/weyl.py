@@ -12,7 +12,7 @@ family D).  Everything here is exact and immutable.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 from .halfint import fmt_vec, scaled, vec
 
@@ -130,7 +130,7 @@ class GenuineParam:
     def is_genuine(self) -> bool:
         """Every mu-entry is strictly half-integral: L*m = L/2 mod L."""
         L, mu, _ = self.integer_form
-        return L % 2 == 0 and all(m % L == L // 2 for m in mu)
+        return L % 2 == 0 and {m % L for m in mu} == {L // 2}
 
     def __str__(self):
         return f"{self.group}: mu={fmt_vec(self.mu)}, nu={fmt_vec(self.nu)}"
@@ -182,10 +182,14 @@ def dominantize(p: GenuineParam) -> DominantForm:
     number would be needed the diagram flip of the last coordinate is applied
     on top and reported in ``outer_applied``.  The signs and the order are
     found on the integer form; the Fractions of mu and nu and their integers
-    are permuted alike, so the dominant form is not scaled again.
+    are permuted alike, so the dominant form is not scaled again.  A
+    parameter whose mu is dominant already is its own dominant form, with
+    the identity element.
     """
     n = p.group.rank
     L, mu, nu = p.integer_form
+    if min(mu) >= 0 and list(mu) == sorted(mu, reverse=True):
+        return DominantForm(p, WeylElement.identity(n), False)
     signs = [-1 if m < 0 else 1 for m in mu]
     if p.group.family == "D" and signs.count(-1) % 2 == 1:
         # leave the flip of smallest |mu| undone; D-dominance allows a
@@ -202,9 +206,6 @@ def dominantize(p: GenuineParam) -> DominantForm:
         out_signs[i] = signs[j]
     w = WeylElement(tuple(perm), tuple(out_signs))
     outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
-    if not outer and -1 not in signs and perm == list(range(n)):
-        # p is dominant already: it is its own dominant form, not a copy
-        return DominantForm(p, w, False)
     vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
     if outer:
         vectors = [v[:-1] + (-v[-1],) for v in vectors]
@@ -216,10 +217,10 @@ def _mu_blocks(mu):
     """Runs of equal mu-values as (value, start, stop)."""
     blocks = []
     start = 0
-    for i in range(1, len(mu) + 1):
-        if i == len(mu) or mu[i] != mu[start]:
-            blocks.append((mu[start], start, i))
-            start = i
+    for value, run in groupby(mu):
+        stop = start + len(list(run))
+        blocks.append((value, start, stop))
+        start = stop
     return blocks
 
 

@@ -4,16 +4,18 @@
 layers of ``glclass._layers`` work on vectors scaled to integers by their
 least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
-including ``None`` and the ``ValueError`` on non-dominant mu.
+including ``None`` and the ``ValueError`` on non-dominant mu.  ``classify``
+decides Hermitian symmetry per mu-block without building a Weyl element;
+it agrees with ``hermitian_witness`` on the dominant form.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spindual.spinclass import partition_nt
+from spindual.spinclass import Status, StringPairs, classify, pairs_to_param, partition_nt
 from spindual.weyl import (
     DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
     dominantize, hermitian_witness, _mu_blocks,
@@ -237,3 +239,74 @@ def test_apply_keeps_entry_type():
     assert apply(w, (Fraction(1, 2), 0, 1)) == (0, 1, Fraction(-1, 2))
     with pytest.raises(DimensionError):
         apply(w, (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# classify's Hermitian test and dominantize's dominant input
+
+@st.composite
+def genuine_params(draw):
+    """Genuine parameters with several mu-blocks: nu symmetric per block,
+    symmetric overall only, or drawn from a small pool (repeated values);
+    half of them moved off dominance by a signed permutation."""
+    family = draw(st.sampled_from("BD"))
+    values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    mu = []
+    for k in sorted(values, reverse=True):
+        mu += [Fraction(2 * k + 1, 2)] * draw(st.integers(1, 4))
+    n = len(mu)
+    kind = draw(st.sampled_from(("per block", "overall", "pool")))
+    if kind == "per block":
+        nu = draw(hermitian_nu(mu))
+    elif kind == "overall":
+        half = draw(st.lists(rationals, min_size=n // 2, max_size=n // 2))
+        nu = draw(st.permutations(half + [-v for v in half] + [Fraction(0)] * (n % 2)))
+    else:
+        pool = draw(st.lists(rationals, min_size=1, max_size=3))
+        nu = draw(st.lists(st.sampled_from(pool + [-v for v in pool]), min_size=n, max_size=n))
+    p = GenuineParam(GroupTag(family, n), mu, nu)
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        w = WeylElement(tuple(draw(st.permutations(range(n)))), tuple(signs))
+        p = GenuineParam(p.group, apply(w, p.mu), apply(w, p.nu))
+    return p
+
+
+@settings(max_examples=400, deadline=None)
+@given(genuine_params())
+@example(GenuineParam(GroupTag("D", 2), (Fraction(3, 2), Fraction(1, 2)), (1, -1)))
+@example(GenuineParam(GroupTag("B", 2), (Fraction(3, 2), Fraction(1, 2)), (1, -1)))
+def test_classify_not_hermitian_iff_no_witness(p):
+    assert p.is_genuine()
+    no_witness = hermitian_witness(dominantize(p).param) is None
+    assert (classify(p).status is Status.NOT_HERMITIAN) == no_witness
+
+
+def test_dominantize_returns_dominant_input_as_is(monkeypatch):
+    calls = []
+    identity = WeylElement.identity
+    monkeypatch.setattr(WeylElement, "identity",
+                        staticmethod(lambda n: calls.append(n) or identity(n)))
+    h = Fraction(1, 2)
+    dominant = [
+        GenuineParam(GroupTag(fam, 4), mu, (1, -2, 2, 0))
+        for fam in "BD" for mu in ((5 * h, 3 * h, 3 * h, h), (3 * h, h, 0, 0))
+    ] + [pairs_to_param(StringPairs(fam, ((3, 1), (1, 0)))) for fam in "BD"]
+    for p in dominant:
+        dom = dominantize(p)
+        assert dom.param is p and not dom.outer_applied
+        assert dom.weyl == identity(p.group.rank)
+        assert dom == dominantize_reference(p)
+    assert calls == [p.group.rank for p in dominant]
+    # a negative entry or an ascent takes the general path
+    del calls[:]
+    general = [
+        GenuineParam(GroupTag("B", 3), (3 * h, -h, h), (1, 2, 3)),
+        GenuineParam(GroupTag("D", 3), (3 * h, -h, h), (1, 2, 3)),
+        GenuineParam(GroupTag("D", 3), (h, 0, -h), (1, 2, 3)),
+        GenuineParam(GroupTag("D", 3), (h, 3 * h, h), (1, 2, 3)),
+    ]
+    for p in general:
+        assert dominantize(p) == dominantize_reference(p)
+    assert calls == []
+    assert dominantize(general[1]).outer_applied

@@ -191,6 +191,9 @@ def test_classify_not_genuine():
 def test_classify_not_hermitian():
     p = GenuineParam(GroupTag("D", 2), (H, H), (F(3), F(1)))
     assert classify(p).status is Status.NOT_HERMITIAN
+    # nu is symmetric overall, but not within each mu-block
+    p = GenuineParam(GroupTag("D", 2), (3 * H, H), (F(1), F(-1)))
+    assert classify(p).status is Status.NOT_HERMITIAN
 
 
 def test_classify_gl_block_failure_lifts():
