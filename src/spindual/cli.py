@@ -212,7 +212,7 @@ def _row_for(pairs: StringPairs):
 
 
 # rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
-# B 24,842 rows); table --rank 20 takes ~9 s (D) and 12-19 s (B) on 2 CPUs
+# B 24,842 rows); table --rank 20 takes ~6-7 s (D) and ~13 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 HALF = Fraction(1, 2)
 
+_FRACTION_ONLY = {Fraction}
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -40,7 +42,12 @@ def frac(x) -> Fraction:
 
 
 def vec(values) -> tuple:
-    """The entries as Fractions; entries that are Fractions already are kept."""
+    """The entries as Fractions; entries that are Fractions already are kept,
+    and a tuple of Fractions is returned as it is."""
+    values = values if type(values) is tuple else tuple(values)
+    # one C-level pass over the types; coerce only when some entry needs it
+    if set(map(type, values)) <= _FRACTION_ONLY:
+        return values
     return tuple([v if type(v) is Fraction else frac(v) for v in values])
 
 

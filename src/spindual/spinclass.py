@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
@@ -48,6 +49,7 @@ class MalformedParameter(ValueError):
 _SHARED_BOUND = 32
 _SHARED_COLUMNS = {(x, y): (x, y)
                    for x in range(_SHARED_BOUND) for y in range(_SHARED_BOUND)}
+_INT_ONLY = {int}
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,23 @@ class StringPairs:
             raise ValueError("family must be 'B' or 'D'")
         columns = tuple((x, y) for x, y in self.pairs)
         # bool is an int subclass, and int() would truncate 2.5 or parse "3"
-        if not all(type(x) is int and type(y) is int for x, y in columns):
+        if not set(map(type, chain.from_iterable(columns))) <= _INT_ONLY:
             raise TypeError(f"string-pair entries must be ints, not {columns}")
-        pairs = tuple(_SHARED_COLUMNS.get(c, c) for c in columns)
-        ordered = tuple(sorted(pairs, key=lambda c: (-c[0], -c[1])))
+        pairs = tuple(map(_SHARED_COLUMNS.get, columns, columns))
+        # descending (x, y) is ascending (-x, -y): x descends, ties by y
+        ordered = tuple(sorted(pairs, reverse=True))
         object.__setattr__(self, "pairs", ordered)
         ys = [y for _, y in ordered]
         if ys != sorted(ys, reverse=True):
             raise MalformedParameter(
                 f"columns {pairs} admit no doubly non-increasing arrangement"
             )
+        # both rows descend, so the last column holds the least x and the
+        # least y, and an empty column could only be the last one
+        if not ordered or (ordered[-1][0] >= (1 if self.family == "D" else 0)
+                           and ordered[-1][1] >= 0 and ordered[-1] != (0, 0)):
+            return
+        # some column fails: find the first, for its message
         for x, y in ordered:
             if x < 0 or y < 0:
                 raise MalformedParameter("negative string lengths")
@@ -212,9 +221,11 @@ def _extract_runs(doubled, anchor=None):
     With ``anchor`` set, each extracted run is the maximal run through the
     anchor value (used for family B); otherwise the longest run overall,
     ties resolved toward the largest top.  Returns the runs as (top, bottom)
-    pairs, in extraction order, and the Counter of what is left.
+    pairs, in extraction order, and the dict value -> count of what is left.
+    A dict passed as ``doubled`` (such a remainder) is read as counts.
     """
-    counts = Counter(doubled)
+    # counted at C speed; the runs are then taken off a plain dict
+    counts = dict(Counter(doubled))
     runs = []
     while counts:
         if anchor is not None:
@@ -238,11 +249,18 @@ def _extract_runs(doubled, anchor=None):
                     best = (v - lo, v, lo)
             _, hi, lo = best
         for v in range(hi, lo - 1, -4):
-            counts[v] -= 1
-            if counts[v] == 0:
+            c = counts[v] - 1
+            if c:
+                counts[v] = c
+            else:
                 del counts[v]
         runs.append((hi, lo))
     return runs, counts
+
+
+def _ascending(counts) -> list:
+    """The multiset of a dict value -> count, ascending."""
+    return sorted([v for v, c in counts.items() for _ in range(c)])
 
 
 def _columns(runs) -> tuple:
@@ -273,7 +291,7 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
     alphas, rest = _extract_runs(rest, anchor=1)
     if rest:
         raise MalformedParameter(
-            f"remaining values {fmt_vec(_halves(sorted(rest.elements())))} "
+            f"remaining values {fmt_vec(_halves(_ascending(rest)))} "
             "contain no string ending at 1/2"
         )
     return StringPairs("B", _columns(betas + alphas))
@@ -284,7 +302,7 @@ def decompose_alpha_beta(n_half):
     (extracted repeatedly); alpha is whatever remains, in ascending order.
     """
     betas, rest = _extract_runs(_doubled(n_half), anchor=-3)
-    alpha = _halves(sorted(rest.elements()))
+    alpha = _halves(_ascending(rest))
     betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
     return alpha, betas_asc
 
@@ -581,11 +599,10 @@ def _embed_block_shift(mu, start, shift):
 
 
 def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
-    """eta(q) of the D/B-factor on the mu-block [start, stop), lifted to mu."""
-    m = stop - start
-    pattern = eta_weight(group.family, m, q)
-    shift = tuple(p - HALF for p in pattern)
-    return SpinRelevantKType(q, _embed_block_shift(mu, start, shift), group)
+    """eta(q) of the D/B-factor on the mu = 1/2 block [start, stop), lifted
+    to mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself."""
+    pattern = eta_weight(group.family, stop - start, q)
+    return SpinRelevantKType(q, mu[:start] + pattern + mu[stop:], group)
 
 
 def _symmetric(ints) -> bool:

@@ -11,7 +11,7 @@ family D).  Everything here is exact and immutable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby, permutations, product
 
 from .halfint import fmt_vec, scaled, vec
@@ -52,7 +52,13 @@ class WeylElement:
             raise ValueError("signs must be +1/-1")
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def identity(n: int) -> "WeylElement":
+        """The identity at rank n, built and validated once per rank and then
+        shared (the element is frozen).  The cache keeps at most 64 ranks,
+        more than the distinct ranks of one benchmark round (42); an entry
+        holds two n-tuples, about 44 n bytes (90 KB at n = 2,000), so the
+        cache holds at most 64 x 44 x (its largest rank) bytes."""
         return WeylElement(tuple(range(n)), (1,) * n)
 
     @property
@@ -181,8 +187,8 @@ def dominantize(p: GenuineParam) -> DominantForm:
     For family D only an even number of sign flips is available; when an odd
     number would be needed the diagram flip of the last coordinate is applied
     on top and reported in ``outer_applied``.  The signs and the order are
-    found on the integer form; the Fractions of mu and nu and their integers
-    are permuted alike, so the dominant form is not scaled again.  A
+    found on the integer form, and only the integers are permuted; the
+    dominant form reuses the input's Fractions and is not scaled again.  A
     parameter whose mu is dominant already is its own dominant form, with
     the identity element.
     """
@@ -206,10 +212,16 @@ def dominantize(p: GenuineParam) -> DominantForm:
         out_signs[i] = signs[j]
     w = WeylElement(tuple(perm), tuple(out_signs))
     outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
-    vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
+    ints = [apply(w, v) for v in (mu, nu)]
     if outer:
-        vectors = [v[:-1] + (-v[-1],) for v in vectors]
-    q = GenuineParam._with_integer_form(p.group, *vectors[:2], (L, *vectors[2:]))
+        ints = [v[:-1] + (-v[-1],) for v in ints]
+    # the Fractions of the input, by integer; a value the input holds only
+    # negated is negated once
+    value_of = dict(zip(mu + nu, p.mu + p.nu))
+    for s in {*ints[0], *ints[1]}.difference(value_of):
+        value_of[s] = -value_of[-s]
+    q = GenuineParam._with_integer_form(
+        p.group, *(tuple(map(value_of.__getitem__, v)) for v in ints), (L, *ints))
     return DominantForm(q, w, outer)
 
 
