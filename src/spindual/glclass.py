@@ -1,9 +1,9 @@
 """(Pseudo-)spherical unitary dual of GL(n,C) by chain combinatorics.
 
-A real continuous parameter nu decomposes into *chains*: repeatedly take the
-longest strictly-descending subsequence whose consecutive differences lie in
-{2, 4, 6, ...} (ties: largest top value, then lexicographically largest).
-Equivalently, chains are the multiplicity layers of each residue class mod 2.
+A real continuous parameter nu decomposes into *chains*, the multiplicity
+layers of each residue class mod 2: the k-th layer of a multiset is its
+distinct values of multiplicity >= k, descending (:func:`_multiplicity_layers`,
+which the string-pair extraction of :mod:`spindual.spinclass` reads too).
 
 The irreducible module attached to nu is unitarily induced from the modules
 attached to the chains.  It is unitary exactly when
@@ -32,25 +32,30 @@ from fractions import Fraction
 from .halfint import frac, vec, is_sign, scaled, fmt, fmt_vec, HALF
 
 
-def _layers(L: int, ints, signs) -> list:
-    """The chains of the values ints/L as (twist, scaled values) layers.
+def _multiplicity_layers(values) -> list:
+    """The layers of a multiset: the k-th is the list of its distinct values
+    of multiplicity >= k, descending."""
+    counts = Counter(values)
+    layer = sorted(counts, reverse=True)
+    layers = []
+    while layer:
+        layers.append(layer)
+        k = len(layers)
+        layer = [v for v in layer if counts[v] > k]
+    return layers
 
-    Within each (residue mod 2, twist) class the k-th layer consists of the
-    distinct values of multiplicity >= k, in descending order; this realizes
-    the greedy longest-subsequence rule with deterministic tie-breaking.
-    Layers sort longest first, then by their values descending.
-    """
+
+def _layers(L: int, ints, signs) -> list:
+    """The chains of the values ints/L as (twist, scaled values) layers: the
+    multiplicity layers of each (residue mod 2, twist) class, longest first,
+    then by their values descending."""
     groups = {}
     modulus = 2 * L
     for v, s in zip(ints, signs):
         # v mod 2L names the residue class; the key is never read as a value
         groups.setdefault((v % modulus, s), []).append(v)
-    layers = []
-    for (_, s), values in groups.items():
-        counts = Counter(values)
-        for k in range(1, max(counts.values()) + 1):
-            layer = sorted((v for v, c in counts.items() if c >= k), reverse=True)
-            layers.append((s, tuple(layer)))
+    layers = [(s, layer) for (_, s), values in groups.items()
+              for layer in _multiplicity_layers(values)]
     return sorted(layers, key=lambda sl: (-len(sl[1]), tuple(-v for v in sl[1])))
 
 

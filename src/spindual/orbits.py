@@ -14,11 +14,20 @@ odd rows of the transposed partition.
 
 from dataclasses import dataclass
 
-from .spinclass import unitarity_test
+from .spinclass import _INT_ONLY, unitarity_test
 
 
 class NotStrictCore(ValueError):
     """The string pairs do not satisfy the strict staircase inequalities."""
+
+
+def _int_columns(cols) -> tuple:
+    """The column sizes as given; bools, floats and strings are refused
+    rather than coerced by int()."""
+    cols = tuple(cols)
+    if not set(map(type, cols)) <= _INT_ONLY:
+        raise TypeError(f"column sizes must be ints, not {cols}")
+    return cols
 
 
 @dataclass(frozen=True)
@@ -28,7 +37,7 @@ class OrbitColumns:
     ambient: int
 
     def __post_init__(self):
-        cols = tuple(sorted((int(c) for c in self.cols), reverse=True))
+        cols = tuple(sorted(_int_columns(self.cols), reverse=True))
         object.__setattr__(self, "cols", cols)
         if any(c <= 0 for c in cols):
             raise ValueError("column sizes must be positive")
@@ -63,7 +72,7 @@ def attach_orbit(pairs) -> OrbitColumns:
 
 def transpose(cols) -> tuple:
     """Partition transpose: row_i = #{c_j >= i}."""
-    cols = sorted((int(c) for c in cols), reverse=True)
+    cols = sorted(_int_columns(cols), reverse=True)
     if not cols:
         return ()
     return tuple(sum(1 for c in cols if c >= i) for i in range(1, cols[0] + 1))

@@ -4,8 +4,9 @@ The continuous parameter of a genuine Hermitian module splits into residue
 classes mod 2.  Classes away from +-1/2 are GL-blocks handled by
 :mod:`spindual.glclass`.  The +-1/2 classes form the core: the +1/2 class is
 encoded as *string pairs* -- an integer matrix of column pairs (x_i; y_i)
-recording descending step-2 strings through 1/2 (family D) or anchored at
--3/2 / ending at 1/2 (family B).
+recording descending step-2 strings through 1/2 (family D) or through
+-3/2 / ending at 1/2 (family B).  The strings are the maximal step-2 runs of
+the class's multiplicity layers (the chain rule of :mod:`spindual.glclass`).
 
 Unitarity of the core is decided by the staircase inequalities
 
@@ -20,7 +21,6 @@ statement of these inequalities: the unitarity test, peeling, the rewriter's
 violations and the orbit module's strictness check all read its slacks.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +29,7 @@ from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
 from .weyl import GenuineParam, GroupTag, dominantize, _mu_blocks
-from .glclass import GLStatus, CompParams, _classify_scaled
+from .glclass import GLStatus, CompParams, _classify_scaled, _multiplicity_layers
 # not called here: bench/tracing.py wraps these names on this module
 from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
 from .weyl import hermitian_witness  # noqa: F401
@@ -215,52 +215,30 @@ def _halves(doubled) -> tuple:
     return tuple(Fraction(d, 2) for d in doubled)
 
 
-def _extract_runs(doubled, anchor=None):
-    """Greedy maximal step-4 runs from a multiset of doubled values.
-
-    With ``anchor`` set, each extracted run is the maximal run through the
-    anchor value (used for family B); otherwise the longest run overall,
-    ties resolved toward the largest top.  Returns the runs as (top, bottom)
-    pairs, in extraction order, and the dict value -> count of what is left.
-    A dict passed as ``doubled`` (such a remainder) is read as counts.
-    """
-    # counted at C speed; the runs are then taken off a plain dict
-    counts = dict(Counter(doubled))
+def _runs(doubled) -> list:
+    """The strings of a +1/2 residue class given by its doubled values: the
+    maximal step-4 runs of its multiplicity layers, as (top, bottom) pairs,
+    longest first, then largest top first."""
     runs = []
-    while counts:
-        if anchor is not None:
-            if anchor not in counts:
-                break
-            lo = anchor
-            while lo - 4 in counts:
-                lo -= 4
-            hi = anchor
-            while hi + 4 in counts:
-                hi += 4
-        else:
-            best = None
-            for v in sorted(counts, reverse=True):
-                if v + 4 in counts:
-                    continue  # not a top
-                lo = v
-                while lo - 4 in counts:
-                    lo -= 4
-                if best is None or v - lo > best[0]:
-                    best = (v - lo, v, lo)
-            _, hi, lo = best
-        for v in range(hi, lo - 1, -4):
-            c = counts[v] - 1
-            if c:
-                counts[v] = c
-            else:
-                del counts[v]
-        runs.append((hi, lo))
-    return runs, counts
+    for layer in _multiplicity_layers(doubled):
+        top = layer[0]
+        # distinct values descend by at least 4, so this span means one run
+        if top - layer[-1] != 4 * (len(layer) - 1):
+            for hi, lo in zip(layer, layer[1:]):
+                if hi - lo != 4:
+                    runs.append((top, hi))
+                    top = lo
+        runs.append((top, layer[-1]))
+    runs.sort(key=lambda run: (run[0] - run[1], run[0]), reverse=True)
+    return runs
 
 
-def _ascending(counts) -> list:
-    """The multiset of a dict value -> count, ascending."""
-    return sorted([v for v, c in counts.items() for _ in range(c)])
+def _split_betas(runs):
+    """The runs through -3/2 (the doubled value -3) and the others, in order."""
+    betas, others = [], []
+    for run in runs:
+        (betas if run[1] <= -3 <= run[0] else others).append(run)
+    return betas, others
 
 
 def _columns(runs) -> tuple:
@@ -277,8 +255,8 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
     (through -3/2) give columns with y >= 1 and x >= 0; alpha runs must be
     step-2 strings ending exactly at 1/2 and give columns (x, 0).
     """
+    runs = _runs(doubled)
     if family == "D":
-        runs, _ = _extract_runs(doubled)
         for top, bottom in runs:
             if top < 1 or bottom > 1:
                 run = _halves(range(top, bottom - 1, -4))
@@ -286,23 +264,25 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
                     f"string {fmt_vec(run)} does not pass through 1/2"
                 )
         return StringPairs("D", _columns(runs))
-    betas, rest = _extract_runs(doubled, anchor=-3)
-    # no -3/2 is left, so a run through 1/2 ends there
-    alphas, rest = _extract_runs(rest, anchor=1)
-    if rest:
+    betas, others = _split_betas(runs)
+    # a run through 1/2 but not -3/2 ends at 1/2
+    alphas = [run for run in others if run[1] == 1]
+    if len(alphas) < len(others):
+        rest = sorted(v for top, bottom in others if bottom != 1
+                      for v in range(bottom, top + 1, 4))
         raise MalformedParameter(
-            f"remaining values {fmt_vec(_halves(_ascending(rest)))} "
+            f"remaining values {fmt_vec(_halves(rest))} "
             "contain no string ending at 1/2"
         )
     return StringPairs("B", _columns(betas + alphas))
 
 
 def decompose_alpha_beta(n_half):
-    """Family B splitting: beta strings are the maximal runs through -3/2
-    (extracted repeatedly); alpha is whatever remains, in ascending order.
+    """Family B splitting: beta strings are the maximal runs through -3/2 of
+    the multiplicity layers; alpha is whatever remains, in ascending order.
     """
-    betas, rest = _extract_runs(_doubled(n_half), anchor=-3)
-    alpha = _halves(_ascending(rest))
+    betas, others = _split_betas(_runs(_doubled(n_half)))
+    alpha = _halves(sorted(v for top, bottom in others for v in range(bottom, top + 1, 4)))
     betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
     return alpha, betas_asc
 
@@ -407,6 +387,8 @@ def build_certificate(pairs: StringPairs) -> "UnitaryCertificate":
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
     """Highest weight of the spin-relevant K-type eta(q) at rank n."""
+    if family not in ("B", "D"):
+        raise ValueError("family must be 'B' or 'D'")
     if family == "D":
         if not 0 <= q <= n - 1:
             raise ValueError(f"eta({q}) undefined at rank {n} in family D")

@@ -30,6 +30,9 @@ class GroupTag:
     def __post_init__(self):
         if self.family not in ("B", "D"):
             raise ValueError(f"family must be 'B' or 'D', got {self.family!r}")
+        # a bool is an int subclass, and a float rank fails later, at range()
+        if type(self.rank) is not int:
+            raise TypeError(f"rank must be an int, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError("rank must be positive")
 

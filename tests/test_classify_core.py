@@ -1,8 +1,8 @@
 """The string-pair core and the front end of ``classify`` without per-entry
 Fraction or Counter work, against copies of the code they replaced.
 
-``_extract_runs`` counts on a plain dict, ``StringPairs`` validates its
-columns with C-level passes, ``dominantize`` permutes only the integer
+String extraction reads the runs off the multiplicity layers instead of a
+greedy search, ``StringPairs`` validates its columns with C-level passes, ``dominantize`` permutes only the integer
 form and reuses the input's Fractions, ``_eta_witness_full`` places the
 eta pattern on the mu = 1/2 block, ``WeylElement.identity`` is shared per
 rank and ``vec`` returns a tuple of Fractions as it is.  The replaced
@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spindual.halfint import HALF, scaled, vec
+from spindual.halfint import HALF, fmt_vec, scaled, vec
 from spindual.spinclass import (
-    MalformedParameter, StringPairs, _extract_runs, _eta_witness_full, eta_weight,
+    MalformedParameter, StringPairs, _eta_witness_full, _pairs_from_doubled,
+    decompose_alpha_beta, eta_weight,
 )
 from spindual.weyl import DominantForm, GenuineParam, GroupTag, WeylElement, apply, dominantize
 
@@ -55,6 +56,39 @@ def extract_runs_reference(doubled, anchor=None):
                 del counts[v]
         runs.append((hi, lo))
     return runs, counts
+
+
+def _halves_reference(doubled):
+    return tuple(Fraction(d, 2) for d in doubled)
+
+
+def _columns_reference(runs):
+    return tuple(((top + 3) // 4, (1 - bottom) // 4) for top, bottom in runs)
+
+
+def pairs_from_doubled_reference(family, doubled):
+    """String pairs by greedy run extraction, or its MalformedParameter."""
+    if family == "D":
+        runs, _ = extract_runs_reference(doubled)
+        for top, bottom in runs:
+            if top < 1 or bottom > 1:
+                run = _halves_reference(range(top, bottom - 1, -4))
+                raise MalformedParameter(f"string {fmt_vec(run)} does not pass through 1/2")
+        return StringPairs("D", _columns_reference(runs))
+    betas, rest = extract_runs_reference(doubled, anchor=-3)
+    alphas, rest = extract_runs_reference(rest, anchor=1)
+    if rest:
+        raise MalformedParameter(
+            f"remaining values {fmt_vec(_halves_reference(sorted(rest.elements())))} "
+            "contain no string ending at 1/2"
+        )
+    return StringPairs("B", _columns_reference(betas + alphas))
+
+
+def decompose_alpha_beta_reference(n_half):
+    betas, rest = extract_runs_reference([2 * v for v in n_half], anchor=-3)
+    alpha = _halves_reference(sorted(rest.elements()))
+    return alpha, tuple(_halves_reference(range(bottom, top + 1, 4)) for top, bottom in betas)
 
 
 def string_pairs_reference(family, raw):
@@ -113,21 +147,23 @@ def _outcome(f, *args):
 
 
 # ---------------------------------------------------------------------------
-# string runs on a plain dict
+# string runs from the multiplicity layers
 
 doubled_values = st.lists(st.integers(-6, 6).map(lambda k: 4 * k + 1), max_size=30)
 
 
 @settings(max_examples=400, deadline=None)
-@given(doubled_values, st.sampled_from((None, -3, 1)))
-def test_extract_runs_matches_reference(doubled, anchor):
-    runs, rest = _extract_runs(doubled, anchor=anchor)
-    ref_runs, ref_rest = extract_runs_reference(doubled, anchor=anchor)
-    assert runs == ref_runs
-    assert type(rest) is dict and rest == dict(ref_rest)
-    # a remainder passed on is read as counts, as the family-B alpha pass does
-    assert _extract_runs(rest, anchor=1) == (
-        lambda r: (r[0], dict(r[1])))(extract_runs_reference(ref_rest, anchor=1))
+@given(doubled_values)
+@example([1, 1, -3, 5, -7, -7, 13])
+@example([13, 5, 1, -3, -7, -7, -11])
+@example([5, 5, 1, 9])
+@example([-3, -3, -7, 1, 9, 13])
+def test_layer_runs_match_greedy_reference(doubled):
+    for family in "BD":
+        got = _outcome(_pairs_from_doubled, family, doubled)
+        assert got == _outcome(pairs_from_doubled_reference, family, doubled)
+    n_half = _halves_reference(doubled)
+    assert decompose_alpha_beta(n_half) == decompose_alpha_beta_reference(n_half)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ def test_transpose():
         assert transpose(transpose(cols)) == cols
 
 
+def test_column_sizes_must_be_ints():
+    assert OrbitColumns([1, 3], 4).cols == (3, 1)
+    for bad in ((2.9, 1.1), ("2", 1), (2, True), (3.0,)):
+        with pytest.raises(TypeError, match="column sizes must be ints"):
+            OrbitColumns(bad, 3)
+        with pytest.raises(TypeError, match="column sizes must be ints"):
+            transpose(bad)
+
+
 def test_orbit_dim_examples():
     assert orbit_dim(OrbitColumns((4, 2), 6)) == 6
     assert orbit_dim(OrbitColumns((4, 3, 3, 2), 12)) == 48

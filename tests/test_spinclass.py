@@ -150,6 +150,9 @@ def test_eta_weight():
     assert eta_weight("D", 4, 2) == (F(3, 2), F(3, 2), H, H)
     assert eta_weight("D", 4, 1) == (F(3, 2), H, H, -H)
     assert eta_weight("B", 3, 2) == (F(3, 2), F(3, 2), H)
+    for family in ("Q", "C", "b", None):
+        with pytest.raises(ValueError, match="family must be 'B' or 'D'"):
+            eta_weight(family, 3, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ def rnd_weyl(rng, n, family="D"):
     return WeylElement(tuple(perm), tuple(signs))
 
 
+def test_group_rank_must_be_an_int():
+    assert str(GroupTag("B", 3)) == "B3"
+    for bad in (True, False, 2.0, "3", F(2)):
+        with pytest.raises(TypeError, match="rank must be an int"):
+            GroupTag("D", bad)
+    with pytest.raises(ValueError):
+        GroupTag("D", 0)
+
+
 def test_apply_examples():
     w = WeylElement.identity(2)
     assert apply(w, (H, -H)) == (H, -H)
