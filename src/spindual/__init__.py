@@ -24,7 +24,7 @@ from .spinclass import (
 )
 from .rewriter import (
     CaseI, CaseII, InductionStep, NormalizedBase, full_staircase,
-    normalize_to_base, pad_case_a, pad_case_b,
+    normalize_to_base,
 )
 from .orbits import (
     NotStrictCore, OrbitColumns, attach_orbit, codim_identity_holds,

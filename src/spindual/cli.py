@@ -14,10 +14,11 @@ stage event of the classification to standard error.
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .halfint import frac, fmt
-from .weyl import GenuineParam, GroupTag, to_langlands, DimensionError
+from .weyl import GenuineParam, GroupTag, DimensionError
 from .spinclass import (
     MalformedParameter, Status, StringPairs, Verdict, classify,
     enumerate_pairs, pairs_to_param, transcript,
@@ -119,14 +120,22 @@ def _load_document(args) -> GenuineParam:
     return _param_from_document(doc)
 
 
+def _langlands_text(p: GenuineParam) -> dict:
+    """lambda_L = (nu+mu)/2 and lambda_R = (nu-mu)/2 as text, read off the
+    integer form: each entry is k/2L, put in lowest terms by one gcd."""
+    L, mu, nu = p.integer_form
+
+    def text(k: int) -> str:
+        g = math.gcd(k, 2 * L)
+        return str(k // g) if g == 2 * L else f"{k // g}/{2 * L // g}"
+    return {"lambda_L": [text(n + m) for m, n in zip(mu, nu)],
+            "lambda_R": [text(n - m) for m, n in zip(mu, nu)]}
+
+
 def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:
-    lp = to_langlands(p)
     doc = {
         "status": verdict.status.value,
-        "langlands": {
-            "lambda_L": [fmt(v) for v in lp.lambda_l],
-            "lambda_R": [fmt(v) for v in lp.lambda_r],
-        },
+        "langlands": _langlands_text(p),
         "transcript": list(transcript(verdict)),
     }
     if verdict.witness is not None:
@@ -148,7 +157,7 @@ def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:
             "orbit_dimension": orbits.orbit_dim(cert.orbit) if cert.orbit else None,
         }
     if verdict.normalized is not None:
-        doc["inductions"] = [s.label for s in verdict.normalized.steps]
+        doc["inductions"] = [dx for dx, _ in verdict.normalized.moves]
     return doc
 
 
@@ -194,7 +203,6 @@ def cmd_classify(args) -> int:
 def _row_for(pairs: StringPairs):
     p = pairs_to_param(pairs)
     verdict = classify(p)
-    lp = to_langlands(p)
     if verdict.status is Status.UNITARY:
         # strict staircase inequalities are exactly those with nothing to peel
         tag = "Yes" if verdict.certificate.stein_factors else "Yes - unipotent"
@@ -204,15 +212,14 @@ def _row_for(pairs: StringPairs):
         witness = f"eta({verdict.witness.q})"
     return {
         "pairs": str(pairs),
-        "lambda_L": [fmt(v) for v in lp.lambda_l],
-        "lambda_R": [fmt(v) for v in lp.lambda_r],
+        **_langlands_text(p),
         "verdict": tag,
         "witness": witness,
     }
 
 
 # rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
-# B 24,842 rows); table --rank 20 takes ~6-7 s (D) and ~13 s (B) on 2 CPUs
+# B 24,842 rows); table --rank 20 takes ~4-5.5 s (D) and ~9-9.5 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
 

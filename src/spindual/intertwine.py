@@ -42,20 +42,6 @@ def simple_scalar_case1(coroot_pairing) -> Fraction:
     return (2 - p) / (2 + p)
 
 
-def simple_scalar_case2(coroot_pairing, dim4: bool) -> Fraction:
-    """Rank-one scalar when the discrete parts differ.
-
-    The two-dimensional components transport with scalar 1; the
-    four-dimensional ones scale by (-3 + p)/(3 + p).
-    """
-    p = frac(coroot_pairing)
-    if not dim4:
-        return Fraction(1)
-    if p == -3:
-        raise Pole("pairing -3")
-    return (-3 + p) / (3 + p)
-
-
 def gl_move_scalar(chain, x, opposite_sign: bool) -> Fraction:
     """Scalar of the move passing x past the ascending step-2 chain.
 
@@ -412,21 +398,6 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
     return [("delta", block_de + block_f, tuple(script))]
-
-
-def padding_script(s: int, t: int, rest_pairs):
-    """Replay of the move placing a shift-1/2 block (s; t) ahead of a core.
-
-    Each core entry passes left over the block; the predicate holds when the
-    block dominates the core strings (s >= x_i, y_i)."""
-    if s - t not in (0, 1):
-        raise ScriptError("the leading block must have s - t in {0, 1}")
-    block = entries(string_of_column(s, t)[::-1])
-    gammas = []
-    for x, y in rest_pairs:
-        gammas.extend(string_of_column(x, y))
-    start = block + entries(tuple(sorted(gammas)))
-    return [("pad", start, tuple(_pass_block(len(block), len(gammas))))]
 
 
 def build_case_script(family: str, pairs):

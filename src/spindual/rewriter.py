@@ -2,10 +2,12 @@
 
 Inducing a shift-1/2 factor whose continuous parameter is the column (dx; dy)
 adds its string to the +1/2 residue class.  On the string-pair matrix this is
-an integer row operation, and ``_insert`` implements it as one: dx goes into
-the x-row and dy into the y-row, both rows re-sort descending and the columns
-re-pair by position (an empty column (0; 0), left when a 1/2 joins a (0; y)
-string of family B, is dropped).  Repeated insertions normalize a parameter:
+an integer row operation, and ``_row_insert`` implements it as one on two
+int rows: dx goes into the x-row and dy into the y-row by bisect insertion,
+and the columns re-pair by position (an empty column (0; 0), left when a 1/2
+joins a (0; y) string of family B, is dropped).  Padding validates one
+StringPairs at the end, and its moves (dx, dy) replay into InductionSteps
+(``_insert``) only when those are read.  Repeated insertions normalize:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
   sum(y) - sum(x) is gone;
@@ -19,10 +21,14 @@ column pair (c d; e f) (Case II).  These base shapes carry the known
 indefinite spin-relevant K-types, so the transcript certifies the witness.
 """
 
+from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import neg
 
 from .spinclass import (
-    StringPairs, peel_stein_factors, staircase_slacks, unitarity_test,
+    StringPairs, _first_slack, peel_stein_factors, staircase_slacks, unitarity_test,
 )
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
@@ -64,53 +70,74 @@ class CaseII:
     f: int
 
 
+class _Steps(Sequence):
+    """The InductionSteps of a padding, replayed from its moves on first read.
+    It prints, compares and hashes as their tuple; its length, and equality
+    with another replay, read only the moves."""
+    __slots__ = ("start", "moves", "_steps")
+
+    def __init__(self, start: StringPairs, moves: tuple):
+        self.start, self.moves, self._steps = start, moves, None
+
+    def _built(self) -> tuple:
+        if self._steps is None:
+            steps, current = [], self.start
+            for dx, dy in self.moves:
+                steps.append(step := _insert(current, dx, dy))
+                current = step.after
+            self._steps = tuple(steps)
+        return self._steps
+
+    def __len__(self):
+        return len(self.moves)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, _Steps):
+            # equal moves from equal starts replay equal steps
+            return self.moves == other.moves and (not self.moves or self.start == other.start)
+        return self._built() == other
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self):
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class NormalizedBase:
-    steps: tuple
+    steps: Sequence            # InductionSteps; a padding's are built on first read
     stein_columns: tuple       # columns with x - y in {0, 1}
     base: object               # CaseI | CaseII | None
     final: StringPairs
 
+    @property
+    def moves(self) -> tuple:
+        """The induced columns (dx, dy) in order; reading them builds no step."""
+        steps = self.steps
+        return steps.moves if isinstance(steps, _Steps) else tuple((s.dx, s.dy) for s in steps)
+
+
+def _row_insert(xs: list, ys: list, dx: int, dy: int) -> None:
+    """Induce the column (dx; dy) on descending rows, in place: dx joins the
+    x-row and dy the y-row.  Both rows end in their zeros, so an empty (0; 0)
+    column can only be the last one; it is dropped."""
+    insort(xs, dx, key=neg)
+    insort(ys, dy, key=neg)
+    if xs[-1] == ys[-1] == 0:
+        xs.pop()
+        ys.pop()
+
 
 def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
-    """Induce the column (dx; dy): the row operation on the string pairs.
-
-    dx joins the x-row and dy the y-row, both rows re-sort descending and
-    the columns re-pair by position; an empty (0; 0) column is dropped.  The
-    result equals re-extracting the string pairs of the half-class with the
-    string of (dx; dy) added.
-    """
-    xs = sorted(pairs.xs + (dx,), reverse=True)
-    ys = sorted(pairs.ys + (dy,), reverse=True)
-    after = StringPairs(pairs.family, tuple(c for c in zip(xs, ys) if c != (0, 0)))
-    return InductionStep(dx, dy, pairs, after)
-
-
-def _is_stein_column(col) -> bool:
-    """The shape of a shift-1/2 factor: the column slack of
-    :func:`~spindual.spinclass.staircase_slacks` is 0 or 1, which in both
-    families means x - y in {0, 1}."""
-    x, y = col
-    return x - y in (0, 1)
-
-
-def _pad_column_once(pairs: StringPairs, i: int) -> InductionStep:
-    """One padding insertion aimed at column i (which must be non-stein).
-
-    Columns with x < y absorb (x+1; x).  Columns with x >= y + 2 absorb
-    (v; v): the leading column climbs one step at a time (v = y + 1), later
-    columns jump to the cap set by the previous column's y.
-    """
-    x, y = pairs.pairs[i]
-    if x < y:
-        return _insert(pairs, x + 1, x)
-    if x >= y + 2:
-        if i == 0:
-            v = y + 1
-        else:
-            v = max(y + 1, min(x - 1, pairs.pairs[i - 1][1]))
-        return _insert(pairs, v, v)
-    raise ValueError("column is already a staircase step")
+    """Induce the column (dx; dy) on the string pairs.  The result equals
+    re-extracting the pairs of the half-class with the string of (dx; dy) added."""
+    xs, ys = list(pairs.xs), list(pairs.ys)
+    _row_insert(xs, ys, dx, dy)
+    return InductionStep(dx, dy, pairs, StringPairs(pairs.family, tuple(zip(xs, ys))))
 
 
 # Every insertion adds its size to n, so padding ends; but a column (x; 0)
@@ -124,62 +151,61 @@ class PaddingBoundExceeded(ValueError):
 
 
 def _pad(pairs: StringPairs, target):
-    """Pad column ``target(current)`` once per round until it is None."""
-    steps = []
-    current = pairs
+    """Pad column ``target(family, xs, ys)`` of the rows once per round until
+    it is None.  Returns the moves (dx, dy) and the final StringPairs."""
+    family = pairs.family
+    xs, ys = list(pairs.xs), list(pairs.ys)
     n = pairs.n
-    while (i := target(current)) is not None:
-        step = _pad_column_once(current, i)
-        steps.append(step)
-        current = step.after
-        n += step.size
+    moves = []
+    while (i := target(family, xs, ys)) is not None:
+        x, y = xs[i], ys[i]
+        if x < y:
+            dx, dy = x + 1, x
+        else:
+            # x >= y + 2 absorbs (v; v): the leading column climbs one step at
+            # a time, later columns jump to the cap set by the previous y
+            dx = dy = y + 1 if i == 0 else max(y + 1, min(x - 1, ys[i - 1]))
+        moves.append((dx, dy))
+        _row_insert(xs, ys, dx, dy)
+        n += dx + dy
         if n > MAX_PADDED_N:
             raise PaddingBoundExceeded(
                 f"padding {pairs} passes the padded-size bound n = {MAX_PADDED_N}")
-    return tuple(steps), current
+    return tuple(moves), (StringPairs(family, tuple(zip(xs, ys))) if moves else pairs)
 
 
-def _first_where(bad):
-    """The padding target: the first column (x; y) with bad(x, y), or None."""
-    return lambda pairs: next((i for i, col in enumerate(pairs.pairs) if bad(*col)), None)
-
-
-def pad_case_a(pairs: StringPairs):
-    """Flatten columns with x <= y into equal columns by (x+1; x) insertions.
-
-    Each insertion lowers sum(y) - sum(x) by one; the transcript ends when
-    every column has x = y.
-    """
-    if any(x > y for x, y in pairs.pairs):
-        raise ValueError("pad_case_a expects columns with x <= y")
-    return _pad(pairs, _first_where(lambda x, y: x < y))
-
-
-def pad_case_b(pairs: StringPairs):
-    """Smooth columns with x >= y + 2 into a staircase by (a; a) insertions."""
-    return _pad(pairs, _first_where(lambda x, y: x >= y + 2))
+def _first_unstepped(family: str, xs, ys, skip=()):
+    """The first column outside ``skip`` whose column slack is not 0 or 1 (in
+    both families, x - y is not 0 or 1: not a staircase step), or None."""
+    column_slacks = islice(staircase_slacks(family, zip(xs, ys)), 0, None, 2)
+    return next((i for i, slack in enumerate(column_slacks)
+                 if slack not in (0, 1) and i not in skip), None)
 
 
 def full_staircase(pairs: StringPairs):
-    """Pad every column to a staircase step (x - y in {0, 1}).
+    """Pad every column to a staircase step (x - y in {0, 1}): the plain
+    rewriting transcript, with no violation preserved.  Returns the
+    InductionSteps and the final StringPairs."""
+    moves, final = _pad(pairs, _first_unstepped)
+    return tuple(_Steps(pairs, moves)), final
 
-    This is the plain rewriting transcript: no violation is preserved.
-    """
-    return _pad(pairs, _first_where(lambda x, y: not _is_stein_column((x, y))))
+
+def _outside_base(family: str, xs, ys):
+    """The first column that is not a staircase step, skipping the base at
+    the first negative slack j: column j // 2, and the next one when j is a
+    gap.  The insertions re-sort globally, so each round re-locates it."""
+    i, gap = divmod(_first_slack(family, zip(xs, ys), lambda slack: slack < 0), 2)
+    return _first_unstepped(family, xs, ys, {i, i + gap})
 
 
 def _base_at(pairs: StringPairs):
-    """The base at the first negative slack j of :func:`staircase_slacks`:
-    column j // 2 when j is even, otherwise the gap after it.  Returns the
-    base, its column indices and the number of negative slacks."""
-    negative = [j for j, slack in enumerate(staircase_slacks(pairs)) if slack < 0]
-    assert negative, "violated input cannot normalize to a satisfied shape"
-    i = negative[0] // 2
-    x, y = pairs.pairs[i]
-    if negative[0] % 2 == 0:
-        return CaseI(x, y), {i}, len(negative)
-    x2, y2 = pairs.pairs[i + 1]
-    return CaseII(x, x2, y, y2), {i, i + 1}, len(negative)
+    """The base at the first negative slack of :func:`staircase_slacks`.
+    Returns the base, its column indices and the number of negative slacks."""
+    negative = [j for j, slack in enumerate(staircase_slacks(pairs.family, pairs.pairs))
+                if slack < 0]
+    i, gap = divmod(negative[0], 2)
+    (x, y), (x2, y2) = pairs.pairs[i], pairs.pairs[i + gap]
+    return (CaseII(x, x2, y, y2) if gap else CaseI(x, y)), {i, i + gap}, len(negative)
 
 
 def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
@@ -195,17 +221,10 @@ def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
         factors, _ = peel_stein_factors(pairs)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
-
-    def target(current):
-        # the insertions re-sort globally: re-locate the base every round
-        _, base_cols, _ = _base_at(current)
-        return next((i for i, col in enumerate(current.pairs)
-                     if i not in base_cols and not _is_stein_column(col)), None)
-
-    steps, current = _pad(pairs, target)
-    base, base_cols, violations = _base_at(current)
+    moves, final = _pad(pairs, _outside_base)
+    base, base_cols, violations = _base_at(final)
     # staircase steps cannot create violations next to the base, so the base
     # violation is the only one left
-    assert violations == 1, (current, violations)
-    stein = tuple(col for i, col in enumerate(current.pairs) if i not in base_cols)
-    return NormalizedBase(steps, stein, base, current)
+    assert violations == 1, (final, violations)
+    stein = tuple(col for i, col in enumerate(final.pairs) if i not in base_cols)
+    return NormalizedBase(_Steps(pairs, moves) if moves else (), stein, base, final)

@@ -18,7 +18,7 @@ peel off as complementary-series factors at shift 1/2, and any violation is
 witnessed on a spin-relevant K-type eta(q) located through the rewriting
 engine in :mod:`spindual.rewriter`.  :func:`staircase_slacks` is the one
 statement of these inequalities: the unitarity test, peeling, the rewriter's
-violations and the orbit module's strictness check all read its slacks.
+bases and targets and the orbit module's strictness check read its slacks.
 """
 
 from dataclasses import dataclass, field
@@ -308,8 +308,8 @@ class UnitarityResult:
         return self.satisfied
 
 
-def staircase_slacks(pairs: StringPairs) -> tuple:
-    """The staircase inequalities as integer slacks, from left to right.
+def staircase_slacks(family: str, cols):
+    """The staircase inequalities of columns (x_i; y_i) as integer slacks.
 
     Entry 2i is column i and entry 2i+1 the gap between columns i and i+1:
 
@@ -317,17 +317,20 @@ def staircase_slacks(pairs: StringPairs) -> tuple:
         B:  y_i + 1 - x_i   and  x_i - y_{i+1}.
 
     An inequality holds when its slack is >= 0 and is strict when it is > 0.
+    The slacks come lazily, left to right, so a scan can stop at the first.
     """
-    cols = pairs.pairs
-    if pairs.family == "D":
-        column = [x - y for x, y in cols]
-        gap = [y + 1 - x2 for (_, y), (x2, _) in zip(cols, cols[1:])]
-    else:
-        column = [y + 1 - x for x, y in cols]
-        gap = [x - y2 for (x, _), (_, y2) in zip(cols, cols[1:])]
-    slacks = column + gap
-    slacks[::2], slacks[1::2] = column, gap
-    return tuple(slacks)
+    d = family == "D"
+    gap_from = None             # y_i in family D, x_i in family B
+    for x, y in cols:
+        if gap_from is not None:
+            yield gap_from + 1 - x if d else gap_from - y
+        yield x - y if d else y + 1 - x
+        gap_from = y if d else x
+
+
+def _first_slack(family: str, cols, test):
+    """The index of the first slack of the columns that passes the test, or None."""
+    return next((j for j, s in enumerate(staircase_slacks(family, cols)) if test(s)), None)
 
 
 def unitarity_test(pairs: StringPairs) -> UnitarityResult:
@@ -336,31 +339,30 @@ def unitarity_test(pairs: StringPairs) -> UnitarityResult:
     ``strict`` means every slack is positive, i.e. the parameter is an
     isolated unipotent one.  Empty pairs are satisfied and strict.
     """
-    slacks = staircase_slacks(pairs)
-    for j, slack in enumerate(slacks):
+    strict = True
+    for j, slack in enumerate(staircase_slacks(pairs.family, pairs.pairs)):
         if slack < 0:
-            return UnitarityResult(False, index=j // 2 + 1,
-                                   kind=("column", "gap")[j % 2])
-    return UnitarityResult(True, strict=all(slack > 0 for slack in slacks))
+            return UnitarityResult(False, index=j // 2 + 1, kind=("column", "gap")[j % 2])
+        strict = strict and slack > 0
+    return UnitarityResult(True, strict=strict)
 
 
 def peel_stein_factors(pairs: StringPairs):
     """Peel equality columns/gaps into shift-1/2 factors; the rest is strict.
 
     Each round peels at the leftmost zero slack: a column leaves whole, a gap
-    merges its two columns into one.  Returns (factors, core) where each
-    factor is a CompParams at t = 1/2 and ``core`` is a StringPairs
-    satisfying the strict inequalities (or None when everything peels away).
+    merges its two columns into one, on a plain column list that stays
+    doubly non-increasing.  Returns (factors, core) where each factor is a
+    CompParams at t = 1/2 and ``core`` is a StringPairs satisfying the strict
+    inequalities (or None when everything peels away).
     """
     if not unitarity_test(pairs):
         raise ValueError("peeling requires the staircase inequalities")
     fam = pairs.family
     factors = []
-    core = pairs
-    while 0 in (slacks := staircase_slacks(core)):
-        j = slacks.index(0)
+    cols = list(pairs.pairs)
+    while (j := _first_slack(fam, cols, lambda slack: slack == 0)) is not None:
         i = j // 2
-        cols = list(core.pairs)
         if j % 2 == 0:
             x, y = cols.pop(i)
             size = x + y
@@ -369,9 +371,9 @@ def peel_stein_factors(pairs: StringPairs):
             size, merged = (x2 + y, (x, y2)) if fam == "D" else (x + y2, (x2, y))
             cols[i:i + 2] = [merged]
         factors.append(CompParams(size, HALF))
-        core = StringPairs(fam, tuple(cols))
+    core = StringPairs(fam, tuple(cols)) if factors else pairs
     assert unitarity_test(core).strict
-    return tuple(factors), (core if core.pairs else None)
+    return tuple(factors), (core if cols else None)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +679,9 @@ def classify(p: GenuineParam) -> Verdict:
     stages.record("staircase", "violated", result.kind, result.index)
     normal = rewriter.normalize_to_base(pairs)
     stages.record("normalize", "normalized", result.kind, result.index,
-                  normal.base, len(normal.steps))
+                  normal.base, len(normal.moves))
     wit = witness(pairs, normal)
-    if not normal.steps:
+    if not normal.moves:
         # no padding: the witness lives on the original group
         wit = _eta_witness_full(q0.mu, start, stop, p.group, wit.q)
     return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)

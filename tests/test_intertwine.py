@@ -10,7 +10,7 @@ from spindual import intertwine as it
 from spindual.intertwine import (
     PassLeft, Pole, ScriptError, SignedEntry, WordSystem, entries,
     gl_move_scalar, pass_left_ok, short_root_ok, simple_scalar_case1,
-    simple_scalar_case2, sort_ok, verify_chain, word_action, word_scalar,
+    sort_ok, verify_chain, word_action, word_scalar,
 )
 
 F = Fraction
@@ -27,11 +27,6 @@ def test_simple_scalars():
     assert simple_scalar_case1(4) == F(-1, 3)
     with pytest.raises(Pole):
         simple_scalar_case1(-2)
-    assert simple_scalar_case2(7, False) == 1
-    assert simple_scalar_case2(3, True) == 0
-    assert simple_scalar_case2(0, True) == -1
-    with pytest.raises(Pole):
-        simple_scalar_case2(-3, True)
 
 
 def test_gl_move_scalar_examples():
@@ -122,12 +117,6 @@ def test_case_ii_d_script():
         # the pass moves are certified; the interior core is external
         assert all(r.ok for r in reports[:-1])
         assert not reports[-1].ok
-
-
-def test_padding_script():
-    parts = it.padding_script(2, 2, [(1, 1)])
-    for name, start, script in parts:
-        assert all(r.ok for r in verify_chain(script, start))
 
 
 def test_build_case_dispatch():

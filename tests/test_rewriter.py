@@ -1,17 +1,20 @@
 """Tests for the padding transcripts and base normalization."""
 
+import dataclasses
 from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spindual import rewriter
 from spindual.rewriter import (
     MAX_PADDED_N, CaseI, CaseII, PaddingBoundExceeded, _insert, full_staircase,
-    normalize_to_base, pad_case_a, pad_case_b,
+    normalize_to_base,
 )
 from spindual.spinclass import (
-    MalformedParameter, StringPairs, enumerate_pairs, extract_pairs,
-    peel_stein_factors, string_of_column, unitarity_test,
+    MalformedParameter, StringPairs, classify, enumerate_pairs, extract_pairs,
+    pairs_to_param, peel_stein_factors, staircase_slacks, string_of_column,
+    unitarity_test,
 )
 
 
@@ -19,28 +22,32 @@ def D(*cols):
     return StringPairs("D", cols)
 
 
+# Case A: columns with x < y absorb (x+1; x) until every column has x = y.
+
 def test_pad_case_a_examples():
-    steps, final = pad_case_a(D((1, 2)))
+    steps, final = full_staircase(D((1, 2)))
     assert steps[0].dx == 2 and steps[0].dy == 1
     assert all(x == y for x, y in final.pairs)
 
-    steps, final = pad_case_a(D((1, 1)))
+    steps, final = full_staircase(D((1, 1)))
     assert steps == () and final.pairs == ((1, 1),)
 
-    steps, final = pad_case_a(D((1, 3)))
+    steps, final = full_staircase(D((1, 3)))
     assert steps and all(x == y for x, y in final.pairs)
     assert final.pairs[0] == (3, 3)
 
 
 def test_pad_case_a_defect_decreases():
-    steps, _ = pad_case_a(D((1, 2), (1, 2)))
+    steps, _ = full_staircase(D((1, 2), (1, 2)))
     defects = [sum(y - x for x, y in s.before.pairs) for s in steps]
     assert defects == sorted(defects, reverse=True)
     assert all(a - b == 1 for a, b in zip(defects, defects[1:]))
 
 
+# Case B: columns with x >= y + 2 absorb (v; v) until they are staircase steps.
+
 def test_pad_case_b_golden():
-    steps, final = pad_case_b(D((5, 2), (4, 2), (4, 0)))
+    steps, final = full_staircase(D((5, 2), (4, 2), (4, 0)))
     assert [s.label for s in steps] == [3, 4, 3, 3, 2, 1]
     assert final.pairs == (
         (5, 4), (4, 3), (4, 3), (4, 3), (3, 2), (3, 2), (3, 2), (2, 1), (1, 0)
@@ -48,9 +55,9 @@ def test_pad_case_b_golden():
 
 
 def test_pad_case_b_small():
-    steps, final = pad_case_b(D((2, 1)))
+    steps, final = full_staircase(D((2, 1)))
     assert steps == ()
-    _, final = pad_case_b(D((3, 0)))
+    _, final = full_staircase(D((3, 0)))
     assert final.pairs == ((3, 2), (2, 1), (1, 0))
 
 
@@ -117,7 +124,7 @@ def test_normalize_base_hypotheses():
 
 
 def test_step_string_rendering():
-    steps, _ = pad_case_b(D((3, 0)))
+    steps, _ = full_staircase(D((3, 0)))
     assert "-->" in str(steps[0])
 
 
@@ -191,3 +198,97 @@ def test_padding_bound():
     with pytest.raises(PaddingBoundExceeded):
         normalize_to_base(D((400, 5), (1, 3)))
     assert issubclass(PaddingBoundExceeded, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# padding on int rows, with steps built when they are read
+
+def normalize_by_steps(pairs: StringPairs):
+    """Reference normalization: every round pads one column by ``_insert``,
+    re-locating the base on the new StringPairs.  Returns the steps."""
+    steps, current = [], pairs
+    while True:
+        slacks = list(staircase_slacks(current.family, current.pairs))
+        j = next(j for j, slack in enumerate(slacks) if slack < 0)
+        base = {j // 2, (j + 1) // 2}
+        i = next((i for i, (x, y) in enumerate(current.pairs)
+                  if i not in base and x - y not in (0, 1)), None)
+        if i is None:
+            return tuple(steps)
+        x, y = current.pairs[i]
+        if x < y:
+            step = _insert(current, x + 1, x)
+        else:
+            v = y + 1 if i == 0 else max(y + 1, min(x - 1, current.pairs[i - 1][1]))
+            step = _insert(current, v, v)
+        steps.append(step)
+        current = step.after
+
+
+def assert_lazy_steps_replay(pairs):
+    nb = normalize_to_base(pairs)
+    expected = normalize_by_steps(pairs)
+    assert len(nb.steps) == len(nb.moves) == len(expected)
+    assert nb.moves == tuple((s.dx, s.dy) for s in expected)
+    assert tuple(nb.steps) == expected and nb.steps == expected, pairs
+    current = pairs
+    for step in nb.steps:
+        assert step.before == current
+        current = step.after
+    assert current == nb.final
+
+
+def test_lazy_steps_equal_eager_replay_on_tables():
+    for fam in ("B", "D"):
+        for n in range(1, 13):
+            for pairs in table(fam, n):
+                if not unitarity_test(pairs):
+                    assert_lazy_steps_replay(pairs)
+
+
+@st.composite
+def violated_pairs(draw):
+    fam = draw(st.sampled_from("BD"))
+    k = draw(st.integers(1, 5))
+    xs = sorted(draw(st.lists(st.integers(fam == "D", 14), min_size=k, max_size=k)),
+                reverse=True)
+    ys = sorted(draw(st.lists(st.integers(0, 14), min_size=k, max_size=k)), reverse=True)
+    try:
+        pairs = StringPairs(fam, tuple(zip(xs, ys)))
+    except MalformedParameter:
+        assume(False)
+    assume(not unitarity_test(pairs))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(violated_pairs())
+def test_lazy_steps_equal_eager_replay_drawn(pairs):
+    assert_lazy_steps_replay(pairs)
+
+
+def test_steps_not_built_by_len_or_equality(monkeypatch):
+    calls = []
+
+    def counting_insert(pairs, dx, dy):
+        calls.append((dx, dy))
+        return _insert(pairs, dx, dy)
+
+    monkeypatch.setattr(rewriter, "_insert", counting_insert)
+    pairs = StringPairs("B", ((30, 5), (20, 2), (9, 1)))
+    a, b = (classify(pairs_to_param(pairs)) for _ in range(2))
+    assert len(a.normalized.steps) == len(a.normalized.moves) == 38
+    assert a == b and a.normalized == b.normalized
+    assert calls == []
+    repr(a)
+    assert calls == list(a.normalized.moves)
+    assert a == b and calls == list(a.normalized.moves)
+
+
+def test_replaced_steps_are_kept():
+    nb = normalize_to_base(D((3, 0), (2, 0), (2, 0)))
+    steps = tuple(nb.steps)[:1]
+    replaced = dataclasses.replace(nb, steps=steps)
+    assert replaced.steps is steps
+    assert replaced.moves == nb.moves[:1]
+    assert replaced != nb

@@ -146,6 +146,48 @@ def test_peel_size_conservation():
                     assert unitarity_test(core).strict
 
 
+def peel_by_string_pairs(pairs):
+    """Reference peel: a validated StringPairs core every round, its slacks
+    restated from the staircase inequalities."""
+    def slacks(core):
+        cols = core.pairs
+        if core.family == "D":
+            column = [x - y for x, y in cols]
+            gap = [y + 1 - x2 for (_, y), (x2, _) in zip(cols, cols[1:])]
+        else:
+            column = [y + 1 - x for x, y in cols]
+            gap = [x - y2 for (x, _), (_, y2) in zip(cols, cols[1:])]
+        out = column + gap
+        out[::2], out[1::2] = column, gap
+        return out
+
+    fam, core, sizes = pairs.family, pairs, []
+    while 0 in (s := slacks(core)):
+        j = s.index(0)
+        i, cols = j // 2, list(core.pairs)
+        if j % 2 == 0:
+            sizes.append(sum(cols.pop(i)))
+        else:
+            (x, y), (x2, y2) = cols[i], cols[i + 1]
+            size, merged = (x2 + y, (x, y2)) if fam == "D" else (x + y2, (x2, y))
+            sizes.append(size)
+            cols[i:i + 2] = [merged]
+        core = StringPairs(fam, tuple(cols))
+    assert min(slacks(core), default=1) > 0
+    return sizes, (core if core.pairs else None)
+
+
+def test_peel_on_columns_matches_string_pair_rounds():
+    for fam in ("D", "B"):
+        for n in range(1, 13):
+            for pairs in enumerate_pairs(fam, n):
+                if not unitarity_test(pairs):
+                    continue
+                factors, core = peel_stein_factors(pairs)
+                assert ([f.a for f in factors], core) == peel_by_string_pairs(pairs), pairs
+                assert all(f.t == H for f in factors)
+
+
 def test_eta_weight():
     assert eta_weight("D", 4, 2) == (F(3, 2), F(3, 2), H, H)
     assert eta_weight("D", 4, 1) == (F(3, 2), H, H, -H)
