@@ -22,9 +22,17 @@ Every block carries a +-1 twist on each coordinate (the character
 and pair with matching twist.  The classifier runs on nu scaled to integers
 by a common denominator: its own least one, or the parameter's integer form
 in ``spinclass.classify``; Fractions appear only in the factors and reasons.
+
+Symmetry (closure of the block under (value, twist) negation) is tested once
+per block.  The public classifiers test it in :func:`_classify_scaled` and
+report NotHermitian when it fails.  ``spinclass.classify`` tests it on each
+mu-block's nu before any block is classified and then calls
+:func:`_classify_symmetric` directly: a mu > 1/2 block is one of those
+mu-blocks, and the residue-class blocks of the mu = 1/2 block inherit the
+symmetry, since negation maps the class t to the class -t at the same twist.
 """
 
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,8 +43,14 @@ from .halfint import frac, vec, is_sign, scaled, fmt, fmt_vec, HALF
 def _multiplicity_layers(values) -> list:
     """The layers of a multiset: the k-th is the list of its distinct values
     of multiplicity >= k, descending."""
-    counts = Counter(values)
+    # the C loop that Counter.update runs, into a plain dict: a Counter's
+    # construction costs more than the count on the small blocks of classify
+    counts = {}
+    _count_elements(counts, values)
     layer = sorted(counts, reverse=True)
+    if len(layer) == len(values):
+        # no value repeats: one layer (none for the empty multiset)
+        return [layer] if layer else []
     layers = []
     while layer:
         layers.append(layer)
@@ -56,7 +70,8 @@ def _layers(L: int, ints, signs) -> list:
         groups.setdefault((v % modulus, s), []).append(v)
     layers = [(s, layer) for (_, s), values in groups.items()
               for layer in _multiplicity_layers(values)]
-    return sorted(layers, key=lambda sl: (-len(sl[1]), tuple(-v for v in sl[1])))
+    # reverse=True keeps ties (equal layers of two twists) in order
+    return sorted(layers, key=lambda sl: (len(sl[1]), sl[1]), reverse=True)
 
 
 def comp_nu(a: int, t) -> tuple:
@@ -84,11 +99,6 @@ class CompParams:
     def is_stein(self) -> bool:
         """Unitary range: |t| < 1 as an exact rational."""
         return abs(self.t) < 1
-
-    @property
-    def is_reducible(self) -> bool:
-        """Integer |t| >= 1: the endpoint parameter names no irreducible deformation."""
-        return self.t.denominator == 1 and abs(self.t) >= 1
 
 
 class GLStatus(Enum):
@@ -125,42 +135,45 @@ def _shift(n: int, q: int) -> tuple:
     return (1,) * q + (0,) * (n - 2 * q) + (-1,) * q
 
 
-def _classify_layers(L: int, layers, n: int) -> GLVerdict:
-    """Chains must be strings and pair as characters/Stein pairs.
+def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
+    """The block of values ints/L with the twists signs, L any common
+    denominator, when the block is closed under (value, twist) negation:
+    its chains must be strings and pair as characters/Stein pairs.
 
-    The input is symmetric, so the negation of a non-centered layer is
-    another layer of the same length and twist.  Of the two, the one with
-    positive center has the larger top value and comes first; it stands for
-    the pair, and the layer with negative center is skipped.
+    The layers are distinct values of one residue class, so they descend by
+    multiples of 2L, and a layer is a step-2 string exactly when its span
+    top - bottom is 2L(len - 1); its center is (top + bottom) / 2L.  By
+    symmetry the negation of a non-centered layer is another layer of the
+    same length and twist.  Of the two, the one with positive center has the
+    larger top value and comes first; it stands for the pair, and the layer
+    with negative center is skipped.
     """
+    layers = _layers(L, ints, signs)
     # step gaps first: a chain that is not a pure step-2 string is attached to
     # a module that is not one-dimensional
     for _, layer in layers:
-        if any(a - b != 2 * L for a, b in zip(layer, layer[1:])):
+        if layer[0] - layer[-1] != 2 * L * (len(layer) - 1):
             return GLVerdict(
-                GLStatus.NON_UNITARY, witness=_shift(n, 1), q=1,
+                GLStatus.NON_UNITARY, witness=_shift(len(ints), 1), q=1,
                 reason=f"chain {fmt_vec(Fraction(v, L) for v in layer)} has a gap larger than 2",
             )
-    factors = []
+    # the layers come longest first, so each list is in factor order
+    trivial, stein = [], []
     for s, layer in layers:
-        a = len(layer)
-        total = sum(layer)
-        if total == 0:
-            factors.append(TrivialString(a, s))
-        elif total > 0:
-            # the deformation t of the pair is the center total / (a L)
-            t = Fraction(total, a * L)
-            if t < 1:
-                factors.append(SteinPair(a, t, s))
+        doubled_center = layer[0] + layer[-1]
+        if doubled_center == 0:
+            trivial.append(TrivialString(len(layer), s))
+        elif doubled_center > 0:
+            t = Fraction(doubled_center, 2 * L)
+            if doubled_center < 2 * L:
+                stein.append(SteinPair(len(layer), t, s))
                 continue
-            qw = max(a - total // (a * L) + 1, 1)
+            qw = max(len(layer) - doubled_center // (2 * L) + 1, 1)
             return GLVerdict(
-                GLStatus.NON_UNITARY, witness=_shift(n, qw), q=qw,
-                reason=f"deformation pair of size {a} at |t|={fmt(t)} outside the unitary range",
+                GLStatus.NON_UNITARY, witness=_shift(len(ints), qw), q=qw,
+                reason=f"deformation pair of size {len(layer)} at |t|={fmt(t)} outside the unitary range",
             )
-    order = {TrivialString: 0, SteinPair: 1}
-    factors.sort(key=lambda f: (order[type(f)], -f.a))
-    return GLVerdict(GLStatus.UNITARY_FACTORS, factors=tuple(factors))
+    return GLVerdict(GLStatus.UNITARY_FACTORS, factors=(*trivial, *stein))
 
 
 def classify_gl(nu) -> GLVerdict:
@@ -187,7 +200,7 @@ def classify_gl_genuine_block(signed_nu) -> GLVerdict:
 
 def _classify_scaled(L: int, ints, signs) -> GLVerdict:
     """The block of values ints/L with the twists signs, L any common
-    denominator: the public classifiers and ``spinclass.classify`` run this."""
+    denominator, tested for symmetry first: the public classifiers run this."""
     if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):
         return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
-    return _classify_layers(L, _layers(L, ints, signs), len(ints))
+    return _classify_symmetric(L, ints, signs)

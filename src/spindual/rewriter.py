@@ -28,7 +28,7 @@ from itertools import islice
 from operator import neg
 
 from .spinclass import (
-    StringPairs, _first_slack, peel_stein_factors, staircase_slacks, unitarity_test,
+    StringPairs, UnitarityResult, _first_slack, _peel, staircase_slacks, unitarity_test,
 )
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
@@ -208,7 +208,7 @@ def _base_at(pairs: StringPairs):
     return (CaseII(x, x2, y, y2) if gap else CaseI(x, y)), {i, i + gap}, len(negative)
 
 
-def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
+def normalize_to_base(pairs: StringPairs, staircase: UnitarityResult = None) -> NormalizedBase:
     """Normalize onto a single Case I / Case II base among staircase columns.
 
     On satisfied input the base is None and the stein columns are the peeled
@@ -216,9 +216,13 @@ def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
     preserved while all other columns are padded to staircase steps; the
     insertions re-sort globally, so the loop re-locates the violation each
     round until exactly one remains with everything else a staircase step.
+    ``staircase`` is ``unitarity_test(pairs)`` when the caller holds it, as
+    ``spinclass.classify`` does; the slacks are then not scanned again.
     """
-    if unitarity_test(pairs):
-        factors, _ = peel_stein_factors(pairs)
+    if staircase is None:
+        staircase = unitarity_test(pairs)
+    if staircase:
+        factors, _, _ = _peel(pairs, staircase)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
     moves, final = _pad(pairs, _outside_base)

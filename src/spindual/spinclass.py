@@ -29,7 +29,7 @@ from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
 from .weyl import GenuineParam, GroupTag, dominantize, _mu_blocks
-from .glclass import GLStatus, CompParams, _classify_scaled, _multiplicity_layers
+from .glclass import GLStatus, CompParams, _classify_symmetric, _multiplicity_layers
 # not called here: bench/tracing.py wraps these names on this module
 from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
 from .weyl import hermitian_witness  # noqa: F401
@@ -356,8 +356,20 @@ def peel_stein_factors(pairs: StringPairs):
     CompParams at t = 1/2 and ``core`` is a StringPairs satisfying the strict
     inequalities (or None when everything peels away).
     """
-    if not unitarity_test(pairs):
+    staircase = unitarity_test(pairs)
+    if not staircase:
         raise ValueError("peeling requires the staircase inequalities")
+    factors, core, _ = _peel(pairs, staircase)
+    return factors, (core if core.pairs else None)
+
+
+def _peel(pairs: StringPairs, staircase: UnitarityResult):
+    """Peeling of pairs whose staircase test ``staircase`` is satisfied:
+    (factors, core, the core's staircase test), the core a StringPairs,
+    possibly empty.  A strict input peels nothing and is its own core;
+    otherwise the core is built once, tested, and asserted strict."""
+    if staircase.strict:
+        return (), pairs, staircase
     fam = pairs.family
     factors = []
     cols = list(pairs.pairs)
@@ -371,20 +383,30 @@ def peel_stein_factors(pairs: StringPairs):
             size, merged = (x2 + y, (x, y2)) if fam == "D" else (x + y2, (x2, y))
             cols[i:i + 2] = [merged]
         factors.append(CompParams(size, HALF))
-    core = StringPairs(fam, tuple(cols)) if factors else pairs
-    assert unitarity_test(core).strict
-    return tuple(factors), (core if cols else None)
+    core = StringPairs(fam, tuple(cols))
+    core_test = unitarity_test(core)
+    assert core_test.strict
+    return tuple(factors), core, core_test
 
 
 # ---------------------------------------------------------------------------
 # spin-relevant K-types and verdicts
 
-def build_certificate(pairs: StringPairs) -> "UnitaryCertificate":
-    """Certificate of a satisfied parameter: peeled factors, core, orbit."""
+def build_certificate(pairs: StringPairs, staircase: UnitarityResult = None) -> "UnitaryCertificate":
+    """Certificate of a satisfied parameter: peeled factors, core, orbit.
+
+    ``staircase`` is ``unitarity_test(pairs)`` when the caller holds it, as
+    :func:`classify` does; the slacks are then not scanned again.
+    """
     from . import orbits as orbits_mod
-    factors, core = peel_stein_factors(pairs)
-    orbit = orbits_mod.attach_orbit(core) if core is not None else None
-    return UnitaryCertificate(tuple(factors), (), core, orbit)
+    if staircase is None:
+        staircase = unitarity_test(pairs)
+    if not staircase:
+        raise ValueError("peeling requires the staircase inequalities")
+    factors, core, core_test = _peel(pairs, staircase)
+    if not core.pairs:
+        return UnitaryCertificate(factors)
+    return UnitaryCertificate(factors, (), core, orbits_mod.attach_orbit(core, core_test))
 
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
@@ -616,7 +638,7 @@ def classify(p: GenuineParam) -> Verdict:
     stages.record("dominantize", "diagram flip" if dom.outer_applied else "dominant", q0)
     L, mu_ints, nu_ints = q0.integer_form
     # mu-blocks read off the integer form; a block's value is q0.mu[start]
-    blocks = [(q0.mu[start], start, stop) for _, start, stop in _mu_blocks(mu_ints)]
+    blocks = _mu_blocks(mu_ints)
     # q0 is genuine, so no mu-entry is 0 and no sign flip is available: it is
     # Hermitian exactly when each block's nu is closed under negation
     if not all(_symmetric(nu_ints[start:stop]) for _, start, stop in blocks):
@@ -626,17 +648,20 @@ def classify(p: GenuineParam) -> Verdict:
     gl_factors = []
     # GL-blocks: mu-value (2r-1)/2 with r >= 2; the dominant mu descends, so
     # the mu = 1/2 block, if any, is the last one
-    for value, start, stop in blocks:
-        if value == HALF:
+    for m, start, stop in blocks:
+        if 2 * m == L:
             break
-        glv = _classify_scaled(L, nu_ints[start:stop], (1,) * (stop - start))
+        value = q0.mu[start]
+        # the block's nu passed the symmetry test above
+        glv = _classify_symmetric(L, nu_ints[start:stop], (1,) * (stop - start))
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
             weight = _embed_block_shift(q0.mu, start, glv.witness)
             return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
         assert glv.status is GLStatus.UNITARY_FACTORS, glv
         stages.record("gl_block", "unitary", value, len(glv.factors))
-        gl_factors.extend((fmt(value), f) for f in glv.factors)
+        label = fmt(value)
+        gl_factors.extend((label, f) for f in glv.factors)
     else:
         stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
@@ -647,7 +672,8 @@ def classify(p: GenuineParam) -> Verdict:
     # both classes descend
     assert core_minus == [-s for s in reversed(core_plus)]
     for label, ints, twists in blocks_gl:
-        glv = _classify_scaled(L, ints, twists)
+        # closed under (value, twist) negation, as the mu = 1/2 block's nu is
+        glv = _classify_symmetric(L, ints, twists)
         assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("partition", "non-unitary", label, glv.reason)
@@ -670,14 +696,14 @@ def classify(p: GenuineParam) -> Verdict:
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        base = build_certificate(pairs)
+        base = build_certificate(pairs, result)
         cert = UnitaryCertificate(base.stein_factors, tuple(gl_factors),
                                   base.core, base.orbit)
         stages.record("certificate", "strict core" if cert.core is not None else "no core",
                       cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
     stages.record("staircase", "violated", result.kind, result.index)
-    normal = rewriter.normalize_to_base(pairs)
+    normal = rewriter.normalize_to_base(pairs, result)
     stages.record("normalize", "normalized", result.kind, result.index,
                   normal.base, len(normal.moves))
     wit = witness(pairs, normal)

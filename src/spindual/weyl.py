@@ -203,21 +203,27 @@ def dominantize(p: GenuineParam) -> DominantForm:
     if p.group.family == "D" and signs.count(-1) % 2 == 1:
         # leave the flip of smallest |mu| undone; D-dominance allows a
         # single negative last coordinate, removed below by the outer flip
-        j_min = min(range(n), key=lambda j: (abs(mu[j]), signs[j]))
+        # (the first of least |mu|, a negative entry before a positive one)
+        keys = [2 * abs(m) + (m > 0) for m in mu]
+        j_min = keys.index(min(keys))
         signs[j_min] = -signs[j_min]
     flipped_mu = [s * m for s, m in zip(signs, mu)]
-    order = sorted(range(n), key=lambda j: -flipped_mu[j])
-    # stable sort: order[i] is the source position landing at slot i
+    # stable: order[i] is the source position landing at slot i, and
+    # reverse=True keeps equal entries in their input order
+    order = sorted(range(n), key=flipped_mu.__getitem__, reverse=True)
     perm = [0] * n
-    out_signs = [1] * n
+    out_signs, mu_row, nu_row = [], [], []
     for i, j in enumerate(order):
         perm[j] = i
-        out_signs[i] = signs[j]
+        s = signs[j]
+        out_signs.append(s)
+        mu_row.append(flipped_mu[j])
+        nu_row.append(nu[j] if s == 1 else -nu[j])
     w = WeylElement(tuple(perm), tuple(out_signs))
-    outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
-    ints = [apply(w, v) for v in (mu, nu)]
+    outer = p.group.family == "D" and mu_row[-1] < 0
     if outer:
-        ints = [v[:-1] + (-v[-1],) for v in ints]
+        mu_row[-1], nu_row[-1] = -mu_row[-1], -nu_row[-1]
+    ints = (tuple(mu_row), tuple(nu_row))
     # the Fractions of the input, by integer; a value the input holds only
     # negated is negated once
     value_of = dict(zip(mu + nu, p.mu + p.nu))

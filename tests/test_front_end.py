@@ -15,7 +15,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spindual.spinclass import Status, StringPairs, classify, pairs_to_param, partition_nt
+from spindual.spinclass import (
+    Status, StringPairs, _grouped_classes, _partition_scaled, classify, pairs_to_param,
+    partition_nt,
+)
 from spindual.weyl import (
     DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
     dominantize, hermitian_witness, _mu_blocks,
@@ -245,17 +248,21 @@ def test_apply_keeps_entry_type():
 # classify's Hermitian test and dominantize's dominant input
 
 @st.composite
-def genuine_params(draw):
+def genuine_params(draw, hermitian=False):
     """Genuine parameters with several mu-blocks: nu symmetric per block,
     symmetric overall only, or drawn from a small pool (repeated values);
-    half of them moved off dominance by a signed permutation."""
+    half of them moved off dominance by a signed permutation.  With
+    ``hermitian``, nu is symmetric per block (the Hermitian ones) and mu has
+    a 1/2 block."""
     family = draw(st.sampled_from("BD"))
     values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    if hermitian and 0 not in values:
+        values.append(0)
     mu = []
     for k in sorted(values, reverse=True):
         mu += [Fraction(2 * k + 1, 2)] * draw(st.integers(1, 4))
     n = len(mu)
-    kind = draw(st.sampled_from(("per block", "overall", "pool")))
+    kind = "per block" if hermitian else draw(st.sampled_from(("per block", "overall", "pool")))
     if kind == "per block":
         nu = draw(hermitian_nu(mu))
     elif kind == "overall":
@@ -280,6 +287,25 @@ def test_classify_not_hermitian_iff_no_witness(p):
     assert p.is_genuine()
     no_witness = hermitian_witness(dominantize(p).param) is None
     assert (classify(p).status is Status.NOT_HERMITIAN) == no_witness
+
+
+@settings(max_examples=400, deadline=None)
+@given(genuine_params(hermitian=True))
+def test_grouped_classes_are_closed_under_negation(p):
+    """On a Hermitian parameter every GL block that ``_grouped_classes``
+    forms from the mu = 1/2 block is closed under (value, twist) negation:
+    negation maps the class t to the class -t, which joins the same block at
+    the same twist.  So ``classify`` classifies these blocks without testing
+    their symmetry again."""
+    q = dominantize(p).param
+    assert hermitian_witness(q) is not None
+    L, mu, nu = q.integer_form
+    # the dominant mu descends, so the mu = 1/2 block is the last one
+    _, start, _ = _mu_blocks(mu)[-1]
+    assert 2 * mu[start] == L
+    _, _, blocks = _grouped_classes(L, _partition_scaled(L, nu[start:]))
+    for _, ints, twists in blocks:
+        assert Counter(zip(ints, twists)) == Counter(zip((-v for v in ints), twists))
 
 
 def test_dominantize_returns_dominant_input_as_is(monkeypatch):

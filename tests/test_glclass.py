@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
-    CompParams, GLStatus, SteinPair, TrivialString, _layers, classify_gl,
-    classify_gl_genuine_block, comp_nu,
+    CompParams, GLStatus, SteinPair, TrivialString, _layers, _multiplicity_layers,
+    classify_gl, classify_gl_genuine_block, comp_nu,
 )
 from spindual.halfint import scaled, vec
 
@@ -150,7 +150,7 @@ def test_stein_boundary_exactness():
         assert v.status is GLStatus.UNITARY_FACTORS
         assert v.factors == (SteinPair(3, t, 1),)
     cp = CompParams(3, F(1))
-    assert not cp.is_stein and cp.is_reducible
+    assert not cp.is_stein and cp.t == 1
     assert CompParams(3, F(99, 100)).is_stein
     # the endpoint multiset re-decomposes into strings of unequal lengths
     v = classify_gl(stein_input(2, F(1)))
@@ -248,3 +248,31 @@ def test_genuine_block_rejects_boolean_twists():
     # True == 1, but a bool is not a twist
     with pytest.raises(ValueError, match="twists must be"):
         classify_gl_genuine_block([(F(1), True), (F(-1), True)])
+
+
+# ---------------------------------------------------------------------------
+# the layer rule
+
+def multiplicity_layers_reference(values):
+    """The k-th layer: the distinct values of multiplicity >= k, descending."""
+    counts = Counter(values)
+    top = max(counts.values(), default=0)
+    return [sorted((v for v, c in counts.items() if c >= k), reverse=True)
+            for k in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 17, 100, 640, 2000])
+def test_multiplicity_layers_match_counter_reference(size):
+    rng = random.Random(f"layers:{size}")
+    # spreads from all-equal to mostly distinct values
+    for spread in (1, 2, max(size // 8, 1), size, 4 * size + 1):
+        values = [rng.randint(-spread, spread) for _ in range(size)]
+        assert _multiplicity_layers(values) == multiplicity_layers_reference(values)
+    distinct = rng.sample(range(-3 * size, 3 * size + 1), size)
+    assert _multiplicity_layers(distinct) == multiplicity_layers_reference(distinct)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=60))
+def test_multiplicity_layers_match_counter_reference_drawn(values):
+    assert _multiplicity_layers(values) == multiplicity_layers_reference(values)

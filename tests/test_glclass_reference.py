@@ -1,9 +1,11 @@
 """The integer GL classifier against the Fraction reference.
 
 ``classify_gl`` and ``classify_gl_genuine_block`` scale a block once to
-integers and run ``_classify_scaled``, which ``classify`` calls directly on
-slices of a parameter's integer form.  It takes the chains as integer layers
-and lets the chain with positive center stand for each dual pair.  The
+integers and run ``_classify_scaled``: a symmetry test, then
+``_classify_symmetric``, which ``classify`` calls directly on the blocks of a
+parameter's integer form, whose symmetry it has tested per mu-block.  It
+takes the chains as integer layers and lets the chain with positive center
+stand for each dual pair.  The
 Fraction implementation it replaced is kept here as the oracle: Fraction
 symmetry checks, chains as (twist, Fraction values) tuples, and each chain's
 mate, its negation, found in a pool.  Hypothesis checks that both give equal
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
     GLStatus, GLVerdict, SteinPair, TrivialString, _classify_scaled,
-    classify_gl, classify_gl_genuine_block, comp_nu,
+    _classify_symmetric, classify_gl, classify_gl_genuine_block, comp_nu,
 )
 from spindual.halfint import fmt, fmt_vec, scaled, vec
 from spindual import spinclass
@@ -164,16 +166,18 @@ def test_any_common_multiple_classifies_alike(signed, k):
 
 def test_classify_reaches_both_block_kinds(monkeypatch):
     """The 800 ``mixed_blocks`` parameters of seed 1 reach the integer GL
-    classifier with both kinds of block, and give both statuses."""
+    classifier with both kinds of block, each closed under (value, twist)
+    negation, and give both statuses."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     calls = []
 
     def counted(L, ints, twists):
         calls.append(len(ints))
-        return _classify_scaled(L, ints, twists)
+        assert sorted(zip(ints, twists)) == sorted(zip((-v for v in ints), twists))
+        return _classify_symmetric(L, ints, twists)
 
-    monkeypatch.setattr(spinclass, "_classify_scaled", counted)
+    monkeypatch.setattr(spinclass, "_classify_symmetric", counted)
     statuses = Counter()
     kinds = Counter()
     for family, mu, nu in workloads.gen_mixed_blocks(None, 1):

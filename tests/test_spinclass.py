@@ -381,6 +381,37 @@ def test_classify_scales_once(monkeypatch):
     assert statuses == {Status.UNITARY, Status.NON_UNITARY}
 
 
+def test_classify_tests_the_staircase_once_per_core(monkeypatch):
+    """classify passes its staircase test on: a strict or violated core is
+    tested once, by classify, and a core that peeling changed once more, for
+    the strictness assertion on the peeled core.  Neither normalize_to_base
+    nor attach_orbit re-tests the input."""
+    from spindual import orbits, rewriter, spinclass
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return unitarity_test(pairs)
+
+    for module in (spinclass, orbits, rewriter):
+        monkeypatch.setattr(module, "unitarity_test", counted)
+    kinds = set()
+    for fam in ("B", "D"):
+        for n in range(1, 9):
+            for pairs in enumerate_pairs(fam, n):
+                result = unitarity_test(pairs)
+                calls.clear()
+                v = classify(pairs_to_param(pairs))
+                kind = "strict" if result.strict else "peeled" if result else "violated"
+                kinds.add(kind)
+                assert calls[0] == pairs
+                if kind == "peeled":
+                    assert calls[1:] == [v.certificate.core or StringPairs(fam, ())]
+                else:
+                    assert len(calls) == 1, (fam, pairs, kind)
+    assert kinds == {"strict", "peeled", "violated"}
+
+
 def test_witness_parity():
     # family D: odd index for single-column bases, even for gap bases;
     # family B the other way around
