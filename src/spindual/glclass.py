@@ -32,25 +32,29 @@ mu-blocks, and the residue-class blocks of the mu = 1/2 block inherit the
 symmetry, since negation maps the class t to the class -t at the same twist.
 """
 
-from collections import _count_elements
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .halfint import frac, vec, is_sign, scaled, fmt, fmt_vec, HALF
 
+try:
+    # the C loop that Counter.update runs (CPython), counting into any
+    # mapping: a Counter's construction costs more than the count on the
+    # small blocks of classify
+    from collections import _count_elements
+except ImportError:
+    def _count_elements(counts, values):
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+
 
 def _multiplicity_layers(values) -> list:
     """The layers of a multiset: the k-th is the list of its distinct values
     of multiplicity >= k, descending."""
-    # the C loop that Counter.update runs, into a plain dict: a Counter's
-    # construction costs more than the count on the small blocks of classify
     counts = {}
     _count_elements(counts, values)
     layer = sorted(counts, reverse=True)
-    if len(layer) == len(values):
-        # no value repeats: one layer (none for the empty multiset)
-        return [layer] if layer else []
     layers = []
     while layer:
         layers.append(layer)

@@ -50,17 +50,16 @@ class OrbitColumns:
         return "[" + ",".join(str(c) for c in self.cols) + f"] in so({self.ambient})"
 
 
-def attach_orbit(pairs, staircase=None) -> OrbitColumns:
-    """The nilpotent orbit attached to a strict core.
-
-    ``staircase`` is ``unitarity_test(pairs)`` when the caller holds it, as
-    ``spinclass.build_certificate`` does; strictness is then read from it
-    rather than scanned again.
-    """
-    if staircase is None:
-        staircase = unitarity_test(pairs)
-    if not staircase.strict:
+def attach_orbit(pairs) -> OrbitColumns:
+    """The nilpotent orbit attached to a strict core."""
+    if not unitarity_test(pairs).strict:
         raise NotStrictCore(f"{pairs} does not satisfy the strict inequalities")
+    return _strict_core_orbit(pairs)
+
+
+def _strict_core_orbit(pairs) -> OrbitColumns:
+    """:func:`attach_orbit` of pairs known to be a strict core, as
+    ``spinclass`` knows of the cores it peels."""
     n = pairs.n
     cols = []
     if pairs.family == "D":

@@ -208,7 +208,7 @@ def _base_at(pairs: StringPairs):
     return (CaseII(x, x2, y, y2) if gap else CaseI(x, y)), {i, i + gap}, len(negative)
 
 
-def normalize_to_base(pairs: StringPairs, staircase: UnitarityResult = None) -> NormalizedBase:
+def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
     """Normalize onto a single Case I / Case II base among staircase columns.
 
     On satisfied input the base is None and the stein columns are the peeled
@@ -216,13 +216,15 @@ def normalize_to_base(pairs: StringPairs, staircase: UnitarityResult = None) -> 
     preserved while all other columns are padded to staircase steps; the
     insertions re-sort globally, so the loop re-locates the violation each
     round until exactly one remains with everything else a staircase step.
-    ``staircase`` is ``unitarity_test(pairs)`` when the caller holds it, as
-    ``spinclass.classify`` does; the slacks are then not scanned again.
     """
-    if staircase is None:
-        staircase = unitarity_test(pairs)
+    return _normalize(pairs, unitarity_test(pairs))
+
+
+def _normalize(pairs: StringPairs, staircase: UnitarityResult) -> NormalizedBase:
+    """:func:`normalize_to_base` of pairs whose staircase test is
+    ``staircase``; ``spinclass.classify`` holds that test, so it calls this."""
     if staircase:
-        factors, _, _ = _peel(pairs, staircase)
+        factors, _ = _peel(pairs, staircase)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
     moves, final = _pad(pairs, _outside_base)

@@ -356,20 +356,25 @@ def peel_stein_factors(pairs: StringPairs):
     CompParams at t = 1/2 and ``core`` is a StringPairs satisfying the strict
     inequalities (or None when everything peels away).
     """
+    factors, core = _peel(pairs, _satisfied(pairs))
+    return factors, (core if core.pairs else None)
+
+
+def _satisfied(pairs: StringPairs) -> UnitarityResult:
+    """The staircase test of pairs, which peeling requires to be satisfied."""
     staircase = unitarity_test(pairs)
     if not staircase:
         raise ValueError("peeling requires the staircase inequalities")
-    factors, core, _ = _peel(pairs, staircase)
-    return factors, (core if core.pairs else None)
+    return staircase
 
 
 def _peel(pairs: StringPairs, staircase: UnitarityResult):
     """Peeling of pairs whose staircase test ``staircase`` is satisfied:
-    (factors, core, the core's staircase test), the core a StringPairs,
-    possibly empty.  A strict input peels nothing and is its own core;
-    otherwise the core is built once, tested, and asserted strict."""
+    (factors, core), the core a strict StringPairs, possibly empty.  A strict
+    input peels nothing and is its own core; otherwise the core is built
+    once, tested, and asserted strict."""
     if staircase.strict:
-        return (), pairs, staircase
+        return (), pairs
     fam = pairs.family
     factors = []
     cols = list(pairs.pairs)
@@ -384,29 +389,27 @@ def _peel(pairs: StringPairs, staircase: UnitarityResult):
             cols[i:i + 2] = [merged]
         factors.append(CompParams(size, HALF))
     core = StringPairs(fam, tuple(cols))
-    core_test = unitarity_test(core)
-    assert core_test.strict
-    return tuple(factors), core, core_test
+    assert unitarity_test(core).strict
+    return tuple(factors), core
 
 
 # ---------------------------------------------------------------------------
 # spin-relevant K-types and verdicts
 
-def build_certificate(pairs: StringPairs, staircase: UnitarityResult = None) -> "UnitaryCertificate":
-    """Certificate of a satisfied parameter: peeled factors, core, orbit.
+def build_certificate(pairs: StringPairs) -> "UnitaryCertificate":
+    """Certificate of a satisfied parameter: peeled factors, core, orbit."""
+    return _certificate(pairs, _satisfied(pairs))
 
-    ``staircase`` is ``unitarity_test(pairs)`` when the caller holds it, as
-    :func:`classify` does; the slacks are then not scanned again.
-    """
+
+def _certificate(pairs: StringPairs, staircase: UnitarityResult) -> "UnitaryCertificate":
+    """:func:`build_certificate` of pairs whose staircase test ``staircase``
+    is satisfied; :func:`classify` holds that test, so it calls this."""
     from . import orbits as orbits_mod
-    if staircase is None:
-        staircase = unitarity_test(pairs)
-    if not staircase:
-        raise ValueError("peeling requires the staircase inequalities")
-    factors, core, core_test = _peel(pairs, staircase)
+    factors, core = _peel(pairs, staircase)
     if not core.pairs:
         return UnitaryCertificate(factors)
-    return UnitaryCertificate(factors, (), core, orbits_mod.attach_orbit(core, core_test))
+    # _peel's core is strict
+    return UnitaryCertificate(factors, (), core, orbits_mod._strict_core_orbit(core))
 
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
@@ -658,7 +661,6 @@ def classify(p: GenuineParam) -> Verdict:
             stages.record("gl_block", "non-unitary", value, glv.reason)
             weight = _embed_block_shift(q0.mu, start, glv.witness)
             return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
-        assert glv.status is GLStatus.UNITARY_FACTORS, glv
         stages.record("gl_block", "unitary", value, len(glv.factors))
         label = fmt(value)
         gl_factors.extend((label, f) for f in glv.factors)
@@ -674,7 +676,6 @@ def classify(p: GenuineParam) -> Verdict:
     for label, ints, twists in blocks_gl:
         # closed under (value, twist) negation, as the mu = 1/2 block's nu is
         glv = _classify_symmetric(L, ints, twists)
-        assert glv.status in (GLStatus.UNITARY_FACTORS, GLStatus.NON_UNITARY), glv
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("partition", "non-unitary", label, glv.reason)
             return stages.non_unitary(
@@ -696,14 +697,14 @@ def classify(p: GenuineParam) -> Verdict:
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        base = build_certificate(pairs, result)
+        base = _certificate(pairs, result)
         cert = UnitaryCertificate(base.stein_factors, tuple(gl_factors),
                                   base.core, base.orbit)
         stages.record("certificate", "strict core" if cert.core is not None else "no core",
                       cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
     stages.record("staircase", "violated", result.kind, result.index)
-    normal = rewriter.normalize_to_base(pairs, result)
+    normal = rewriter._normalize(pairs, result)
     stages.record("normalize", "normalized", result.kind, result.index,
                   normal.base, len(normal.moves))
     wit = witness(pairs, normal)

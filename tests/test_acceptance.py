@@ -243,8 +243,7 @@ def test_acceptance_6e_stein_boundary():
         nu = comp_nu(a, F(1)) + tuple(-v for v in comp_nu(a, F(1)))
         v = classify_gl(nu)
         assert all(not isinstance(f, SteinPair) for f in v.factors)
-        endpoint = CompParams(a, F(1))
-        assert not endpoint.is_stein and endpoint.t == 1
+        assert not CompParams(a, F(1)).is_stein
         for num, den in [(3, 2), (5, 4), (7, 3)]:
             nu = comp_nu(a, F(num, den)) + tuple(-v for v in comp_nu(a, F(num, den)))
             assert classify_gl(nu).status is GLStatus.NON_UNITARY

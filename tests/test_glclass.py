@@ -150,7 +150,7 @@ def test_stein_boundary_exactness():
         assert v.status is GLStatus.UNITARY_FACTORS
         assert v.factors == (SteinPair(3, t, 1),)
     cp = CompParams(3, F(1))
-    assert not cp.is_stein and cp.t == 1
+    assert not cp.is_stein
     assert CompParams(3, F(99, 100)).is_stein
     # the endpoint multiset re-decomposes into strings of unequal lengths
     v = classify_gl(stein_input(2, F(1)))
@@ -276,3 +276,26 @@ def test_multiplicity_layers_match_counter_reference(size):
 @given(st.lists(st.integers(-6, 6), max_size=60))
 def test_multiplicity_layers_match_counter_reference_drawn(values):
     assert _multiplicity_layers(values) == multiplicity_layers_reference(values)
+
+
+def test_multiplicity_layers_without_the_c_count(monkeypatch):
+    """Where collections has no _count_elements, glclass still imports and
+    counts with its own loop."""
+    import collections
+    import importlib.util
+    import sys
+    import spindual.glclass
+    # a second copy of the module, so the one every other module holds is untouched
+    name = "spindual._glclass_without_c_count"
+    spec = importlib.util.spec_from_file_location(name, spindual.glclass.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    # only while it imports: Counter itself reads the name
+    with monkeypatch.context() as m:
+        m.delattr(collections, "_count_elements")
+        spec.loader.exec_module(module)
+    assert module._count_elements is not spindual.glclass._count_elements
+    rng = random.Random("layers:fallback")
+    for size in (0, 1, 7, 300):
+        values = [rng.randint(-size // 3, size // 3) for _ in range(size)]
+        assert module._multiplicity_layers(values) == multiplicity_layers_reference(values)

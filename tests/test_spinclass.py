@@ -454,6 +454,11 @@ def test_build_certificate_surface():
     assert cert.orbit.cols == (6, 5, 1)
     cert = build_certificate(StringPairs("D", ((2, 2),)))
     assert cert.core is None and cert.orbit is None
+    # the public entry points test their own input
+    with pytest.raises(ValueError, match="peeling requires"):
+        build_certificate(StringPairs("D", ((2, 0), (2, 0))))
+    with pytest.raises(ValueError, match="peeling requires"):
+        peel_stein_factors(StringPairs("B", ((2, 0),)))
 
 
 def test_witness_direct():
