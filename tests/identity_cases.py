@@ -13,7 +13,10 @@ of everything the program prints or returns on it, in order:
   n <= 8, ``classify``, ``rewrite``, ``orbit`` and ``verify-chain`` on every
   row with n <= 6 (their 3,712 calls on the rows of n = 7 and 8 would add
   ~1 s to the gate; ``table`` classifies those rows), plus a few malformed
-  command lines.
+  command lines;
+* ``cli verify-chain`` sets: the same for ``verify-chain``, as text and as
+  ``--json``, on every single column with n = 7 to 12 in both families and
+  on every family D column pair with n = 7 and 8.
 
 ``tests/test_identity.py`` compares the digests with ``identity/digests.json``.
 A change that alters an output on purpose regenerates the file with
@@ -48,6 +51,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 CLASSIFY_RANKS = range(1, 11)
 TABLE_RANKS = range(1, 9)
 CLI_ROW_RANKS = range(1, 7)
+VERIFY_COLUMN_RANKS = range(7, 13)
+VERIFY_PAIR_RANKS = (7, 8)
 MIXED_SEEDS = (1, 2, 3)
 GENERAL_COUNT = 3000
 MALFORMED = (
@@ -145,14 +150,28 @@ def cli_call(argv) -> str:
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
 
 
+def _pairs_arg(pairs) -> str:
+    return ",".join(map(str, pairs.xs)) + ";" + ",".join(map(str, pairs.ys))
+
+
 def _cli_argvs(family, n):
     yield ["table", "--group", family, "--rank", str(n)]
     if n not in CLI_ROW_RANKS:
         return
     for pairs in enumerate_pairs(family, n):
-        arg = ",".join(map(str, pairs.xs)) + ";" + ",".join(map(str, pairs.ys))
         for command in ("classify", "rewrite", "orbit", "verify-chain"):
-            yield [command, "--group", family, "--pairs", arg]
+            yield [command, "--group", family, "--pairs", _pairs_arg(pairs)]
+
+
+def _verify_chain_argvs():
+    """Every single column with n in VERIFY_COLUMN_RANKS (both families) and
+    every family D column pair with n in VERIFY_PAIR_RANKS."""
+    rows = [(family, pairs) for family in ("D", "B") for n in VERIFY_COLUMN_RANKS
+            for pairs in enumerate_pairs(family, n) if len(pairs.pairs) == 1]
+    rows += [("D", pairs) for n in VERIFY_PAIR_RANKS
+             for pairs in enumerate_pairs("D", n) if len(pairs.pairs) == 2]
+    for family, pairs in rows:
+        yield ["verify-chain", "--group", family, "--pairs", _pairs_arg(pairs)]
 
 
 def case_sets():
@@ -172,6 +191,10 @@ def case_sets():
                 extra = ["--json"] if fmt == "json" else []
                 sets[f"cli {family} {n} {fmt}"] = lambda family=family, n=n, extra=extra: (
                     cli_call(argv + extra) for argv in _cli_argvs(family, n))
+    for fmt in ("text", "json"):
+        extra = ["--json"] if fmt == "json" else []
+        sets[f"cli verify-chain {fmt}"] = lambda extra=extra: (
+            cli_call(argv + extra) for argv in _verify_chain_argvs())
     sets["cli malformed"] = lambda: (cli_call(argv) for argv in MALFORMED)
     return sets
 
