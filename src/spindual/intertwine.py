@@ -9,15 +9,23 @@ locus.  ``verify_chain`` replays a script of such block moves, checking each
 against the applicable predicate, and keeps applying moves syntactically
 after a failure so the whole script is reported.
 
+The replay runs on the entries scaled once by their common denominator L
+(:func:`~spindual.halfint.scaled`): (int, sign) pairs, on which the scalar
+and the predicates are stated once.  Fractions appear only in
+``SignedEntry.value`` and ``StepReport.scalar``; the built-in scripts are
+built on doubled values (L = 2).
+
 A failing step means no implemented predicate certifies the move -- the
 replay is evidence, not proof.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .halfint import frac, fmt, is_sign
-from .spinclass import string_of_column
+from .halfint import frac, fmt, is_sign, scaled
+from .spinclass import _doubled_string, _halves
 
 
 class Pole(ArithmeticError):
@@ -42,6 +50,51 @@ def simple_scalar_case1(coroot_pairing) -> Fraction:
     return (2 - p) / (2 + p)
 
 
+# ---------------------------------------------------------------------------
+# the scalar and the predicates on entries scaled by L: (int, sign) pairs
+
+def _chain_ends(chain, L: int) -> tuple:
+    """(nu_1, nu_last, sign) of a chain of scaled entries, which must be
+    non-empty, of constant sign and ascending in steps of 2 (2L scaled)."""
+    if not chain:
+        raise ScriptError("empty chain operand")
+    ks, signs = zip(*chain)
+    if signs.count(signs[0]) != len(signs):
+        raise ScriptError("chain must have constant sign")
+    if ks != tuple(range(ks[0], ks[-1] + 1, 2 * L)):
+        raise ScriptError("chain must ascend in steps of 2")
+    return ks[0], ks[-1], signs[0]
+
+
+def _pass_terms(ends, x, L: int) -> tuple:
+    """L times the numerator and denominator of the scalar of passing the
+    entry x leftward over the chain with these ends:
+    (-c + nu_1 - x)/(c + nu_last - x), with c = 2 when the signs agree and
+    c = 3 when they differ.  Its zero is the non-injective locus, its pole
+    the ill-defined one; sorting a prefix past the chain meets only poles."""
+    first, last, sign = ends
+    c = (2 if x[1] == sign else 3) * L
+    return first - c - x[0], c + last - x[0]
+
+
+def _sort_ok(prefix, ends, L: int) -> bool:
+    return all(_pass_terms(ends, x, L)[1] != 0 for x in prefix)
+
+
+def _short_root_ok(k: int, L: int) -> bool:
+    return 2 * abs(k) != 3 * L
+
+
+def _pair_flip_ok(a, b, L: int) -> bool:
+    return abs(a[0] + b[0]) != (3 if a[1] == b[1] else 2) * L
+
+
+def _on_ints(seq) -> tuple:
+    """(L, [(L*v, sign), ...]) for a sequence of signed entries."""
+    L, ks = scaled([e.value for e in seq])
+    return L, list(zip(ks, [e.sign for e in seq]))
+
+
 def gl_move_scalar(chain, x, opposite_sign: bool) -> Fraction:
     """Scalar of the move passing x past the ascending step-2 chain.
 
@@ -50,16 +103,12 @@ def gl_move_scalar(chain, x, opposite_sign: bool) -> Fraction:
     x = nu_last + 2 (resp. +3).
     """
     chain = tuple(frac(v) for v in chain)
-    if not chain:
-        raise ScriptError("empty chain")
-    if any(b - a != 2 for a, b in zip(chain, chain[1:])):
-        raise ScriptError("chain must ascend in steps of 2")
-    x = frac(x)
-    c = 3 if opposite_sign else 2
-    den = c + chain[-1] - x
+    L, ks = scaled(chain + (frac(x),))
+    ends = _chain_ends([(k, 1) for k in ks[:-1]], L)
+    num, den = _pass_terms(ends, (ks[-1], -1 if opposite_sign else 1), L)
     if den == 0:
-        raise Pole(f"x = {fmt(chain[-1])} + {c}")
-    return (-c + chain[0] - x) / den
+        raise Pole(f"x = {fmt(chain[-1])} + {3 if opposite_sign else 2}")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -86,27 +135,6 @@ def entries(values, sign=1):
     return tuple(SignedEntry(v, sign) for v in values)
 
 
-def _check_chain(chain):
-    if not chain:
-        raise ScriptError("empty chain operand")
-    sign = chain[0].sign
-    if any(e.sign != sign for e in chain):
-        raise ScriptError("chain must have constant sign")
-    vals = [e.value for e in chain]
-    if any(b - a != 2 for a, b in zip(vals, vals[1:])):
-        raise ScriptError("chain must ascend in steps of 2")
-    return vals, sign
-
-
-def _pass_left_scalar(chain, xi: SignedEntry):
-    """The scalar of passing xi leftward over the chain, None at its pole."""
-    vals, sign = _check_chain(chain)
-    try:
-        return gl_move_scalar(vals, xi.value, xi.sign != sign)
-    except Pole:
-        return None
-
-
 def pass_left_ok(chain, xi: SignedEntry) -> bool:
     """May xi pass leftward over the chain, staying defined and injective?
 
@@ -114,8 +142,9 @@ def pass_left_ok(chain, xi: SignedEntry) -> bool:
     excluded are nu_last + 2 and nu_1 - 2 when the signs agree, nu_last + 3
     and nu_1 - 3 when they differ.
     """
-    scalar = _pass_left_scalar(chain, xi)
-    return scalar is not None and scalar != 0
+    L, ints = _on_ints((*chain, xi))
+    num, den = _pass_terms(_chain_ends(ints[:-1], L), ints[-1], L)
+    return den != 0 and num != 0
 
 
 def sort_ok(prefix, chain) -> bool:
@@ -124,14 +153,16 @@ def sort_ok(prefix, chain) -> bool:
     No prefix entry may sit at the pole of its pass over the chain:
     xi = nu_last + 2 (same sign) resp. nu_last + 3 (opposite).
     """
-    _check_chain(chain)
-    return all(_pass_left_scalar(chain, xi) is not None for xi in prefix)
+    prefix = tuple(prefix)
+    L, ints = _on_ints((*prefix, *chain))
+    return _sort_ok(ints[:len(prefix)], _chain_ends(ints[len(prefix):], L), L)
 
 
 def short_root_ok(a) -> bool:
     """The short-root flip is an isomorphism on spin-relevant K-types
     except at a = +-3/2."""
-    return abs(frac(a)) != Fraction(3, 2)
+    L, (k,) = scaled((frac(a),))
+    return _short_root_ok(k, L)
 
 
 def pair_flip_ok(e1: SignedEntry, e2: SignedEntry) -> bool:
@@ -140,73 +171,58 @@ def pair_flip_ok(e1: SignedEntry, e2: SignedEntry) -> bool:
     Kernel/pole locus: |v_i + v_j| = 3 when the signs agree (the discrete
     pairing is nonzero), |v_i + v_j| = 2 when they differ.
     """
-    s = abs(e1.value + e2.value)
-    return s != (3 if e1.sign == e2.sign else 2)
+    L, (a, b) = _on_ints((e1, e2))
+    return _pair_flip_ok(a, b, L)
 
 
 # ---------------------------------------------------------------------------
 # block moves and replay
 
+class _Move:
+    def describe(self, seq) -> str:
+        """The replay's description of the move on the entries seq."""
+        return verify_chain((self,), seq)[0].description
+
+
 @dataclass(frozen=True)
-class PassLeft:
+class PassLeft(_Move):
     """Move entry ``xi`` just before the contiguous chain [start, stop)."""
     start: int
     stop: int
     xi: int
 
-    def describe(self, seq):
-        chain = " ".join(str(e) for e in seq[self.start:self.stop])
-        return f"pass {seq[self.xi]} left over ({chain})"
-
 
 @dataclass(frozen=True)
-class SortDescending:
+class SortDescending(_Move):
     """Sort the slice [start, stop) into descending order (prefix; chain)."""
     start: int
     split: int
     stop: int
 
-    def describe(self, seq):
-        pre = " ".join(str(e) for e in seq[self.start:self.split])
-        chain = " ".join(str(e) for e in seq[self.split:self.stop])
-        return f"sort ({pre} | {chain}) descending"
-
 
 @dataclass(frozen=True)
-class BarGL:
+class BarGL(_Move):
     """Reinterpret entry i through the opposite type-A Levi: v^s -> (-v)^(-s)."""
     index: int
 
-    def describe(self, seq):
-        return f"bar-reading {seq[self.index]} as {seq[self.index].bar()}"
-
 
 @dataclass(frozen=True)
-class ShortRootFlip:
+class ShortRootFlip(_Move):
     """The short-root move of family B on entry i: v^s -> (-v)^(-s)."""
     index: int
 
-    def describe(self, seq):
-        return f"short-root flip of {seq[self.index]}"
-
 
 @dataclass(frozen=True)
-class PairFlip:
+class PairFlip(_Move):
     """Flip entries i < j through the e_i + e_j rank-one move."""
     i: int
     j: int
 
-    def describe(self, seq):
-        return f"pair flip of {seq[self.i]}, {seq[self.j]}"
-
 
 @dataclass(frozen=True)
-class Uncertified:
+class Uncertified(_Move):
     """A move the predicate layer does not certify (external base cases)."""
     note: str
-
-    def describe(self, seq):
-        return self.note
 
 
 @dataclass(frozen=True)
@@ -223,107 +239,100 @@ class StepReport:
         return self.well_defined and self.injective
 
 
-def _apply(seq, move):
-    seq = list(seq)
-    if isinstance(move, PassLeft):
-        xi = seq.pop(move.xi)
-        seq.insert(move.start, xi)
-    elif isinstance(move, SortDescending):
-        block = sorted(seq[move.start:move.stop],
-                       key=lambda e: e.value, reverse=True)
-        seq[move.start:move.stop] = block
-    elif isinstance(move, (BarGL, ShortRootFlip)):
-        seq[move.index] = seq[move.index].bar()
-    elif isinstance(move, PairFlip):
-        a, b = seq[move.i], seq[move.j]
-        seq[move.i], seq[move.j] = b.bar(), a.bar()
-    elif isinstance(move, Uncertified):
-        pass
-    else:
-        raise ScriptError(f"unknown move {move!r}")
-    return tuple(seq)
+def _entry_texts(seq, L: int) -> dict:
+    """Each entry (k, s) of seq and its bar -> ``str`` of the SignedEntry
+    (k/L)^s, put in lowest terms by one gcd per entry."""
+    text = {}
+    for k, s in seq:
+        g = math.gcd(k, L)
+        den = "" if g == L else f"/{L // g}"
+        text[k, s] = f"{k // g}{den}^{'+' if s == 1 else '-'}"
+        text[-k, -s] = f"{-k // g}{den}^{'-' if s == 1 else '+'}"
+    return text
 
 
-def _evaluate(seq, move) -> StepReport:
-    desc = move.describe(seq)
+def _step(seq: list, move, L: int, text: dict) -> StepReport:
+    """Check the move's operands, evaluate and describe it on seq, a list of
+    (int, sign) entries scaled by L, and apply it to seq in place."""
+    n = len(seq)
     if isinstance(move, PassLeft):
-        if not (0 <= move.start < move.stop <= move.xi < len(seq)):
+        start, stop, i = move.start, move.stop, move.xi
+        if not 0 <= start < stop <= i < n:
             raise ScriptError("pass-left operands out of order")
-        scalar = _pass_left_scalar(seq[move.start:move.stop], seq[move.xi])
-        well = scalar is not None
-        inj = well and scalar != 0
-        reason = "" if inj else (
-            "pole of the rank-one scalar" if not well
-            else "zero of the rank-one scalar: not injective"
-        )
-        return StepReport(move, desc, well, inj, scalar, reason)
+        chain, xi = seq[start:stop], seq[i]
+        num, den = _pass_terms(_chain_ends(chain, L), xi, L)
+        desc = f"pass {text[xi]} left over ({' '.join([text[e] for e in chain])})"
+        seq.insert(start, seq.pop(i))
+        if den == 0:
+            return StepReport(move, desc, False, False, None, "pole of the rank-one scalar")
+        return StepReport(move, desc, True, num != 0, Fraction(num, den),
+                          "" if num else "zero of the rank-one scalar: not injective")
     if isinstance(move, SortDescending):
-        if not (0 <= move.start <= move.split <= move.stop <= len(seq)):
+        start, split, stop = move.start, move.split, move.stop
+        if not 0 <= start <= split <= stop <= n:
             raise ScriptError("sort operands out of order")
-        prefix = seq[move.start:move.split]
-        chain = seq[move.split:move.stop]
-        ok = sort_ok(prefix, chain)
-        return StepReport(move, desc, True, ok,
+        ok = _sort_ok(seq[start:split], _chain_ends(seq[split:stop], L), L)
+        pre = " ".join([text[e] for e in seq[start:split]])
+        chain = " ".join([text[e] for e in seq[split:stop]])
+        seq[start:stop] = sorted(seq[start:stop], key=itemgetter(0), reverse=True)
+        return StepReport(move, f"sort ({pre} | {chain}) descending", True, ok,
                           reason="" if ok else "excluded value nu_last + c hit")
-    if isinstance(move, BarGL):
-        return StepReport(move, desc, True, True)
-    if isinstance(move, ShortRootFlip):
-        ok = short_root_ok(seq[move.index].value)
-        return StepReport(move, desc, True, ok,
+    if isinstance(move, (BarGL, ShortRootFlip)):
+        i = move.index
+        if not 0 <= i < n:
+            raise ScriptError(f"entry {i} out of range")
+        e = seq[i]
+        seq[i] = bar = (-e[0], -e[1])
+        if isinstance(move, BarGL):
+            return StepReport(move, f"bar-reading {text[e]} as {text[bar]}", True, True)
+        ok = _short_root_ok(e[0], L)
+        return StepReport(move, f"short-root flip of {text[e]}", True, ok,
                           reason="" if ok else "short-root move fails at +-3/2")
     if isinstance(move, PairFlip):
-        ok = pair_flip_ok(seq[move.i], seq[move.j])
-        return StepReport(move, desc, True, ok,
+        i, j = move.i, move.j
+        if not 0 <= i < j < n:
+            raise ScriptError("pair-flip operands out of order")
+        a, b = seq[i], seq[j]
+        ok = _pair_flip_ok(a, b, L)
+        seq[i], seq[j] = (-b[0], -b[1]), (-a[0], -a[1])
+        return StepReport(move, f"pair flip of {text[a]}, {text[b]}", True, ok,
                           reason="" if ok else "pair-flip kernel locus hit")
     if isinstance(move, Uncertified):
-        return StepReport(move, desc, True, False,
+        return StepReport(move, move.note, True, False,
                           reason="no applicable predicate (external base case)")
     raise ScriptError(f"unknown move {move!r}")
 
 
-def apply_script(script, start):
-    seq = tuple(start)
-    for move in script:
-        seq = _apply(seq, move)
-    return seq
-
-
 def verify_chain(script, start):
-    """Replay a script, evaluating each move; failures do not stop the replay."""
-    seq = tuple(start)
-    reports = []
-    for move in script:
-        reports.append(_evaluate(seq, move))
-        seq = _apply(seq, move)
-    return reports
+    """Replay a script, evaluating each move; failures do not stop the replay.
+
+    The start is scaled once; every move permutes or bars its entries, so
+    the texts of the start's entries and their bars are all the replay reads.
+    """
+    L, seq = _on_ints(tuple(start))
+    text = _entry_texts(seq, L)
+    return [_step(seq, move, L, text) for move in script]
 
 
 # ---------------------------------------------------------------------------
-# built-in scripts
+# built-in scripts, built on doubled values: (2v, sign) pairs
 
 # the largest total size of the pairs verify-chain replays: the script of a
-# column (x; 0) grows faster than x^2; (256; 0) replays in ~0.4 s on a Xeon core
+# column (x; 0) grows faster than x^2; `verify-chain` on (256; 0) takes ~0.02 s
+# in process on a Xeon core, in D and in B
 MAX_SCRIPT_SIZE = 256
-
-
-def _index_of(seq, value, sign):
-    for i, e in enumerate(seq):
-        if e.value == value and e.sign == sign:
-            return i
-    raise ScriptError(f"entry {fmt(value)}^{sign} not found")
 
 
 def _flip_and_pass(seq, script, top, flip):
     """Flip the entry top^+ by the move ``flip`` and pass it left over the
-    positive entries strictly between -top and top; returns the new seq."""
-    ti = _index_of(seq, top, 1)
+    positive entries strictly between -top and top, in place."""
+    ti = seq.index((top, 1))
+    seq[ti] = (-top, -1)
     script.append(flip(ti))
-    seq = _apply(seq, script[-1])
-    run = [i for i, e in enumerate(seq) if e.sign == 1 and -top < e.value < top]
+    run = [i for i, (d, s) in enumerate(seq) if s == 1 and -top < d < top]
     if run:
         script.append(PassLeft(run[0], run[-1] + 1, ti))
-        seq = _apply(seq, script[-1])
-    return seq
+        seq.insert(run[0], seq.pop(ti))
 
 
 def _pass_block(m: int, count: int) -> list:
@@ -341,47 +350,42 @@ def case_i_script_d(a: int, b: int):
     """
     parts = []
     # omega side: pass each flipped top left over the interior run
-    seq = entries(string_of_column(a, b)[::-1])
-    start = seq
+    ascending = _doubled_string(a, b)[::-1]
+    seq = [(d, 1) for d in ascending]
     script = []
     for _ in range(max(a - 1, 0)):
-        top = max(e.value for e in seq if e.sign == 1)
-        seq = _flip_and_pass(seq, script, top, BarGL)
-    parts.append(("omega", start, tuple(script)))
-    # dual side: flip the positive tail pairwise, then one descending sort
-    seq = entries(tuple(-v for v in string_of_column(a, b)))
-    start = seq
-    script = []
-    tail = [i for i, e in enumerate(seq) if e.value >= Fraction(3, 2)]
-    lo, hi = 0, len(tail) - 1
-    while lo < hi:
-        script.append(PairFlip(tail[lo], tail[hi]))
-        lo, hi = lo + 1, hi - 1
-    if lo == hi and lo >= 0:
-        script.append(BarGL(tail[lo]))
-    seq = apply_script(script, start)
-    split = sum(1 for e in seq if e.sign == 1)
-    if 0 < split < len(seq):
-        script.append(SortDescending(0, split, len(seq)))
-    parts.append(("omega-dual", start, tuple(script)))
+        top = max(d for d, s in seq if s == 1)
+        _flip_and_pass(seq, script, top, BarGL)
+    parts.append(("omega", entries(_halves(ascending)), tuple(script)))
+    # dual side: flip the positive tail pairwise, then one descending sort;
+    # the flipped tail is what turns negative
+    dual = [-d for d in _doubled_string(a, b)]
+    tail = [i for i, d in enumerate(dual) if d >= 3]
+    script = [PairFlip(tail[k], tail[-1 - k]) for k in range(len(tail) // 2)]
+    if len(tail) % 2:
+        script.append(BarGL(tail[len(tail) // 2]))
+    split = len(dual) - len(tail)
+    if 0 < split < len(dual):
+        script.append(SortDescending(0, split, len(dual)))
+    parts.append(("omega-dual", entries(_halves(dual)), tuple(script)))
     return parts
 
 
 def case_i_script_b(a: int, b: int):
     """Replay for family B single strings (a; b): short-root flips carry the
     tops across; strings with a > b + 1 end in an external core."""
-    seq = entries(string_of_column(a, b)[::-1])
-    start = seq
+    ascending = _doubled_string(a, b)[::-1]
+    seq = [(d, 1) for d in ascending]
     script = []
     while True:
-        tops = [e.value for e in seq if e.sign == 1 and e.value >= Fraction(9, 2)]
+        tops = [d for d, s in seq if s == 1 and d >= 9]
         if not tops:
             break
-        seq = _flip_and_pass(seq, script, max(tops), ShortRootFlip)
+        _flip_and_pass(seq, script, max(tops), ShortRootFlip)
     if a > b + 1:
         script.append(Uncertified(
             "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"))
-    return [("omega", start, tuple(script))]
+    return [("omega", entries(_halves(ascending)), tuple(script))]
 
 
 def case_ii_script_d(c: int, d: int, e: int, f: int):
@@ -392,12 +396,12 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     """
     if not (c >= d and e >= f):
         raise ScriptError("columns must be doubly non-increasing")
-    block_de = entries(string_of_column(d, e)[::-1])
-    block_f = entries(string_of_column(0, f)[::-1])
+    block_de = _doubled_string(d, e)[::-1]
+    block_f = _doubled_string(0, f)[::-1]
     script = _pass_block(len(block_de), len(block_f))
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
-    return [("delta", block_de + block_f, tuple(script))]
+    return [("delta", entries(_halves([*block_de, *block_f])), tuple(script))]
 
 
 def build_case_script(family: str, pairs):

@@ -8,8 +8,8 @@ import pytest
 
 from spindual import intertwine as it
 from spindual.intertwine import (
-    PassLeft, Pole, ScriptError, SignedEntry, WordSystem, entries,
-    gl_move_scalar, pass_left_ok, short_root_ok, simple_scalar_case1,
+    BarGL, PairFlip, PassLeft, Pole, ScriptError, ShortRootFlip, SignedEntry,
+    SortDescending, WordSystem, entries, gl_move_scalar, pass_left_ok, short_root_ok, simple_scalar_case1,
     sort_ok, verify_chain, word_action, word_scalar,
 )
 
@@ -85,6 +85,23 @@ def test_verify_chain_basics():
     assert reports[0].scalar is not None
     with pytest.raises(ScriptError):
         verify_chain([PassLeft(2, 1, 0)], start)
+
+
+@pytest.mark.parametrize("move", [
+    BarGL(-1),              # would act on an entry counted from the end
+    ShortRootFlip(-3),
+    PairFlip(2, 0),         # i < j is required
+    PairFlip(1, 1),
+    PassLeft(0, 2, 5),      # operands past the end
+    BarGL(7),
+    SortDescending(0, 2, 4),
+])
+def test_verify_chain_checks_operands_before_describing(move):
+    start = entries(halves(-3, 1, 5))
+    with pytest.raises(ScriptError):
+        verify_chain([move], start)
+    with pytest.raises(ScriptError):
+        move.describe(start)
 
 
 def test_case_i_d_worked_example():
