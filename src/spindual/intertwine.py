@@ -318,8 +318,7 @@ def verify_chain(script, start):
 # built-in scripts, built on doubled values: (2v, sign) pairs
 
 # the largest total size of the pairs verify-chain replays: the script of a
-# column (x; 0) grows faster than x^2; `verify-chain` on (256; 0) takes ~0.02 s
-# in process on a Xeon core, in D and in B
+# column (x; 0) grows faster than x^2; (256; 0) replays in ~0.02 s on a Xeon core
 MAX_SCRIPT_SIZE = 256
 
 
