@@ -2,12 +2,11 @@
 
 Inducing a shift-1/2 factor whose continuous parameter is the column (dx; dy)
 adds its string to the +1/2 residue class.  On the string-pair matrix this is
-an integer row operation, and ``_row_insert`` implements it as one on two
-int rows: dx goes into the x-row and dy into the y-row by bisect insertion,
-and the columns re-pair by position (an empty column (0; 0), left when a 1/2
-joins a (0; y) string of family B, is dropped).  Padding validates one
-StringPairs at the end, and its moves (dx, dy) replay into InductionSteps
-(``_insert``) only when those are read.  Repeated insertions normalize:
+an integer row operation on two int rows (``_row_insert``): dx joins the
+x-row and dy the y-row, and the columns re-pair by position.  Padding reads
+one list of staircase slacks per round, validates one StringPairs at the end,
+and replays its moves (dx, dy) into InductionSteps only when those are read.
+Repeated insertions normalize:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
   sum(y) - sum(x) is gone;
@@ -24,12 +23,9 @@ indefinite spin-relevant K-types, so the transcript certifies the witness.
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from operator import neg
 
-from .spinclass import (
-    StringPairs, UnitarityResult, _first_slack, _peel, staircase_slacks, unitarity_test,
-)
+from .spinclass import StringPairs, UnitarityResult, _peel, staircase_slacks, unitarity_test
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
 from .spinclass import extract_pairs  # noqa: F401
@@ -151,13 +147,13 @@ class PaddingBoundExceeded(ValueError):
 
 
 def _pad(pairs: StringPairs, target):
-    """Pad column ``target(family, xs, ys)`` of the rows once per round until
-    it is None.  Returns the moves (dx, dy) and the final StringPairs."""
+    """Pad column ``target(slacks)`` of the rows, given the round's list of
+    slacks, until it is None.  Returns the moves (dx, dy) and the final StringPairs."""
     family = pairs.family
     xs, ys = list(pairs.xs), list(pairs.ys)
     n = pairs.n
     moves = []
-    while (i := target(family, xs, ys)) is not None:
+    while (i := target(list(staircase_slacks(family, zip(xs, ys))))) is not None:
         x, y = xs[i], ys[i]
         if x < y:
             dx, dy = x + 1, x
@@ -174,11 +170,11 @@ def _pad(pairs: StringPairs, target):
     return tuple(moves), (StringPairs(family, tuple(zip(xs, ys))) if moves else pairs)
 
 
-def _first_unstepped(family: str, xs, ys, skip=()):
-    """The first column outside ``skip`` whose column slack is not 0 or 1 (in
-    both families, x - y is not 0 or 1: not a staircase step), or None."""
-    column_slacks = islice(staircase_slacks(family, zip(xs, ys)), 0, None, 2)
-    return next((i for i, slack in enumerate(column_slacks)
+def _first_unstepped(slacks, skip=()):
+    """The first column outside ``skip`` whose column slack (entry 2i of the
+    slacks) is not 0 or 1 (in both families, x - y is not 0 or 1: not a
+    staircase step), or None."""
+    return next((i for i, slack in enumerate(slacks[::2])
                  if slack not in (0, 1) and i not in skip), None)
 
 
@@ -190,12 +186,12 @@ def full_staircase(pairs: StringPairs):
     return tuple(_Steps(pairs, moves)), final
 
 
-def _outside_base(family: str, xs, ys):
+def _outside_base(slacks):
     """The first column that is not a staircase step, skipping the base at
     the first negative slack j: column j // 2, and the next one when j is a
     gap.  The insertions re-sort globally, so each round re-locates it."""
-    i, gap = divmod(_first_slack(family, zip(xs, ys), lambda slack: slack < 0), 2)
-    return _first_unstepped(family, xs, ys, {i, i + gap})
+    i, gap = divmod(next(j for j, slack in enumerate(slacks) if slack < 0), 2)
+    return _first_unstepped(slacks, (i, i + gap))
 
 
 def _base_at(pairs: StringPairs):

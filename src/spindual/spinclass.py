@@ -28,11 +28,11 @@ from itertools import chain
 from time import perf_counter_ns
 
 from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
-from .weyl import GenuineParam, GroupTag, dominantize, _mu_blocks
+from .weyl import GenuineParam, GroupTag, _dominant, _mu_blocks
 from .glclass import GLStatus, CompParams, _classify_symmetric, _multiplicity_layers
 # not called here: bench/tracing.py wraps these names on this module
 from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
-from .weyl import hermitian_witness  # noqa: F401
+from .weyl import dominantize, hermitian_witness  # noqa: F401
 
 
 class MalformedParameter(ValueError):
@@ -50,6 +50,7 @@ _SHARED_BOUND = 32
 _SHARED_COLUMNS = {(x, y): (x, y)
                    for x in range(_SHARED_BOUND) for y in range(_SHARED_BOUND)}
 _INT_ONLY = {int}
+_THREE_HALVES, _MINUS_HALF = Fraction(3, 2), -HALF  # the entries of eta(q)
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,24 @@ def _doubled(n_half) -> list:
     return doubled
 
 
+class _HalfTable(dict):
+    """Fraction(d, 2) by doubled value d; stored only when |d| < _HALVES_BOUND."""
+    def __missing__(self, d):
+        v = Fraction(d, 2)
+        if -_HALVES_BOUND < d < _HALVES_BOUND:
+            self[d] = v
+        return v
+
+
+_HALVES_BOUND, _HALF_OF = 512, _HalfTable()
+
+
 def _halves(doubled) -> tuple:
-    """Back from doubled values to the Fractions v."""
-    return tuple(Fraction(d, 2) for d in doubled)
+    """Back from doubled values to the Fractions v.  Below the bound each v
+    is built once and shared, as small columns are: the table rows hold a
+    few dozen distinct values in tens of thousands of entries, and the
+    garbage collector walks every Fraction object."""
+    return tuple(map(_HALF_OF.__getitem__, doubled))
 
 
 def _runs(doubled) -> list:
@@ -317,7 +333,7 @@ def staircase_slacks(family: str, cols):
         B:  y_i + 1 - x_i   and  x_i - y_{i+1}.
 
     An inequality holds when its slack is >= 0 and is strict when it is > 0.
-    The slacks come lazily, left to right, so a scan can stop at the first.
+    The slacks come lazily, left to right; padding and peeling list them once per round.
     """
     d = family == "D"
     gap_from = None             # y_i in family D, x_i in family B
@@ -328,23 +344,17 @@ def staircase_slacks(family: str, cols):
         gap_from = y if d else x
 
 
-def _first_slack(family: str, cols, test):
-    """The index of the first slack of the columns that passes the test, or None."""
-    return next((j for j, s in enumerate(staircase_slacks(family, cols)) if test(s)), None)
-
-
 def unitarity_test(pairs: StringPairs) -> UnitarityResult:
     """The staircase inequalities, reporting the leftmost violation.
 
     ``strict`` means every slack is positive, i.e. the parameter is an
     isolated unipotent one.  Empty pairs are satisfied and strict.
     """
-    strict = True
-    for j, slack in enumerate(staircase_slacks(pairs.family, pairs.pairs)):
+    slacks = list(staircase_slacks(pairs.family, pairs.pairs))
+    for j, slack in enumerate(slacks):
         if slack < 0:
             return UnitarityResult(False, index=j // 2 + 1, kind=("column", "gap")[j % 2])
-        strict = strict and slack > 0
-    return UnitarityResult(True, strict=strict)
+    return UnitarityResult(True, strict=0 not in slacks)
 
 
 def peel_stein_factors(pairs: StringPairs):
@@ -356,37 +366,30 @@ def peel_stein_factors(pairs: StringPairs):
     CompParams at t = 1/2 and ``core`` is a StringPairs satisfying the strict
     inequalities (or None when everything peels away).
     """
-    factors, core = _peel(pairs, _satisfied(pairs))
+    factors, core = _peel(pairs, unitarity_test(pairs))
     return factors, (core if core.pairs else None)
 
 
-def _satisfied(pairs: StringPairs) -> UnitarityResult:
-    """The staircase test of pairs, which peeling requires to be satisfied."""
-    staircase = unitarity_test(pairs)
+def _peel(pairs: StringPairs, staircase: UnitarityResult):
+    """Peeling of pairs whose staircase test is ``staircase``, which must be
+    satisfied: (factors, core), the core a strict StringPairs, possibly empty.
+    A strict input peels nothing and is its own core; otherwise the core is
+    built once, tested, and asserted strict."""
     if not staircase:
         raise ValueError("peeling requires the staircase inequalities")
-    return staircase
-
-
-def _peel(pairs: StringPairs, staircase: UnitarityResult):
-    """Peeling of pairs whose staircase test ``staircase`` is satisfied:
-    (factors, core), the core a strict StringPairs, possibly empty.  A strict
-    input peels nothing and is its own core; otherwise the core is built
-    once, tested, and asserted strict."""
     if staircase.strict:
         return (), pairs
     fam = pairs.family
     factors = []
     cols = list(pairs.pairs)
-    while (j := _first_slack(fam, cols, lambda slack: slack == 0)) is not None:
-        i = j // 2
-        if j % 2 == 0:
-            x, y = cols.pop(i)
-            size = x + y
-        else:
+    while 0 in (slacks := list(staircase_slacks(fam, cols))):
+        i, gap = divmod(slacks.index(0), 2)
+        if gap:
             (x, y), (x2, y2) = cols[i], cols[i + 1]
             size, merged = (x2 + y, (x, y2)) if fam == "D" else (x + y2, (x2, y))
             cols[i:i + 2] = [merged]
+        else:
+            size = sum(cols.pop(i))
         factors.append(CompParams(size, HALF))
     core = StringPairs(fam, tuple(cols))
     assert unitarity_test(core).strict
@@ -398,18 +401,19 @@ def _peel(pairs: StringPairs, staircase: UnitarityResult):
 
 def build_certificate(pairs: StringPairs) -> "UnitaryCertificate":
     """Certificate of a satisfied parameter: peeled factors, core, orbit."""
-    return _certificate(pairs, _satisfied(pairs))
+    return _certificate(pairs, unitarity_test(pairs))
 
 
-def _certificate(pairs: StringPairs, staircase: UnitarityResult) -> "UnitaryCertificate":
+def _certificate(pairs: StringPairs, staircase: UnitarityResult,
+                 gl_factors: tuple = ()) -> "UnitaryCertificate":
     """:func:`build_certificate` of pairs whose staircase test ``staircase``
-    is satisfied; :func:`classify` holds that test, so it calls this."""
+    is satisfied, with GL factors; :func:`classify` holds both, so it calls this."""
     from . import orbits as orbits_mod
     factors, core = _peel(pairs, staircase)
     if not core.pairs:
-        return UnitaryCertificate(factors)
+        return UnitaryCertificate(factors, gl_factors)
     # _peel's core is strict
-    return UnitaryCertificate(factors, (), core, orbits_mod._strict_core_orbit(core))
+    return UnitaryCertificate(factors, gl_factors, core, orbits_mod._strict_core_orbit(core))
 
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
@@ -419,11 +423,11 @@ def eta_weight(family: str, n: int, q: int) -> tuple:
     if family == "D":
         if not 0 <= q <= n - 1:
             raise ValueError(f"eta({q}) undefined at rank {n} in family D")
-        last = HALF if q % 2 == 0 else -HALF
-        return (Fraction(3, 2),) * q + (HALF,) * (n - q - 1) + (last,)
+        last = HALF if q % 2 == 0 else _MINUS_HALF
+        return (_THREE_HALVES,) * q + (HALF,) * (n - q - 1) + (last,)
     if not 0 <= q <= n:
         raise ValueError(f"eta({q}) undefined at rank {n} in family B")
-    return (Fraction(3, 2),) * q + (HALF,) * (n - q)
+    return (_THREE_HALVES,) * q + (HALF,) * (n - q)
 
 
 @dataclass(frozen=True)
@@ -636,9 +640,8 @@ def classify(p: GenuineParam) -> Verdict:
         stages.record("genuine", "integral mu")
         return stages.verdict(Status.NOT_GENUINE)
     stages.record("genuine", "genuine")
-    dom = dominantize(p)
-    q0 = dom.param
-    stages.record("dominantize", "diagram flip" if dom.outer_applied else "dominant", q0)
+    q0, outer, _ = _dominant(p)
+    stages.record("dominantize", "diagram flip" if outer else "dominant", q0)
     L, mu_ints, nu_ints = q0.integer_form
     # mu-blocks read off the integer form; a block's value is q0.mu[start]
     blocks = _mu_blocks(mu_ints)
@@ -691,15 +694,14 @@ def classify(p: GenuineParam) -> Verdict:
         stages.record("extract_pairs", "malformed", str(exc))
         return stages.non_unitary(
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
-    value_of = dict(zip(nu_ints, q0.nu))
+    # the half-class reads the parameter's own Fractions of the mu = 1/2 block
+    value_of = dict(zip(nu_ints[start:], q0.nu[start:]))
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
                   tuple(map(value_of.__getitem__, core_plus)), pairs, pairs.k)
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        base = _certificate(pairs, result)
-        cert = UnitaryCertificate(base.stein_factors, tuple(gl_factors),
-                                  base.core, base.orbit)
+        cert = _certificate(pairs, result, tuple(gl_factors))
         stages.record("certificate", "strict core" if cert.core is not None else "no core",
                       cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
@@ -707,10 +709,9 @@ def classify(p: GenuineParam) -> Verdict:
     normal = rewriter._normalize(pairs, result)
     stages.record("normalize", "normalized", result.kind, result.index,
                   normal.base, len(normal.moves))
-    wit = witness(pairs, normal)
-    if not normal.moves:
-        # no padding: the witness lives on the original group
-        wit = _eta_witness_full(q0.mu, start, stop, p.group, wit.q)
+    # without padding the witness lives on the original group
+    wit = witness(pairs, normal) if normal.moves else _eta_witness_full(
+        q0.mu, start, stop, p.group, _eta_index(pairs.family, normal.base))
     return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)
 
 
@@ -722,17 +723,19 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     which is the group the returned K-type names.  Returns None for a
     satisfied normal form, which has no base.
     """
-    from .rewriter import CaseI
-    base = normal_form.base
-    if base is None:
+    if normal_form.base is None:
         return None
-    n = normal_form.final.n
-    fam = pairs.family
+    fam, n2 = pairs.family, 2 * normal_form.final.n
+    q = _eta_index(fam, normal_form.base)
+    return SpinRelevantKType(q, eta_weight(fam, n2, q), GroupTag(fam, n2))
+
+
+def _eta_index(family: str, base) -> int:
+    """q of the witness eta(q) that a Case I / Case II base carries."""
+    from .rewriter import CaseI
     if isinstance(base, CaseI):
-        q = 2 * base.a + 1 if fam == "D" else 2 * base.b + 2
-    else:
-        q = 2 * base.e + 2 if fam == "D" else 2 * base.c + 1
-    return SpinRelevantKType(q, eta_weight(fam, 2 * n, q), GroupTag(fam, 2 * n))
+        return 2 * base.a + 1 if family == "D" else 2 * base.b + 2
+    return 2 * base.e + 2 if family == "D" else 2 * base.c + 1
 
 
 # ---------------------------------------------------------------------------

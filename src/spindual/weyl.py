@@ -195,10 +195,21 @@ def dominantize(p: GenuineParam) -> DominantForm:
     parameter whose mu is dominant already is its own dominant form, with
     the identity element.
     """
+    q, outer, moved = _dominant(p)
+    if moved is None:
+        return DominantForm(q, WeylElement.identity(p.group.rank), outer)
+    return DominantForm(q, WeylElement(*moved), outer)
+
+
+def _dominant(p: GenuineParam):
+    """(dominant parameter, outer flag, (perm, signs)) of :func:`dominantize`,
+    with the element's rows as tuples, or None in their place for an input
+    that is dominant already.  ``spinclass.classify`` reads no element, so it
+    calls this and builds none."""
     n = p.group.rank
     L, mu, nu = p.integer_form
     if min(mu) >= 0 and list(mu) == sorted(mu, reverse=True):
-        return DominantForm(p, WeylElement.identity(n), False)
+        return p, False, None
     signs = [-1 if m < 0 else 1 for m in mu]
     if p.group.family == "D" and signs.count(-1) % 2 == 1:
         # leave the flip of smallest |mu| undone; D-dominance allows a
@@ -219,7 +230,6 @@ def dominantize(p: GenuineParam) -> DominantForm:
         out_signs.append(s)
         mu_row.append(flipped_mu[j])
         nu_row.append(nu[j] if s == 1 else -nu[j])
-    w = WeylElement(tuple(perm), tuple(out_signs))
     outer = p.group.family == "D" and mu_row[-1] < 0
     if outer:
         mu_row[-1], nu_row[-1] = -mu_row[-1], -nu_row[-1]
@@ -231,7 +241,7 @@ def dominantize(p: GenuineParam) -> DominantForm:
         value_of[s] = -value_of[-s]
     q = GenuineParam._with_integer_form(
         p.group, *(tuple(map(value_of.__getitem__, v)) for v in ints), (L, *ints))
-    return DominantForm(q, w, outer)
+    return q, outer, (tuple(perm), tuple(out_signs))
 
 
 def _mu_blocks(mu):

@@ -6,7 +6,8 @@ least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
 including ``None`` and the ``ValueError`` on non-dominant mu.  ``classify``
 decides Hermitian symmetry per mu-block without building a Weyl element;
-it agrees with ``hermitian_witness`` on the dominant form.
+it agrees with ``hermitian_witness`` on the dominant form.  It reads the
+dominant form through ``weyl._dominant``, which builds no element either.
 """
 
 from collections import Counter
@@ -21,7 +22,7 @@ from spindual.spinclass import (
 )
 from spindual.weyl import (
     DimensionError, DominantForm, GenuineParam, GroupTag, WeylElement, apply,
-    dominantize, hermitian_witness, _mu_blocks,
+    dominantize, hermitian_witness, _dominant, _mu_blocks,
 )
 from tests.test_glclass import layer_chains
 
@@ -195,6 +196,19 @@ def hermitian_nu(draw, mu):
 @given(params())
 def test_dominantize_matches_reference(p):
     assert dominantize(p) == dominantize_reference(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params())
+def test_classify_dominant_twin_matches_dominantize(p):
+    # classify reads the parameter and the outer flag and builds no element
+    q, outer, moved = _dominant(p)
+    dom = dominantize(p)
+    assert (q, outer) == (dom.param, dom.outer_applied)
+    if moved is None:
+        assert q is p and dom.weyl == WeylElement.identity(p.group.rank)
+    else:
+        assert WeylElement(*moved) == dom.weyl
 
 
 @settings(max_examples=400, deadline=None)
