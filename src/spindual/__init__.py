@@ -18,7 +18,7 @@ from .glclass import (
 )
 from .spinclass import (
     MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs,
-    UnitaryCertificate, Verdict, classify, decompose_alpha_beta,
+    UnitaryCertificate, Verdict, classify, classify_pairs, decompose_alpha_beta,
     enumerate_pairs, eta_weight, extract_pairs, pairs_to_param, partition_nt,
     peel_stein_factors, staircase_slacks, transcript, unitarity_test, witness,
 )

@@ -4,6 +4,8 @@ Subcommands: classify, table, enumerate, rewrite, orbit, verify-chain.
 Parameters come from ``--pairs "x1,..;y1,.."`` with ``--group``, from a JSON
 document (``--file`` or stdin) with fields {group, rank, mu, nu} or
 {group, pairs: {x: [...], y: [...]}}, or from explicit ``--mu/--nu`` lists.
+String pairs and table rows are classified by ``classify_pairs``, which gives
+the verdict of ``classify`` on their parameter without extracting them again.
 Rationals are serialized as strings like "3/2" to keep output exact.
 
 Exit codes: 0 unitary, 3 non-unitary (or module error), 4 not Hermitian or
@@ -20,7 +22,7 @@ import sys
 from .halfint import frac, fmt
 from .weyl import GenuineParam, GroupTag, DimensionError
 from .spinclass import (
-    MalformedParameter, Status, StringPairs, Verdict, classify,
+    MalformedParameter, Status, StringPairs, Verdict, _classify_pairs, classify,
     enumerate_pairs, pairs_to_param, transcript,
 )
 # not called here: bench/tracing.py wraps ``cli.unitarity_test``, so the
@@ -69,7 +71,16 @@ def _json_row(doc: dict, key: str) -> list:
     return [_json_int(v, f"pairs.{key} entry") for v in row]
 
 
-def _param_from_document(doc: dict) -> GenuineParam:
+def _pairs_input(pairs: StringPairs):
+    """(parameter, pairs) of string-pair input to classify, which pads at
+    most to n = rewriter.MAX_PADDED_N, so larger pairs are rejected first."""
+    if pairs.n > rewriter.MAX_PADDED_N:
+        raise ParseError(f"pairs of total size {pairs.n} exceed the bound "
+                         f"{rewriter.MAX_PADDED_N} of classify")
+    return pairs_to_param(pairs), pairs
+
+
+def _param_from_document(doc: dict):
     try:
         family = doc["group"]
         if "pairs" in doc:
@@ -77,22 +88,22 @@ def _param_from_document(doc: dict) -> GenuineParam:
             ys = _json_row(doc, "y")
             if len(xs) != len(ys):
                 raise ParseError("x-row and y-row have different lengths")
-            pairs = StringPairs(family, tuple(zip(xs, ys)))
-            return pairs_to_param(pairs)
+            return _pairs_input(StringPairs(family, tuple(zip(xs, ys))))
         mu = [frac(s) for s in _json_list(doc["mu"], "mu", "rationals")]
         nu = [frac(s) for s in _json_list(doc["nu"], "nu", "rationals")]
         rank = _json_int(doc["rank"], "rank") if "rank" in doc else len(mu)
-        return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu))
+        return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu)), None
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError, DimensionError, MalformedParameter) as exc:
         raise ParseError(f"invalid parameter document: {exc}") from None
 
 
-def _load_document(args) -> GenuineParam:
+def _load_document(args):
+    """The parameter to classify, and the string pairs it was built from
+    (None when it was given by mu and nu)."""
     if args.pairs:
-        pairs = _parse_pairs(args.pairs, args.group)
-        return pairs_to_param(pairs)
+        return _pairs_input(_parse_pairs(args.pairs, args.group))
     if args.mu or args.nu:
         if not (args.mu and args.nu):
             raise ParseError("--mu and --nu must be given together")
@@ -102,7 +113,7 @@ def _load_document(args) -> GenuineParam:
             if len(mu) != len(nu):
                 raise ParseError("mu and nu have different lengths")
             rank = len(mu) if args.rank is None else args.rank
-            return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu))
+            return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu)), None
         except (DimensionError, ValueError) as exc:
             raise ParseError(str(exc)) from None
     try:
@@ -170,8 +181,8 @@ def _trace_record(event) -> dict:
 
 
 def cmd_classify(args) -> int:
-    p = _load_document(args)
-    verdict = classify(p)
+    p, pairs = _load_document(args)
+    verdict = classify(p) if pairs is None else _classify_pairs(pairs, p)
     if args.trace:
         for event in verdict.chain:
             print(json.dumps(_trace_record(event)), file=sys.stderr)
@@ -202,7 +213,7 @@ def cmd_classify(args) -> int:
 
 def _row_for(pairs: StringPairs):
     p = pairs_to_param(pairs)
-    verdict = classify(p)
+    verdict = _classify_pairs(pairs, p)
     if verdict.status is Status.UNITARY:
         # strict staircase inequalities are exactly those with nothing to peel
         tag = "Yes" if verdict.certificate.stein_factors else "Yes - unipotent"
@@ -219,7 +230,7 @@ def _row_for(pairs: StringPairs):
 
 
 # rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
-# B 24,842 rows); table --rank 20 takes ~3-4.5 s (D) and ~5.5-7 s (B) on 2 CPUs
+# B 24,842 rows); table --rank 20 takes ~1.8 s (D) and ~3.5 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
 

@@ -4,8 +4,9 @@ Inducing a shift-1/2 factor whose continuous parameter is the column (dx; dy)
 adds its string to the +1/2 residue class.  On the string-pair matrix this is
 an integer row operation on two int rows (``_row_insert``): dx joins the
 x-row and dy the y-row, and the columns re-pair by position.  Padding reads
-one list of staircase slacks per round, validates one StringPairs at the end,
-and replays its moves (dx, dy) into InductionSteps only when those are read.
+one list of staircase slacks per round (the last one also locates the base),
+validates one StringPairs at the end, and replays its moves (dx, dy) into
+InductionSteps only when those are read.
 Repeated insertions normalize:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
@@ -148,12 +149,13 @@ class PaddingBoundExceeded(ValueError):
 
 def _pad(pairs: StringPairs, target):
     """Pad column ``target(slacks)`` of the rows, given the round's list of
-    slacks, until it is None.  Returns the moves (dx, dy) and the final StringPairs."""
+    slacks, until it is None.  Returns the moves (dx, dy), the final
+    StringPairs and the slacks of the final state (the last round's list)."""
     family = pairs.family
     xs, ys = list(pairs.xs), list(pairs.ys)
     n = pairs.n
     moves = []
-    while (i := target(list(staircase_slacks(family, zip(xs, ys))))) is not None:
+    while (i := target(slacks := list(staircase_slacks(family, zip(xs, ys))))) is not None:
         x, y = xs[i], ys[i]
         if x < y:
             dx, dy = x + 1, x
@@ -167,7 +169,8 @@ def _pad(pairs: StringPairs, target):
         if n > MAX_PADDED_N:
             raise PaddingBoundExceeded(
                 f"padding {pairs} passes the padded-size bound n = {MAX_PADDED_N}")
-    return tuple(moves), (StringPairs(family, tuple(zip(xs, ys))) if moves else pairs)
+    final = StringPairs(family, tuple(zip(xs, ys))) if moves else pairs
+    return tuple(moves), final, slacks
 
 
 def _first_unstepped(slacks, skip=()):
@@ -182,7 +185,7 @@ def full_staircase(pairs: StringPairs):
     """Pad every column to a staircase step (x - y in {0, 1}): the plain
     rewriting transcript, with no violation preserved.  Returns the
     InductionSteps and the final StringPairs."""
-    moves, final = _pad(pairs, _first_unstepped)
+    moves, final, _ = _pad(pairs, _first_unstepped)
     return tuple(_Steps(pairs, moves)), final
 
 
@@ -194,11 +197,11 @@ def _outside_base(slacks):
     return _first_unstepped(slacks, (i, i + gap))
 
 
-def _base_at(pairs: StringPairs):
-    """The base at the first negative slack of :func:`staircase_slacks`.
-    Returns the base, its column indices and the number of negative slacks."""
-    negative = [j for j, slack in enumerate(staircase_slacks(pairs.family, pairs.pairs))
-                if slack < 0]
+def _base_at(pairs: StringPairs, slacks: list):
+    """The base at the first negative slack, given the list of the pairs'
+    :func:`staircase_slacks`.  Returns the base, its column indices and the
+    number of negative slacks."""
+    negative = [j for j, slack in enumerate(slacks) if slack < 0]
     i, gap = divmod(negative[0], 2)
     (x, y), (x2, y2) = pairs.pairs[i], pairs.pairs[i + gap]
     return (CaseII(x, x2, y, y2) if gap else CaseI(x, y)), {i, i + gap}, len(negative)
@@ -223,8 +226,8 @@ def _normalize(pairs: StringPairs, staircase: UnitarityResult) -> NormalizedBase
         factors, _ = _peel(pairs, staircase)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
-    moves, final = _pad(pairs, _outside_base)
-    base, base_cols, violations = _base_at(final)
+    moves, final, slacks = _pad(pairs, _outside_base)
+    base, base_cols, violations = _base_at(final, slacks)
     # staircase steps cannot create violations next to the base, so the base
     # violation is the only one left
     assert violations == 1, (final, violations)

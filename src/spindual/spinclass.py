@@ -633,8 +633,6 @@ def classify(p: GenuineParam) -> Verdict:
     string pairs and the staircase criterion.  Each stage records a
     :class:`StageEvent` in ``Verdict.chain``; :func:`transcript` renders them.
     """
-    from . import rewriter
-
     stages = _Stages()
     if not p.is_genuine():
         stages.record("genuine", "integral mu")
@@ -698,10 +696,43 @@ def classify(p: GenuineParam) -> Verdict:
     value_of = dict(zip(nu_ints[start:], q0.nu[start:]))
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
                   tuple(map(value_of.__getitem__, core_plus)), pairs, pairs.k)
+    return _pairs_verdict(stages, pairs, tuple(gl_factors), q0, start, stop)
+
+
+def classify_pairs(pairs: StringPairs) -> Verdict:
+    """``classify(pairs_to_param(pairs))``, decided from the pairs.
+
+    That parameter is genuine, dominant and Hermitian, its nu holds the two
+    residue classes +-1/2 with the half-class first, and the pairs extracted
+    from it are ``pairs`` again; so the front-end events are recorded as
+    they stand and the pairs go straight to the staircase test.
+    """
+    return _classify_pairs(pairs, pairs_to_param(pairs))
+
+
+def _classify_pairs(pairs: StringPairs, p: GenuineParam) -> Verdict:
+    """:func:`classify_pairs` with ``p = pairs_to_param(pairs)`` built
+    already; the CLI holds it for the Langlands coordinates, so it calls this."""
+    stages = _Stages()
+    stages.record("genuine", "genuine")
+    stages.record("dominantize", "dominant", p)
+    stages.record("hermitian", "hermitian")
+    stages.record("partition", "unitary", 2)
+    stages.record("extract_pairs", "pairs", p.nu[:pairs.n], pairs, pairs.k)
+    return _pairs_verdict(stages, pairs, (), p, 0, len(p.mu))
+
+
+def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
+                   q0: GenuineParam, start: int, stop: int) -> Verdict:
+    """The stages after extract_pairs, on the string pairs of the mu = 1/2
+    block [start, stop) of the dominant parameter q0: staircase, then
+    certificate, or normalize and witness."""
+    from . import rewriter
+
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        cert = _certificate(pairs, result, tuple(gl_factors))
+        cert = _certificate(pairs, result, gl_factors)
         stages.record("certificate", "strict core" if cert.core is not None else "no core",
                       cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
@@ -711,7 +742,7 @@ def classify(p: GenuineParam) -> Verdict:
                   normal.base, len(normal.moves))
     # without padding the witness lives on the original group
     wit = witness(pairs, normal) if normal.moves else _eta_witness_full(
-        q0.mu, start, stop, p.group, _eta_index(pairs.family, normal.base))
+        q0.mu, start, stop, q0.group, _eta_index(pairs.family, normal.base))
     return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)
 
 

@@ -13,6 +13,7 @@ import pytest
 from spindual import intertwine
 from spindual.cli import MAX_TABLE_RANK, build_parser, main
 from spindual.rewriter import MAX_PADDED_N
+from spindual.spinclass import StringPairs, pairs_to_param
 from tests.test_spinclass import PIPELINE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -252,6 +253,62 @@ def test_classify_trace(capsys, argv):
         assert isinstance(r.pop("stage"), str) and isinstance(r.pop("outcome"), str)
         assert "elapsed_ns" in r
         assert all(type(v) is int for v in r.values()), r
+
+
+def _pairs_inputs(tmp_path, family, pairs_text):
+    """The same string pairs as --pairs, as --mu/--nu lists of their
+    parameter, and as a pairs document."""
+    xs, ys = ([int(v) for v in row.split(",")] for row in pairs_text.split(";"))
+    p = pairs_to_param(StringPairs(family, tuple(zip(xs, ys))))
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"group": family, "pairs": {"x": xs, "y": ys}}))
+    return (["--group", family, "--pairs", pairs_text],
+            ["--group", family, "--mu=" + ",".join(map(str, p.mu)),
+             "--nu=" + ",".join(map(str, p.nu))],
+            ["--file", str(path)])
+
+
+@pytest.mark.parametrize("family, pairs_text", [
+    ("D", "4;0"), ("D", "1;3"), ("D", "2,2;1,1"), ("D", "3,2,2;0,0,0"),
+    ("B", "2,2;0,0"), ("B", "1,1;1,0"), ("B", "3,0;2,1"),
+])
+def test_pairs_input_matches_mu_nu_input(tmp_path, capsys, family, pairs_text):
+    # --pairs and pairs documents classify the pairs directly, --mu/--nu
+    # classifies the parameter: the output is the same
+    for extra in ([], ["--json"]):
+        outputs = [run(capsys, "classify", *argv, *extra)
+                   for argv in _pairs_inputs(tmp_path, family, pairs_text)]
+        assert outputs[0] == outputs[1] == outputs[2], outputs
+        assert outputs[0][0] in (0, 3)
+    traces = []
+    for argv in _pairs_inputs(tmp_path, family, pairs_text):
+        main(["classify", *argv, "--trace"])
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        for r in records:
+            assert type(r.pop("elapsed_ns")) is int
+        traces.append(records)
+    assert traces[0] == traces[1] == traces[2] and traces[0]
+
+
+@pytest.mark.parametrize("family, pairs_text, n", [
+    ("D", f"{MAX_PADDED_N + 1};0", MAX_PADDED_N + 1),
+    ("B", f"{MAX_PADDED_N};1", MAX_PADDED_N + 1),
+    ("D", "10000000;0", 10_000_000),
+])
+def test_pairs_input_size_bound(capsys, family, pairs_text, n):
+    # rejected before the parameter is built: "10000000;0" would need GBs
+    start = time.perf_counter()
+    code, err = run_error(capsys, "classify", "--group", family, "--pairs", pairs_text)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and err == (f"parse error: pairs of total size {n} "
+                                 f"exceed the bound {MAX_PADDED_N} of classify"), err
+
+
+def test_pairs_document_size_bound(tmp_path, capsys):
+    code, err = classify_document(
+        tmp_path, capsys, {"group": "B", "pairs": {"x": [MAX_PADDED_N, 1], "y": [1, 0]}})
+    assert code == 2 and err == (f"parse error: pairs of total size {MAX_PADDED_N + 2} "
+                                 f"exceed the bound {MAX_PADDED_N} of classify"), err
 
 
 @pytest.mark.parametrize("key", ["mu", "nu"])

@@ -1,7 +1,9 @@
 """``classify`` builds each piece of a verdict once.
 
 A NonUnitary verdict builds its eta(q) weight once, on the padded group when
-the rewriter padded and on the input group otherwise.  ``_halves`` shares
+the rewriter padded and on the input group otherwise, and lists the
+staircase slacks once for the staircase test and once per padding round
+(the last round's list also locates the base).  ``_halves`` shares
 the Fractions of small doubled values through a bounded table, so table
 parameters hold few Fraction objects, and ``eta_weight`` reuses module-level
 3/2 and -1/2.
@@ -11,10 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from spindual import spinclass
+from spindual import rewriter, spinclass
 from spindual.spinclass import (
     Status, StringPairs, _HALF_OF, _HALVES_BOUND, _halves, classify, eta_weight,
-    pairs_to_param,
+    pairs_to_param, staircase_slacks,
 )
 
 
@@ -35,6 +37,28 @@ def test_classify_builds_one_eta_weight(monkeypatch, cols, padded):
     assert bool(verdict.normalized.moves) is padded
     assert calls == [("D", verdict.witness.group.rank, verdict.witness.q)]
     assert verdict.witness.weight == eta_weight("D", verdict.witness.group.rank, verdict.witness.q)
+
+
+@pytest.mark.parametrize("cols, padded", [
+    (((1, 3),), False),
+    (((3, 0), (2, 0), (2, 0)), True),
+])
+def test_classify_lists_each_state_once(monkeypatch, cols, padded):
+    calls = []
+
+    def counting(family, columns):
+        calls.append(family)
+        return staircase_slacks(family, columns)
+
+    monkeypatch.setattr(spinclass, "staircase_slacks", counting)
+    monkeypatch.setattr(rewriter, "staircase_slacks", counting)
+    verdict = classify(pairs_to_param(StringPairs("D", cols)))
+    assert verdict.status is Status.NON_UNITARY
+    moves = len(verdict.normalized.moves)
+    assert bool(moves) is padded
+    # the input's staircase test, then one list per padding round: a round
+    # per move and a last one that finds nothing to pad
+    assert len(calls) == 1 + moves + 1
 
 
 def test_halves_are_fractions_inside_and_beyond_the_bound():
