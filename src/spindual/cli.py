@@ -4,8 +4,9 @@ Subcommands: classify, table, enumerate, rewrite, orbit, verify-chain.
 Parameters come from ``--pairs "x1,..;y1,.."`` with ``--group``, from a JSON
 document (``--file`` or stdin) with fields {group, rank, mu, nu} or
 {group, pairs: {x: [...], y: [...]}}, or from explicit ``--mu/--nu`` lists.
-String pairs and table rows are classified by ``classify_pairs``, which gives
-the verdict of ``classify`` on their parameter without extracting them again.
+String pairs are classified by ``classify_pairs``, which gives the verdict of
+``classify`` on their parameter without extracting them again; a table row
+is read off the staircase test and the doubled integers alone.
 Rationals are serialized as strings like "3/2" to keep output exact.
 
 Exit codes: 0 unitary, 3 non-unitary (or module error), 4 not Hermitian or
@@ -18,16 +19,14 @@ import functools
 import json
 import math
 import sys
+from operator import add, sub
 
 from .halfint import frac, fmt
 from .weyl import GenuineParam, GroupTag, DimensionError
 from .spinclass import (
-    MalformedParameter, Status, StringPairs, Verdict, _classify_pairs, classify,
-    enumerate_pairs, pairs_to_param, transcript,
+    MalformedParameter, Status, StringPairs, Verdict, _classify_pairs, _doubled_nu,
+    _eta_index, classify, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
 )
-# not called here: bench/tracing.py wraps ``cli.unitarity_test``, so the
-# name must still resolve on this module
-from .spinclass import unitarity_test  # noqa: F401
 from . import intertwine, orbits, rewriter
 
 
@@ -71,13 +70,17 @@ def _json_row(doc: dict, key: str) -> list:
     return [_json_int(v, f"pairs.{key} entry") for v in row]
 
 
+def _bounded(pairs: StringPairs, bound: int, command: str) -> StringPairs:
+    """``pairs``, checked before ``command`` does any work on them."""
+    if pairs.n > bound:
+        raise ParseError(f"pairs of total size {pairs.n} exceed the bound {bound} of {command}")
+    return pairs
+
+
 def _pairs_input(pairs: StringPairs):
     """(parameter, pairs) of string-pair input to classify, which pads at
     most to n = rewriter.MAX_PADDED_N, so larger pairs are rejected first."""
-    if pairs.n > rewriter.MAX_PADDED_N:
-        raise ParseError(f"pairs of total size {pairs.n} exceed the bound "
-                         f"{rewriter.MAX_PADDED_N} of classify")
-    return pairs_to_param(pairs), pairs
+    return pairs_to_param(_bounded(pairs, rewriter.MAX_PADDED_N, "classify")), pairs
 
 
 def _param_from_document(doc: dict):
@@ -131,22 +134,47 @@ def _load_document(args):
     return _param_from_document(doc)
 
 
-def _langlands_text(p: GenuineParam) -> dict:
-    """lambda_L = (nu+mu)/2 and lambda_R = (nu-mu)/2 as text, read off the
-    integer form: each entry is k/2L, put in lowest terms by one gcd."""
-    L, mu, nu = p.integer_form
+class _Texts(dict):
+    """The text of k/den in lowest terms by k, for one den; stored only when
+    |k| < _TEXT_BOUND."""
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
 
-    def text(k: int) -> str:
-        g = math.gcd(k, 2 * L)
-        return str(k // g) if g == 2 * L else f"{k // g}/{2 * L // g}"
-    return {"lambda_L": [text(n + m) for m, n in zip(mu, nu)],
-            "lambda_R": [text(n - m) for m, n in zip(mu, nu)]}
+    def __missing__(self, k: int) -> str:
+        g = math.gcd(k, self.den)
+        text = str(k // g) if g == self.den else f"{k // g}/{self.den // g}"
+        if -_TEXT_BOUND < k < _TEXT_BOUND:
+            self[k] = text
+        return text
+
+
+class _TextTables(dict):
+    """:class:`_Texts` by den; stored only when den < _DEN_BOUND."""
+    def __missing__(self, den: int) -> _Texts:
+        texts = _Texts(den)
+        if den < _DEN_BOUND:
+            self[den] = texts
+        return texts
+
+
+_TEXT_BOUND, _DEN_BOUND, _TEXTS_OF = 512, 16, _TextTables()
+
+
+def _langlands_text(L: int, mu, nu) -> dict:
+    """lambda_L = (nu+mu)/2 and lambda_R = (nu-mu)/2 as text, from the integer
+    form (L, mu, nu): each entry is k/2L in lowest terms.  A table row holds
+    a few dozen distinct k in up to 80 entries, so each text is rendered once
+    and shared, as ``spinclass._halves`` shares Fractions."""
+    text = _TEXTS_OF[2 * L].__getitem__
+    return {"lambda_L": list(map(text, map(add, nu, mu))),
+            "lambda_R": list(map(text, map(sub, nu, mu)))}
 
 
 def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:
     doc = {
         "status": verdict.status.value,
-        "langlands": _langlands_text(p),
+        "langlands": _langlands_text(*p.integer_form),
         "transcript": list(transcript(verdict)),
     }
     if verdict.witness is not None:
@@ -212,25 +240,27 @@ def cmd_classify(args) -> int:
 
 
 def _row_for(pairs: StringPairs):
-    p = pairs_to_param(pairs)
-    verdict = _classify_pairs(pairs, p)
-    if verdict.status is Status.UNITARY:
-        # strict staircase inequalities are exactly those with nothing to peel
-        tag = "Yes" if verdict.certificate.stein_factors else "Yes - unipotent"
-        witness = ""
+    """A table row, from the staircase test and the doubled nu of
+    ``pairs_to_param(pairs)`` (L = 2, mu all 1): the calls the verdict of
+    ``classify_pairs`` makes for its status, strictness and eta(q), without
+    building the parameter, its stage events or a certificate."""
+    result = unitarity_test(pairs)
+    if result:
+        tag, witness = ("Yes - unipotent" if result.strict else "Yes"), ""
     else:
-        tag = "No"
-        witness = f"eta({verdict.witness.q})"
+        base = rewriter._normalize(pairs, result).base
+        tag, witness = "No", f"eta({_eta_index(pairs.family, base)})"
+    nu = _doubled_nu(pairs)
     return {
         "pairs": str(pairs),
-        **_langlands_text(p),
+        **_langlands_text(2, (1,) * len(nu), nu),
         "verdict": tag,
         "witness": witness,
     }
 
 
 # rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
-# B 24,842 rows); table --rank 20 takes ~1.8 s (D) and ~3.5 s (B) on 2 CPUs
+# B 24,842 rows); table --rank 20 takes ~1.2 s (D) and ~2.3 s (B) on 2 CPUs
 MAX_TABLE_RANK = 20
 
 
@@ -279,7 +309,8 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    pairs = _parse_pairs(args.pairs, args.group)
+    # the orbit's work grows linearly with n, so it takes classify's bound
+    pairs = _bounded(_parse_pairs(args.pairs, args.group), rewriter.MAX_PADDED_N, "orbit")
     try:
         orbit = orbits.attach_orbit(pairs)
     except orbits.NotStrictCore as exc:
@@ -304,10 +335,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify_chain(args) -> int:
-    pairs = _parse_pairs(args.pairs, args.group)
-    if pairs.n > intertwine.MAX_SCRIPT_SIZE:
-        raise ParseError(f"pairs of total size {pairs.n} exceed the bound "
-                         f"{intertwine.MAX_SCRIPT_SIZE} of verify-chain")
+    pairs = _bounded(_parse_pairs(args.pairs, args.group), intertwine.MAX_SCRIPT_SIZE,
+                     "verify-chain")
     try:
         parts = intertwine.build_case_script(args.group, pairs.pairs)
     except intertwine.ScriptError as exc:

@@ -141,11 +141,18 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
     its negation (descending), matching the Langlands-coordinate convention
     of the classification tables.  Its integer form (L = 2) is built first.
     """
-    half = sorted((d for x, y in pairs.pairs for d in _doubled_string(x, y)), reverse=True)
-    doubled = (*half, *(-d for d in reversed(half)))
-    n2 = 2 * pairs.n
+    doubled = _doubled_nu(pairs)
+    n2 = len(doubled)
     return GenuineParam._with_integer_form(GroupTag(pairs.family, n2), (HALF,) * n2,
                                            _halves(doubled), (2, (1,) * n2, doubled))
+
+
+def _doubled_nu(pairs: StringPairs) -> tuple:
+    """2 nu of :func:`pairs_to_param`: the doubled half-class descending, then
+    its negation descending.  The CLI's table rows read their Langlands
+    coordinates off these ints without building the parameter."""
+    half = sorted((d for x, y in pairs.pairs for d in _doubled_string(x, y)), reverse=True)
+    return (*half, *(-d for d in reversed(half)))
 
 
 def _partition_scaled(L: int, ints) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spindual import intertwine
+from spindual import intertwine, orbits
 from spindual.cli import MAX_TABLE_RANK, build_parser, main
 from spindual.rewriter import MAX_PADDED_N
 from spindual.spinclass import StringPairs, pairs_to_param
@@ -434,6 +434,25 @@ def test_verify_chain_size_bound(capsys, monkeypatch):
         assert time.perf_counter() - start < 0.5
         assert code == 2 and err == (f"parse error: pairs of total size {size + 1} "
                                      f"exceed the bound {size} of verify-chain"), err
+
+
+def test_orbit_size_bound(capsys, monkeypatch):
+    # the orbit of a strict core at the bound is still attached
+    code, out = run(capsys, "orbit", "--group", "D", "--pairs", f"{MAX_PADDED_N};0")
+    assert code == 0 and out.startswith("orbit [")
+
+    def unattached(*args):
+        raise AssertionError("an orbit was attached above the bound")
+
+    monkeypatch.setattr(orbits, "attach_orbit", unattached)
+    for family, pairs in (("D", f"{MAX_PADDED_N + 1};0"), ("B", f"{MAX_PADDED_N};1"),
+                          ("D", "10000000;0")):
+        n = sum(map(int, pairs.split(";")))
+        start = time.perf_counter()
+        code, err = run_error(capsys, "orbit", "--group", family, "--pairs", pairs)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and err == (f"parse error: pairs of total size {n} "
+                                     f"exceed the bound {MAX_PADDED_N} of orbit"), err
 
 
 def test_padding_bound(capsys):
