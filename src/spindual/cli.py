@@ -165,7 +165,7 @@ def _langlands_text(L: int, mu, nu) -> dict:
     """lambda_L = (nu+mu)/2 and lambda_R = (nu-mu)/2 as text, from the integer
     form (L, mu, nu): each entry is k/2L in lowest terms.  A table row holds
     a few dozen distinct k in up to 80 entries, so each text is rendered once
-    and shared, as ``spinclass._halves`` shares Fractions."""
+    and shared, as ``halfint.unscaled`` shares Fractions."""
     text = _TEXTS_OF[2 * L].__getitem__
     return {"lambda_L": list(map(text, map(add, nu, mu))),
             "lambda_R": list(map(text, map(sub, nu, mu)))}

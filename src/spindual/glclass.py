@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, is_sign, scaled, fmt, fmt_vec, HALF
+from .halfint import frac, vec, is_sign, ratio, scaled, fmt, fmt_vec, HALF
 
 try:
     # the C loop that Counter.update runs (CPython), counting into any
@@ -168,7 +168,7 @@ def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
         if doubled_center == 0:
             trivial.append(TrivialString(len(layer), s))
         elif doubled_center > 0:
-            t = Fraction(doubled_center, 2 * L)
+            t = ratio(doubled_center, 2 * L)
             if doubled_center < 2 * L:
                 stein.append(SteinPair(len(layer), t, s))
                 continue

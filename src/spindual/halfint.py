@@ -6,7 +6,12 @@ deformations of complementary series.  The classification (genuineness,
 dominance, the Hermitian check, residue classes, string extraction, GL
 blocks) runs on the integers L*v of a parameter scaled once by a common
 denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``;
-:func:`residue`).  No floating point is used.
+:func:`residue`).  The way back, :func:`unscaled` (and :func:`ratio` for
+one value), reads the Fractions k/L off one bounded table shared by the
+whole package: a parameter built from its integer form, the half-integers
+of string pairs (L = 2), the GL factors and the Langlands coordinates hold
+few distinct values in many entries, so each is built once, and the
+garbage collector walks few Fraction objects.  No floating point is used.
 """
 
 import math
@@ -72,6 +77,47 @@ def scaled(values) -> tuple:
     ratios = [v.as_integer_ratio() for v in values]
     L = math.lcm(*{d for _, d in ratios})
     return L, tuple([n * (L // d) for n, d in ratios])
+
+
+class _RatioTable(dict):
+    """Fraction(k, L) by k for one denominator L; an entry is kept only when
+    |k| < _RATIO_BOUND."""
+
+    def __init__(self, L: int):
+        self.L = L
+
+    def __missing__(self, k: int) -> Fraction:
+        v = Fraction(k, self.L)
+        if -_RATIO_BOUND < k < _RATIO_BOUND:
+            self[k] = v
+        return v
+
+
+# at most 15 tables of at most 1,023 entries each
+_RATIO_BOUND, _DENOMINATOR_BOUND = 512, 16
+_RATIO_TABLES = {}
+
+
+def _ratio_table(L: int) -> _RatioTable:
+    """The shared table of denominator L, or a table for one call when L is
+    past the bound."""
+    table = _RATIO_TABLES.get(L)
+    if table is None:
+        table = _RatioTable(L)
+        if L < _DENOMINATOR_BOUND:
+            _RATIO_TABLES[L] = table
+    return table
+
+
+def ratio(k: int, L: int) -> Fraction:
+    """The Fraction k/L, from the shared table."""
+    return _ratio_table(L)[k]
+
+
+def unscaled(L: int, ints) -> tuple:
+    """The Fractions k/L of the ints k, inverting :func:`scaled`; each value
+    inside the bounds is one shared object."""
+    return tuple(map(_ratio_table(L).__getitem__, ints))
 
 
 def residue(s: int, L: int) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .halfint import frac, fmt, is_sign, scaled
-from .spinclass import _doubled_string, _halves
+from .halfint import frac, fmt, is_sign, scaled, unscaled
+from .spinclass import _doubled_string
 
 
 class Pole(ArithmeticError):
@@ -355,7 +355,7 @@ def case_i_script_d(a: int, b: int):
     for _ in range(max(a - 1, 0)):
         top = max(d for d, s in seq if s == 1)
         _flip_and_pass(seq, script, top, BarGL)
-    parts.append(("omega", entries(_halves(ascending)), tuple(script)))
+    parts.append(("omega", entries(unscaled(2, ascending)), tuple(script)))
     # dual side: flip the positive tail pairwise, then one descending sort;
     # the flipped tail is what turns negative
     dual = [-d for d in _doubled_string(a, b)]
@@ -366,7 +366,7 @@ def case_i_script_d(a: int, b: int):
     split = len(dual) - len(tail)
     if 0 < split < len(dual):
         script.append(SortDescending(0, split, len(dual)))
-    parts.append(("omega-dual", entries(_halves(dual)), tuple(script)))
+    parts.append(("omega-dual", entries(unscaled(2, dual)), tuple(script)))
     return parts
 
 
@@ -384,7 +384,7 @@ def case_i_script_b(a: int, b: int):
     if a > b + 1:
         script.append(Uncertified(
             "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"))
-    return [("omega", entries(_halves(ascending)), tuple(script))]
+    return [("omega", entries(unscaled(2, ascending)), tuple(script))]
 
 
 def case_ii_script_d(c: int, d: int, e: int, f: int):
@@ -400,7 +400,7 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     script = _pass_block(len(block_de), len(block_f))
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
-    return [("delta", entries(_halves([*block_de, *block_f])), tuple(script))]
+    return [("delta", entries(unscaled(2, [*block_de, *block_f])), tuple(script))]
 
 
 def build_case_script(family: str, pairs):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from time import perf_counter_ns
 
-from .halfint import vec, fmt, fmt_vec, residue, scaled, HALF
+from .halfint import vec, fmt, fmt_vec, ratio, residue, scaled, unscaled, HALF
 from .weyl import GenuineParam, GroupTag, _dominant, _mu_blocks
 from .glclass import GLStatus, CompParams, _classify_symmetric, _multiplicity_layers
 # not called here: bench/tracing.py wraps these names on this module
@@ -123,7 +123,7 @@ class StringPairs:
 
 def string_of_column(x: int, y: int) -> tuple:
     """The descending step-2 string from 2x-3/2 down to 1/2-2y."""
-    return _halves(_doubled_string(x, y))
+    return unscaled(2, _doubled_string(x, y))
 
 
 def _doubled_string(x: int, y: int) -> range:
@@ -139,12 +139,11 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
 
     mu is all 1/2 of length 2n; nu is the +1/2 class (descending) followed by
     its negation (descending), matching the Langlands-coordinate convention
-    of the classification tables.  Its integer form (L = 2) is built first.
+    of the classification tables.  It is built from its integer form (L = 2).
     """
     doubled = _doubled_nu(pairs)
     n2 = len(doubled)
-    return GenuineParam._with_integer_form(GroupTag(pairs.family, n2), (HALF,) * n2,
-                                           _halves(doubled), (2, (1,) * n2, doubled))
+    return GenuineParam._from_integer_form(GroupTag(pairs.family, n2), (2, (1,) * n2, doubled))
 
 
 def _doubled_nu(pairs: StringPairs) -> tuple:
@@ -171,11 +170,8 @@ def partition_nt(nu) -> dict:
 
     Works on nu scaled to integers; each class lists its values descending.
     """
-    nu = vec(nu)
-    L, ints = scaled(nu)
-    value_of = dict(zip(ints, nu))
-    return {Fraction(r, L): tuple(value_of[s] for s in ss)
-            for r, ss in _partition_scaled(L, ints).items()}
+    L, ints = scaled(vec(nu))
+    return {Fraction(r, L): unscaled(L, ss) for r, ss in _partition_scaled(L, ints).items()}
 
 
 def _grouped_classes(L: int, classes: dict):
@@ -216,26 +212,6 @@ def _doubled(n_half) -> list:
             raise MalformedParameter("values must be congruent to 1/2 mod 2")
         doubled.append(v.numerator)
     return doubled
-
-
-class _HalfTable(dict):
-    """Fraction(d, 2) by doubled value d; stored only when |d| < _HALVES_BOUND."""
-    def __missing__(self, d):
-        v = Fraction(d, 2)
-        if -_HALVES_BOUND < d < _HALVES_BOUND:
-            self[d] = v
-        return v
-
-
-_HALVES_BOUND, _HALF_OF = 512, _HalfTable()
-
-
-def _halves(doubled) -> tuple:
-    """Back from doubled values to the Fractions v.  Below the bound each v
-    is built once and shared, as small columns are: the table rows hold a
-    few dozen distinct values in tens of thousands of entries, and the
-    garbage collector walks every Fraction object."""
-    return tuple(map(_HALF_OF.__getitem__, doubled))
 
 
 def _runs(doubled) -> list:
@@ -282,7 +258,7 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
     if family == "D":
         for top, bottom in runs:
             if top < 1 or bottom > 1:
-                run = _halves(range(top, bottom - 1, -4))
+                run = unscaled(2, range(top, bottom - 1, -4))
                 raise MalformedParameter(
                     f"string {fmt_vec(run)} does not pass through 1/2"
                 )
@@ -294,7 +270,7 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
         rest = sorted(v for top, bottom in others if bottom != 1
                       for v in range(bottom, top + 1, 4))
         raise MalformedParameter(
-            f"remaining values {fmt_vec(_halves(rest))} "
+            f"remaining values {fmt_vec(unscaled(2, rest))} "
             "contain no string ending at 1/2"
         )
     return StringPairs("B", _columns(betas + alphas))
@@ -305,8 +281,8 @@ def decompose_alpha_beta(n_half):
     the multiplicity layers; alpha is whatever remains, in ascending order.
     """
     betas, others = _split_betas(_runs(_doubled(n_half)))
-    alpha = _halves(sorted(v for top, bottom in others for v in range(bottom, top + 1, 4)))
-    betas_asc = tuple(_halves(range(bottom, top + 1, 4)) for top, bottom in betas)
+    alpha = unscaled(2, sorted(v for top, bottom in others for v in range(bottom, top + 1, 4)))
+    betas_asc = tuple(unscaled(2, range(bottom, top + 1, 4)) for top, bottom in betas)
     return alpha, betas_asc
 
 
@@ -648,7 +624,6 @@ def classify(p: GenuineParam) -> Verdict:
     q0, outer, _ = _dominant(p)
     stages.record("dominantize", "diagram flip" if outer else "dominant", q0)
     L, mu_ints, nu_ints = q0.integer_form
-    # mu-blocks read off the integer form; a block's value is q0.mu[start]
     blocks = _mu_blocks(mu_ints)
     # q0 is genuine, so no mu-entry is 0 and no sign flip is available: it is
     # Hermitian exactly when each block's nu is closed under negation
@@ -662,7 +637,7 @@ def classify(p: GenuineParam) -> Verdict:
     for m, start, stop in blocks:
         if 2 * m == L:
             break
-        value = q0.mu[start]
+        value = ratio(m, L)
         # the block's nu passed the symmetry test above
         glv = _classify_symmetric(L, nu_ints[start:stop], (1,) * (stop - start))
         if glv.status is GLStatus.NON_UNITARY:
@@ -676,7 +651,7 @@ def classify(p: GenuineParam) -> Verdict:
         stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
-    assert stop == len(q0.mu), blocks
+    assert stop == len(mu_ints), blocks
     classes = _partition_scaled(L, nu_ints[start:])
     core_plus, core_minus, blocks_gl = _grouped_classes(L, classes)
     # both classes descend
@@ -691,18 +666,17 @@ def classify(p: GenuineParam) -> Verdict:
         gl_factors.extend((label, f) for f in glv.factors)
     stages.record("partition", "unitary", len(classes))
     # the +-1/2 core as string pairs
+    # the class is 1/2 mod 2, so each doubled value L*v // (L/2) is an int
+    doubled = [s // (L // 2) for s in core_plus]
     try:
-        # the class is 1/2 mod 2, so each doubled value L*v // (L/2) is an int
-        pairs = _pairs_from_doubled(p.group.family, [s // (L // 2) for s in core_plus])
+        pairs = _pairs_from_doubled(p.group.family, doubled)
     except MalformedParameter as exc:
         # the message, not the exception: exceptions compare by identity
         stages.record("extract_pairs", "malformed", str(exc))
         return stages.non_unitary(
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
-    # the half-class reads the parameter's own Fractions of the mu = 1/2 block
-    value_of = dict(zip(nu_ints[start:], q0.nu[start:]))
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
-                  tuple(map(value_of.__getitem__, core_plus)), pairs, pairs.k)
+                  unscaled(2, doubled), pairs, pairs.k)
     return _pairs_verdict(stages, pairs, tuple(gl_factors), q0, start, stop)
 
 
@@ -725,8 +699,9 @@ def _classify_pairs(pairs: StringPairs, p: GenuineParam) -> Verdict:
     stages.record("dominantize", "dominant", p)
     stages.record("hermitian", "hermitian")
     stages.record("partition", "unitary", 2)
-    stages.record("extract_pairs", "pairs", p.nu[:pairs.n], pairs, pairs.k)
-    return _pairs_verdict(stages, pairs, (), p, 0, len(p.mu))
+    stages.record("extract_pairs", "pairs", unscaled(2, p.integer_form[2][:pairs.n]),
+                  pairs, pairs.k)
+    return _pairs_verdict(stages, pairs, (), p, 0, p.group.rank)
 
 
 def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby, permutations, product
 
-from .halfint import fmt_vec, scaled, vec
+from .halfint import fmt_vec, scaled, unscaled, vec
 
 
 class DimensionError(ValueError):
@@ -105,9 +105,18 @@ def apply(w: WeylElement, v) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenuineParam:
-    """Group tag plus the (mu, nu) pair."""
+    """Group tag plus the (mu, nu) pair.
+
+    The integer form (L, mu_ints, nu_ints) is what the classification reads.
+    A parameter built by hand computes it once from its Fractions; one that
+    spindual builds from integers (the dominant form, ``pairs_to_param``,
+    the Hermitian dual) holds only the integer form, and builds ``mu`` and
+    ``nu`` on first read.  The integer form is canonical (L is the least
+    common denominator), so ``==`` and ``hash`` read it: equal values, equal
+    parameters, however built.
+    """
     group: GroupTag
     mu: tuple
     nu: tuple
@@ -121,6 +130,15 @@ class GenuineParam:
                 f"got {len(self.mu)}/{len(self.nu)}"
             )
 
+    @classmethod
+    def _from_integer_form(cls, group: GroupTag, form: tuple) -> "GenuineParam":
+        """The parameter of a canonical integer form (L, mu_ints, nu_ints),
+        which its caller vouches for: L is the least common denominator of
+        the values and both rows have length ``group.rank``."""
+        p = object.__new__(cls)
+        p.__dict__.update(group=group, integer_form=form)
+        return p
+
     @cached_property
     def integer_form(self) -> tuple:
         """(L, mu_ints, nu_ints): the least common denominator L of mu and nu
@@ -129,20 +147,41 @@ class GenuineParam:
         n = len(self.mu)
         return L, ints[:n], ints[n:]
 
-    @classmethod
-    def _with_integer_form(cls, group, mu, nu, form) -> "GenuineParam":
-        """The parameter, with the integer form its caller already holds."""
-        p = cls(group, mu, nu)
-        p.__dict__["integer_form"] = form  # the cached_property's slot
-        return p
-
     def is_genuine(self) -> bool:
         """Every mu-entry is strictly half-integral: L*m = L/2 mod L."""
         L, mu, _ = self.integer_form
         return L % 2 == 0 and {m % L for m in mu} == {L // 2}
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.integer_form == other.integer_form
+
+    def __hash__(self):
+        return hash((self.group, self.integer_form))
+
     def __str__(self):
         return f"{self.group}: mu={fmt_vec(self.mu)}, nu={fmt_vec(self.nu)}"
+
+
+class _FractionRow:
+    """``mu`` (row 1) or ``nu`` (row 2) of a parameter built from its integer
+    form: the Fractions of that row, built on first read and kept in the
+    instance.  Like a cached_property it defines no ``__set__``, so the
+    values the dataclass ``__init__`` stores take precedence over it."""
+
+    def __init__(self, name: str, row: int):
+        self.name, self.row = name, row
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        form = p.integer_form
+        values = p.__dict__[self.name] = unscaled(form[0], form[self.row])
+        return values
+
+
+GenuineParam.mu, GenuineParam.nu = _FractionRow("mu", 1), _FractionRow("nu", 2)
 
 
 @dataclass(frozen=True)
@@ -161,8 +200,8 @@ class LanglandsPair:
 def to_langlands(p: GenuineParam) -> LanglandsPair:
     """(lambda_L, lambda_R) = ((mu+nu)/2, (nu-mu)/2), read off the integer form."""
     L, mu, nu = p.integer_form
-    lam_l = tuple([Fraction(m + n, 2 * L) for m, n in zip(mu, nu)])
-    lam_r = tuple([Fraction(n - m, 2 * L) for m, n in zip(mu, nu)])
+    lam_l = unscaled(2 * L, [m + n for m, n in zip(mu, nu)])
+    lam_r = unscaled(2 * L, [n - m for m, n in zip(mu, nu)])
     return LanglandsPair(p.group, lam_l, lam_r)
 
 
@@ -174,7 +213,8 @@ def from_langlands(lp: LanglandsPair) -> GenuineParam:
 
 def hermitian_dual(p: GenuineParam) -> GenuineParam:
     """The dual parameter (mu, -nu); an involution for real nu."""
-    return GenuineParam(p.group, p.mu, tuple(-x for x in p.nu))
+    L, mu, nu = p.integer_form
+    return GenuineParam._from_integer_form(p.group, (L, mu, tuple([-s for s in nu])))
 
 
 @dataclass(frozen=True)
@@ -191,7 +231,7 @@ def dominantize(p: GenuineParam) -> DominantForm:
     number would be needed the diagram flip of the last coordinate is applied
     on top and reported in ``outer_applied``.  The signs and the order are
     found on the integer form, and only the integers are permuted; the
-    dominant form reuses the input's Fractions and is not scaled again.  A
+    dominant form is built from them, with no Fraction and no new scaling.  A
     parameter whose mu is dominant already is its own dominant form, with
     the identity element.
     """
@@ -233,14 +273,7 @@ def _dominant(p: GenuineParam):
     outer = p.group.family == "D" and mu_row[-1] < 0
     if outer:
         mu_row[-1], nu_row[-1] = -mu_row[-1], -nu_row[-1]
-    ints = (tuple(mu_row), tuple(nu_row))
-    # the Fractions of the input, by integer; a value the input holds only
-    # negated is negated once
-    value_of = dict(zip(mu + nu, p.mu + p.nu))
-    for s in {*ints[0], *ints[1]}.difference(value_of):
-        value_of[s] = -value_of[-s]
-    q = GenuineParam._with_integer_form(
-        p.group, *(tuple(map(value_of.__getitem__, v)) for v in ints), (L, *ints))
+    q = GenuineParam._from_integer_form(p.group, (L, tuple(mu_row), tuple(nu_row)))
     return q, outer, (tuple(perm), tuple(out_signs))
 
 

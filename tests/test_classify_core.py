@@ -3,7 +3,7 @@ Fraction or Counter work, against copies of the code they replaced.
 
 String extraction reads the runs off the multiplicity layers instead of a
 greedy search, ``StringPairs`` validates its columns with C-level passes, ``dominantize`` permutes only the integer
-form and reuses the input's Fractions, ``_eta_witness_full`` places the
+form and builds its Fractions from the shared k/L table, ``_eta_witness_full`` places the
 eta pattern on the mu = 1/2 block, ``WeylElement.identity`` is shared per
 rank and ``vec`` returns a tuple of Fractions as it is.  The replaced
 versions are kept here as references.
@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spindual.halfint import HALF, fmt_vec, scaled, vec
+from spindual.halfint import (
+    HALF, _DENOMINATOR_BOUND, _RATIO_BOUND, _ratio_table, fmt_vec, scaled, vec,
+)
 from spindual.spinclass import (
     MalformedParameter, StringPairs, _eta_witness_full, _pairs_from_doubled,
     decompose_alpha_beta, eta_weight,
@@ -135,7 +137,8 @@ def dominantize_reference(p):
     vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
     if outer:
         vectors = [v[:-1] + (-v[-1],) for v in vectors]
-    q = GenuineParam._with_integer_form(p.group, *vectors[:2], (L, *vectors[2:]))
+    q = GenuineParam(p.group, *vectors[:2])
+    assert q.integer_form == (L, *vectors[2:])
     return DominantForm(q, w, outer)
 
 
@@ -192,7 +195,7 @@ def test_string_pairs_keep_shared_columns():
 
 
 # ---------------------------------------------------------------------------
-# dominantize on integers, with the input's Fractions
+# dominantize on integers, with the shared Fractions
 
 rationals = st.builds(Fraction, st.integers(-15, 15), st.integers(1, 6))
 half_odd = st.integers(-4, 3).map(lambda k: Fraction(2 * k + 1, 2))
@@ -221,10 +224,11 @@ def test_dominantize_permutes_integers_and_reuses_fractions(p):
     L, ints = scaled(q0.mu + q0.nu)
     assert q0.integer_form == (L, ints[:p.group.rank], ints[p.group.rank:])
     assert dom == dominantize_reference(p)
-    # entries the input holds are its own Fraction objects
-    held = {id(v) for v in p.mu + p.nu}
-    for v in q0.mu + q0.nu:
-        assert id(v) in held or -v in p.mu + p.nu
+    # entries inside the bounds of the shared k/L table are its objects
+    if L < _DENOMINATOR_BOUND:
+        table = _ratio_table(L)
+        for k, v in zip(ints, q0.mu + q0.nu):
+            assert (v is table[k]) or not -_RATIO_BOUND < k < _RATIO_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -676,6 +676,20 @@ def test_classify_twice_mixed(p):
     _equal_twice(p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(mixed_params(), st.permutations(range(24)),
+       st.lists(st.sampled_from((1, -1)), min_size=24, max_size=24))
+def test_classify_weyl_invariance_and_duality_mixed(p, perm, signs):
+    # GL blocks included: a Weyl conjugate and the Hermitian dual give the
+    # parameter's status, certificate and witness (q, group)
+    w = _restricted(perm, signs, p.group.family, p.group.rank)
+    q = GenuineParam(p.group, apply(w, p.mu), apply(w, p.nu))
+    want = _invariants(classify(p))
+    assert want[0] in (Status.UNITARY, Status.NON_UNITARY)
+    for r in (q, hermitian_dual(p)):
+        assert _invariants(classify(r)) == want, (p, w)
+
+
 def test_witness_names_its_group():
     # a padded core's witness lives on the induced group, and only then
     for fam in ("B", "D"):

@@ -3,10 +3,11 @@
 A NonUnitary verdict builds its eta(q) weight once, on the padded group when
 the rewriter padded and on the input group otherwise, and lists the
 staircase slacks once for the staircase test and once per padding round
-(the last round's list also locates the base).  ``_halves`` shares
-the Fractions of small doubled values through a bounded table, so table
+(the last round's list also locates the base).  ``halfint.unscaled``
+shares the Fractions k/L of small k and L through a bounded table, so table
 parameters hold few Fraction objects, and ``eta_weight`` reuses module-level
-3/2 and -1/2.
+3/2 and -1/2.  The dominant form, ``pairs_to_param`` and parameter equality
+build no Fraction at all: they work on the integer form.
 """
 
 from fractions import Fraction
@@ -14,10 +15,13 @@ from fractions import Fraction
 import pytest
 
 from spindual import rewriter, spinclass
-from spindual.spinclass import (
-    Status, StringPairs, _HALF_OF, _HALVES_BOUND, _halves, classify, eta_weight,
-    pairs_to_param, staircase_slacks,
+from spindual.halfint import (
+    _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _ratio_table, unscaled,
 )
+from spindual.spinclass import (
+    Status, StringPairs, classify, eta_weight, pairs_to_param, staircase_slacks,
+)
+from spindual.weyl import GenuineParam, GroupTag, _dominant, hermitian_dual
 
 
 @pytest.mark.parametrize("cols, padded", [
@@ -61,25 +65,85 @@ def test_classify_lists_each_state_once(monkeypatch, cols, padded):
     assert len(calls) == 1 + moves + 1
 
 
+DENOMINATORS = (1, 2, 3, 12, _DENOMINATOR_BOUND - 1, _DENOMINATOR_BOUND, 10 ** 6)
+
+
 def test_halves_are_fractions_inside_and_beyond_the_bound():
-    far = [10 ** 6 + 1, -(10 ** 6) - 3, 10 ** 9, _HALVES_BOUND, -_HALVES_BOUND]
-    doubled = [*range(-_HALVES_BOUND - 3, _HALVES_BOUND + 4), *far]
-    halves = _halves(doubled)
-    assert halves == tuple(Fraction(d, 2) for d in doubled)
-    assert set(map(type, halves)) == {Fraction}
+    far = [10 ** 6 + 1, -(10 ** 6) - 3, 10 ** 9, _RATIO_BOUND, -_RATIO_BOUND]
+    ints = [*range(-_RATIO_BOUND - 3, _RATIO_BOUND + 4), *far]
+    for L in DENOMINATORS:
+        values = unscaled(L, ints)
+        assert values == tuple(Fraction(k, L) for k in ints)
+        assert set(map(type, values)) == {Fraction}
 
 
 def test_halves_inside_the_bound_are_shared():
-    inside = range(-_HALVES_BOUND + 1, _HALVES_BOUND)
-    for first, again in zip(_halves(inside), _halves(reversed(inside))[::-1]):
-        assert first is again
+    inside = range(-_RATIO_BOUND + 1, _RATIO_BOUND)
+    for L in DENOMINATORS:
+        shared = L < _DENOMINATOR_BOUND
+        for first, again in zip(unscaled(L, inside), unscaled(L, reversed(inside))[::-1]):
+            assert (first is again) is shared
+            if shared:
+                assert first is _ratio_table(L)[first.numerator * (L // first.denominator)]
 
 
 def test_half_table_stays_within_its_bound():
-    _halves(range(-10 ** 6, 10 ** 6 + 1, 101))
-    _halves([10 ** 6, -(10 ** 6), 10 ** 6 + 1])
-    assert len(_HALF_OF) <= 2 * _HALVES_BOUND - 1
-    assert all(-_HALVES_BOUND < d < _HALVES_BOUND for d in _HALF_OF)
+    for L in (*DENOMINATORS, *range(1, 40)):
+        unscaled(L, range(-10 ** 6, 10 ** 6 + 1, 101))
+        unscaled(L, [10 ** 6, -(10 ** 6), 10 ** 6 + 1])
+    assert set(_RATIO_TABLES) <= set(range(1, _DENOMINATOR_BOUND))
+    for L, table in _RATIO_TABLES.items():
+        assert table.L == L
+        assert len(table) <= 2 * _RATIO_BOUND - 1
+        assert all(-_RATIO_BOUND < k < _RATIO_BOUND for k in table)
+
+
+@pytest.fixture
+def built_fractions(monkeypatch):
+    """The arguments of every ``Fraction(...)`` call made while the test runs."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+def _mixed(family):
+    """A non-dominant Hermitian parameter with GL blocks at mu = 3/2 and
+    5/2, a string-pair core and a deformed GL pair in the mu = 1/2 block,
+    denominators 2, 3 and 4."""
+    F = Fraction
+    h = F(1, 2)
+    mu = (-h, F(3, 2), h, F(-5, 2), h, F(3, 2), -h, h, F(5, 2), h)
+    nu = (F(-3, 2), F(1, 3), h, F(-7, 4), F(1, 4), F(-1, 3), F(-1, 2), F(3, 2), F(7, 4), F(-1, 4))
+    return GenuineParam(GroupTag(family, len(mu)), mu, nu)
+
+
+@pytest.mark.parametrize("family", "BD")
+def test_front_end_builds_no_fraction(built_fractions, family):
+    p, again = _mixed(family), _mixed(family)
+    # the counts start here, after the inputs' own Fractions
+    built_fractions.clear()
+    q0, outer, moved = _dominant(p)
+    assert moved is not None and q0 is not p
+    q1, _, _ = _dominant(again)
+    dual = hermitian_dual(q0)
+    pairs = [pairs_to_param(StringPairs(family, cols))
+             for cols in (((3, 1), (1, 0)), ((2, 2),), ((1000, 0),))]
+    assert q0 == q1 and hash(q0) == hash(q1)
+    assert p != q0
+    assert q0 != dual and q1 != dual and pairs[0] != pairs[1]
+    assert {p, again, q0, q1, dual, *pairs} == {p, q0, dual, *pairs}
+    assert built_fractions == []
+    # the Fractions are built on first read, and none again after
+    assert q0 == GenuineParam(q0.group, q0.mu, q0.nu)
+    count = len(built_fractions)
+    q0.mu, q0.nu, q1.mu, str(q0)
+    assert len(built_fractions) == count
 
 
 def explicit_eta_weight(family, n, q):
