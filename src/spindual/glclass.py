@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .halfint import frac, vec, is_sign, ratio, scaled, fmt, fmt_vec, HALF
+from .halfint import frac, vec, is_sign, ratio, scaled, unscaled, fmt, fmt_vec, HALF
 
 try:
     # the C loop that Counter.update runs (CPython), counting into any
@@ -159,7 +159,7 @@ def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
         if layer[0] - layer[-1] != 2 * L * (len(layer) - 1):
             return GLVerdict(
                 GLStatus.NON_UNITARY, witness=_shift(len(ints), 1), q=1,
-                reason=f"chain {fmt_vec(Fraction(v, L) for v in layer)} has a gap larger than 2",
+                reason=f"chain {fmt_vec(unscaled(L, layer))} has a gap larger than 2",
             )
     # the layers come longest first, so each list is in factor order
     trivial, stein = [], []

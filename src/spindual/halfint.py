@@ -110,8 +110,9 @@ def _ratio_table(L: int) -> _RatioTable:
 
 
 def ratio(k: int, L: int) -> Fraction:
-    """The Fraction k/L, from the shared table."""
-    return _ratio_table(L)[k]
+    """The Fraction k/L, from the shared table of its lowest terms."""
+    g = math.gcd(k, L)
+    return _ratio_table(L // g)[k // g]
 
 
 def unscaled(L: int, ints) -> tuple:

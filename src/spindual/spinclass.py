@@ -171,7 +171,7 @@ def partition_nt(nu) -> dict:
     Works on nu scaled to integers; each class lists its values descending.
     """
     L, ints = scaled(vec(nu))
-    return {Fraction(r, L): unscaled(L, ss) for r, ss in _partition_scaled(L, ints).items()}
+    return {ratio(r, L): unscaled(L, ss) for r, ss in _partition_scaled(L, ints).items()}
 
 
 def _grouped_classes(L: int, classes: dict):
@@ -191,7 +191,7 @@ def _grouped_classes(L: int, classes: dict):
             ints, twists = blocks.setdefault(r0, ([], []))
             ints += classes[r]
             twists += [1 if abs(r) == r0 else -1] * len(classes[r])
-    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(Fraction(r0, L))}", ints, twists)
+    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(ratio(r0, L))}", ints, twists)
                  for r0, (ints, twists) in blocks.items() if ints]
     return classes.get(L // 2, []), classes.get(-(L // 2), []), gl_blocks
 
@@ -585,13 +585,13 @@ class _Stages:
         return self.verdict(Status.NON_UNITARY, witness=wit, **fields)
 
 
-def _embed_block_shift(mu, start, shift):
-    """mu plus a shift supported on the positions from start on."""
-    out = list(mu)
+def _embed_block_shift(L, mu_ints, start, shift):
+    """The Fractions of mu plus an integer shift supported on the positions
+    from start on, with mu given by its integer form."""
+    out = list(mu_ints)
     for i, s in enumerate(shift):
-        if s:  # an entry plus 0 would be a new, equal Fraction
-            out[start + i] += s
-    return tuple(out)
+        out[start + i] += L * s
+    return unscaled(L, out)
 
 
 def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
@@ -642,7 +642,7 @@ def classify(p: GenuineParam) -> Verdict:
         glv = _classify_symmetric(L, nu_ints[start:stop], (1,) * (stop - start))
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
-            weight = _embed_block_shift(q0.mu, start, glv.witness)
+            weight = _embed_block_shift(L, mu_ints, start, glv.witness)
             return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
         stages.record("gl_block", "unitary", value, len(glv.factors))
         label = fmt(value)

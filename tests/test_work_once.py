@@ -21,7 +21,7 @@ from spindual.halfint import (
 from spindual.spinclass import (
     Status, StringPairs, classify, eta_weight, pairs_to_param, staircase_slacks,
 )
-from spindual.weyl import GenuineParam, GroupTag, _dominant, hermitian_dual
+from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
 
 
 @pytest.mark.parametrize("cols, padded", [
@@ -112,15 +112,17 @@ def built_fractions(monkeypatch):
     return built
 
 
-def _mixed(family):
-    """A non-dominant Hermitian parameter with GL blocks at mu = 3/2 and
-    5/2, a string-pair core and a deformed GL pair in the mu = 1/2 block,
-    denominators 2, 3 and 4."""
+def _mixed(family, t=Fraction(7, 4)):
+    """A non-dominant Hermitian parameter with GL blocks at mu = 5/2 (the
+    deformation pair +-t) and 3/2, a string-pair core and a Stein pair in the
+    mu = 1/2 block, denominators 2, 3 and 4."""
     F = Fraction
     h = F(1, 2)
-    mu = (-h, F(3, 2), h, F(-5, 2), h, F(3, 2), -h, h, F(5, 2), h)
-    nu = (F(-3, 2), F(1, 3), h, F(-7, 4), F(1, 4), F(-1, 3), F(-1, 2), F(3, 2), F(7, 4), F(-1, 4))
-    return GenuineParam(GroupTag(family, len(mu)), mu, nu)
+    mu = (F(5, 2), F(5, 2), F(3, 2), F(3, 2), h, h, h, h, h, h)
+    nu = (t, -t, F(1, 3), F(-1, 3), F(3, 2), h, -h, F(-3, 2), F(1, 4), F(-1, 4))
+    # reverse the order and flip the signs at two positions
+    w = WeylElement(tuple(range(9, -1, -1)), (1, -1, 1, 1, 1, 1, 1, 1, -1, 1))
+    return GenuineParam(GroupTag(family, len(mu)), apply(w, mu), apply(w, nu))
 
 
 @pytest.mark.parametrize("family", "BD")
@@ -164,3 +166,17 @@ def test_eta_weight_equals_explicit_fractions():
             eta_weight("D", n, n)
         with pytest.raises(ValueError):
             eta_weight("B", n, n + 1)
+
+
+@pytest.mark.parametrize("family", "BD")
+@pytest.mark.parametrize("t", [Fraction(7, 4), Fraction(3, 4)])
+def test_classify_builds_no_fraction_once_the_table_holds_its_values(
+        built_fractions, family, t):
+    # a lifted GL witness at t = 7/4; GL factors, a Stein pair and the core
+    # at t = 3/4; the first call fills the shared k/L table
+    p = _mixed(family, t)
+    first = classify(p)
+    assert first.status is Status.NON_UNITARY or first.certificate.gl_factors
+    built_fractions.clear()
+    assert classify(p) == first
+    assert built_fractions == []
