@@ -7,7 +7,9 @@ of everything the program prints or returns on it, in order:
   ``to_langlands`` for every D/B table row with n <= 10, for the
   ``mixed_blocks`` inputs of the benchmark (seeds 1-3) and their Hermitian
   duals, and for a seeded set of general-rational parameters, where an
-  exception is recorded by type and message;
+  exception is recorded by type and message, and for a seeded set of
+  parameters whose texts lie past the bounds of the shared k/L table
+  (common denominator L >= 16, or entries with |L v| >= 512);
 * ``cli`` sets: exit code, standard output and standard error of in-process
   ``spindual.cli.main`` calls, as text and as ``--json``: ``table`` for
   n <= 8, ``classify``, ``rewrite``, ``orbit`` and ``verify-chain`` on every
@@ -16,7 +18,10 @@ of everything the program prints or returns on it, in order:
   command lines;
 * ``cli verify-chain`` sets: the same for ``verify-chain``, as text and as
   ``--json``, on every single column with n = 7 to 12 in both families and
-  on every family D column pair with n = 7 and 8.
+  on every family D column pair with n = 7 and 8;
+* ``cli wide`` sets: ``classify --mu/--nu`` on some of those wide
+  parameters and ``verify-chain`` on the column (200; 0) in both families,
+  whose start reaches 797/2, as text and as ``--json``.
 
 ``tests/test_identity.py`` compares the digests with ``identity/digests.json``.
 A change that alters an output on purpose regenerates the file with
@@ -32,6 +37,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -53,6 +59,8 @@ TABLE_RANKS = range(1, 9)
 CLI_ROW_RANKS = range(1, 7)
 VERIFY_COLUMN_RANKS = range(7, 13)
 VERIFY_PAIR_RANKS = (7, 8)
+WIDE_COUNT = 400
+WIDE_CLI_COUNT = 12
 MIXED_SEEDS = (1, 2, 3)
 GENERAL_COUNT = 3000
 MALFORMED = (
@@ -139,6 +147,49 @@ def _general_record(case) -> str:
     return _classify_record(p)
 
 
+def _wide_inputs():
+    """Seeded (family, mu, nu) of genuine Hermitian parameters whose texts lie
+    past the bounds of the shared k/L table: nu in ninths or seventeenths
+    (common denominator 18 or 34), entries up to a few hundred, GL blocks at
+    mu = 3/2 and 5/2, and string-like runs in the mu = 1/2 block that pass
+    through 1/2 or not."""
+    rng = random.Random("identity:wide")
+    for _ in range(WIDE_COUNT):
+        family = rng.choice("BD")
+        den, n = rng.choice((2, 9, 17)), rng.randint(1, 8)
+        entries = []
+        while len(entries) < n:
+            m = Fraction(rng.choice((1, 1, 1, 3, 5)), 2)
+            shape = rng.random()
+            if shape < 0.3:
+                # a step-2 run of half-integers, far out or through 1/2
+                top = Fraction(2 * rng.choice((rng.randint(0, 3), rng.randint(120, 320))) + 1, 2)
+                for j in range(rng.randint(1, 3)):
+                    entries += [(m, top - 2 * j), (m, -(top - 2 * j))]
+            elif shape < 0.8:
+                k = rng.choice((rng.randint(-40, 40), rng.randint(-6000, 6000)))
+                v = Fraction(k, den)
+                entries += [(m, v), (m, -v)]
+            else:
+                entries.append((m, Fraction(0)))
+        rng.shuffle(entries)
+        entries = [(m, v) if rng.random() < 0.5 else (-m, -v) for m, v in entries]
+        yield family, tuple(m for m, _ in entries), tuple(v for _, v in entries)
+
+
+def _wide_params():
+    for family, mu, nu in _wide_inputs():
+        yield GenuineParam(GroupTag(family, len(mu)), mu, nu)
+
+
+def _wide_argvs():
+    for family, mu, nu in itertools.islice(_wide_inputs(), WIDE_CLI_COUNT):
+        yield ["classify", "--group", family, "--mu=" + ",".join(map(str, mu)),
+               "--nu=" + ",".join(map(str, nu))]
+    for family in ("D", "B"):
+        yield ["verify-chain", "--group", family, "--pairs", "200;0"]
+
+
 def cli_call(argv) -> str:
     """Exit code, standard output and standard error of ``cli.main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -185,6 +236,7 @@ def case_sets():
         sets[f"classify mixed_blocks {seed}"] = lambda seed=seed: (
             _classify_record(p) for p in _mixed_params(seed))
     sets["classify general"] = lambda: (_general_record(c) for c in _general_inputs())
+    sets["classify wide"] = lambda: (_classify_record(p) for p in _wide_params())
     for family in ("D", "B"):
         for n in TABLE_RANKS:
             for fmt in ("text", "json"):
@@ -195,6 +247,8 @@ def case_sets():
         extra = ["--json"] if fmt == "json" else []
         sets[f"cli verify-chain {fmt}"] = lambda extra=extra: (
             cli_call(argv + extra) for argv in _verify_chain_argvs())
+        sets[f"cli wide {fmt}"] = lambda extra=extra: (
+            cli_call(argv + extra) for argv in _wide_argvs())
     sets["cli malformed"] = lambda: (cli_call(argv) for argv in MALFORMED)
     return sets
 
