@@ -17,11 +17,10 @@ stage event of the classification to standard error.
 import argparse
 import functools
 import json
-import math
 import sys
 from operator import add, sub
 
-from .halfint import frac, fmt
+from .halfint import frac, fmt, texts
 from .weyl import GenuineParam, GroupTag, DimensionError
 from .spinclass import (
     MalformedParameter, Status, StringPairs, Verdict, _classify_pairs, _doubled_nu,
@@ -134,41 +133,11 @@ def _load_document(args):
     return _param_from_document(doc)
 
 
-class _Texts(dict):
-    """The text of k/den in lowest terms by k, for one den; stored only when
-    |k| < _TEXT_BOUND."""
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, k: int) -> str:
-        g = math.gcd(k, self.den)
-        text = str(k // g) if g == self.den else f"{k // g}/{self.den // g}"
-        if -_TEXT_BOUND < k < _TEXT_BOUND:
-            self[k] = text
-        return text
-
-
-class _TextTables(dict):
-    """:class:`_Texts` by den; stored only when den < _DEN_BOUND."""
-    def __missing__(self, den: int) -> _Texts:
-        texts = _Texts(den)
-        if den < _DEN_BOUND:
-            self[den] = texts
-        return texts
-
-
-_TEXT_BOUND, _DEN_BOUND, _TEXTS_OF = 512, 16, _TextTables()
-
-
 def _langlands_text(L: int, mu, nu) -> dict:
     """lambda_L = (nu+mu)/2 and lambda_R = (nu-mu)/2 as text, from the integer
-    form (L, mu, nu): each entry is k/2L in lowest terms.  A table row holds
-    a few dozen distinct k in up to 80 entries, so each text is rendered once
-    and shared, as ``halfint.unscaled`` shares Fractions."""
-    text = _TEXTS_OF[2 * L].__getitem__
-    return {"lambda_L": list(map(text, map(add, nu, mu))),
-            "lambda_R": list(map(text, map(sub, nu, mu)))}
+    form (L, mu, nu): each entry is the shared text of k/2L."""
+    return {"lambda_L": texts(2 * L, map(add, nu, mu)),
+            "lambda_R": texts(2 * L, map(sub, nu, mu))}
 
 
 def _verdict_document(p: GenuineParam, verdict: Verdict) -> dict:

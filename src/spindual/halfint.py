@@ -6,12 +6,13 @@ deformations of complementary series.  The classification (genuineness,
 dominance, the Hermitian check, residue classes, string extraction, GL
 blocks) runs on the integers L*v of a parameter scaled once by a common
 denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``;
-:func:`residue`).  The way back, :func:`unscaled` (and :func:`ratio` for
-one value), reads the Fractions k/L off one bounded table shared by the
-whole package: a parameter built from its integer form, the half-integers
-of string pairs (L = 2), the GL factors and the Langlands coordinates hold
-few distinct values in many entries, so each is built once, and the
-garbage collector walks few Fraction objects.  No floating point is used.
+:func:`residue`).  This module alone shares and prints a value k/L: one
+bounded table rule serves the Fraction k/L (:func:`unscaled`, :func:`ratio`)
+and its text, the ``str`` of that Fraction (:func:`texts`, :func:`fmt_ints`,
+:func:`fmt`).  Parameters, string pairs (L = 2), GL factors and Langlands
+coordinates hold few distinct values in many entries, so each value and
+each text is built once and whatever spindual prints is rendered from the
+integers.  No floating point is used.
 """
 
 import math
@@ -61,15 +62,6 @@ def is_sign(s) -> bool:
     return s in (1, -1) and not isinstance(s, bool)
 
 
-def fmt(v: Fraction) -> str:
-    """``"3/2"``, or ``"3"`` for an integer."""
-    return str(frac(v))
-
-
-def fmt_vec(values) -> str:
-    return "(" + ", ".join(map(fmt, values)) + ")"
-
-
 def scaled(values) -> tuple:
     """(L, ints): the least common denominator L of the Fractions and the
     integers L*v.  Scaling is injective and linear, so equality, order,
@@ -79,46 +71,68 @@ def scaled(values) -> tuple:
     return L, tuple([n * (L // d) for n, d in ratios])
 
 
-class _RatioTable(dict):
-    """Fraction(k, L) by k for one denominator L; an entry is kept only when
-    |k| < _RATIO_BOUND."""
+class _Table(dict):
+    """make(key) by key; an entry is kept only when |key| < bound."""
 
-    def __init__(self, L: int):
-        self.L = L
+    def __init__(self, make, bound: int):
+        self.make, self.bound = make, bound
 
-    def __missing__(self, k: int) -> Fraction:
-        v = Fraction(k, self.L)
-        if -_RATIO_BOUND < k < _RATIO_BOUND:
-            self[k] = v
-        return v
+    def __missing__(self, key):
+        entry = self.make(key)
+        if -self.bound < key < self.bound:
+            self[key] = entry
+        return entry
 
 
-# at most 15 tables of at most 1,023 entries each
+def _tables(entry) -> _Table:
+    """The shared entries entry(k, L) of one kind: a table per denominator
+    L < 16, each keeping |k| < 512, so at most 15 tables of 1,023 entries."""
+    return _Table(lambda L: _Table(lambda k: entry(k, L), _RATIO_BOUND), _DENOMINATOR_BOUND)
+
+
 _RATIO_BOUND, _DENOMINATOR_BOUND = 512, 16
-_RATIO_TABLES = {}
+_RATIO_TABLES = _tables(Fraction)
+# the text of k/L is the str of its shared Fraction, in lowest terms
+_TEXT_TABLES = _tables(lambda k, L: str(ratio(k, L)))
 
 
-def _ratio_table(L: int) -> _RatioTable:
+def _ratio_table(L: int) -> _Table:
     """The shared table of denominator L, or a table for one call when L is
     past the bound."""
-    table = _RATIO_TABLES.get(L)
-    if table is None:
-        table = _RatioTable(L)
-        if L < _DENOMINATOR_BOUND:
-            _RATIO_TABLES[L] = table
-    return table
+    return _RATIO_TABLES[L]
 
 
 def ratio(k: int, L: int) -> Fraction:
     """The Fraction k/L, from the shared table of its lowest terms."""
     g = math.gcd(k, L)
-    return _ratio_table(L // g)[k // g]
+    return _RATIO_TABLES[L // g][k // g]
 
 
 def unscaled(L: int, ints) -> tuple:
     """The Fractions k/L of the ints k, inverting :func:`scaled`; each value
     inside the bounds is one shared object."""
-    return tuple(map(_ratio_table(L).__getitem__, ints))
+    return tuple(map(_RATIO_TABLES[L].__getitem__, ints))
+
+
+def texts(L: int, ints) -> list:
+    """The texts of k/L for the ints k, ``"3/2"`` or ``"3"`` as ``str`` of
+    the Fraction prints them; each text inside the bounds is rendered once."""
+    return list(map(_TEXT_TABLES[L].__getitem__, ints))
+
+
+def fmt_ints(L: int, ints) -> str:
+    """``fmt_vec(unscaled(L, ints))``, rendered from the ints."""
+    return "(" + ", ".join(texts(L, ints)) + ")"
+
+
+def fmt(v) -> str:
+    """``"3/2"``, or ``"3"`` for an integer: the text of a Fraction or int."""
+    k, L = v.as_integer_ratio()
+    return _TEXT_TABLES[L][k]
+
+
+def fmt_vec(values) -> str:
+    return "(" + ", ".join(map(fmt, values)) + ")"
 
 
 def residue(s: int, L: int) -> int:

@@ -19,12 +19,11 @@ A failing step means no implemented predicate certifies the move -- the
 replay is evidence, not proof.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, neg
 
-from .halfint import frac, fmt, is_sign, scaled, unscaled
+from .halfint import frac, fmt, is_sign, scaled, texts, unscaled, vec
 from .spinclass import _doubled_string
 
 
@@ -241,13 +240,12 @@ class StepReport:
 
 def _entry_texts(seq, L: int) -> dict:
     """Each entry (k, s) of seq and its bar -> ``str`` of the SignedEntry
-    (k/L)^s, put in lowest terms by one gcd per entry."""
+    (k/L)^s: the shared text of k/L with the sign appended."""
+    ks = [k for k, _ in seq]
     text = {}
-    for k, s in seq:
-        g = math.gcd(k, L)
-        den = "" if g == L else f"/{L // g}"
-        text[k, s] = f"{k // g}{den}^{'+' if s == 1 else '-'}"
-        text[-k, -s] = f"{-k // g}{den}^{'-' if s == 1 else '+'}"
+    for (k, s), value, negated in zip(seq, texts(L, ks), texts(L, map(neg, ks))):
+        text[k, s] = value + ("^+" if s == 1 else "^-")
+        text[-k, -s] = negated + ("^-" if s == 1 else "^+")
     return text
 
 
@@ -452,27 +450,38 @@ class WordSystem:
         return sum(v * c for v, c in zip(nu, coroot, strict=True))
 
     def reflect(self, gen: str, nu):
-        root, _ = self._simple(gen)
-        p = self.pairing(gen, nu)
-        return tuple(v - p * a for v, a in zip(nu, root, strict=True))
+        return word_action(self, (gen,), nu)
+
+    def _reflect_scaled(self, gen: str, ks) -> tuple:
+        """(P, the reflection) for nu = ks/L on the ints ks: P is L times
+        the pairing, and the reflection is scaled by L as well."""
+        root, coroot = self._simple(gen)
+        P = sum(k * c for k, c in zip(ks, coroot, strict=True))
+        return P, tuple(k - P * a for k, a in zip(ks, root, strict=True))
 
 
 def word_action(system: WordSystem, word, nu):
-    nu = tuple(frac(v) for v in nu)
+    """nu under the word applied left to right, reflected on nu scaled once."""
+    L, ks = scaled(vec(nu))
     for gen in word:
-        nu = system.reflect(gen, nu)
-    return nu
+        _, ks = system._reflect_scaled(gen, ks)
+    return unscaled(L, ks)
 
 
 def word_scalar(system: WordSystem, word, nu) -> Fraction:
     """Product of antisymmetric-line scalars along a reflection word.
 
     The word is applied left to right; equal Weyl elements give equal
-    products wherever every factor is defined, reduced or not.
+    products wherever every factor is defined, reduced or not.  It runs on
+    nu scaled once by L: at the scaled pairing P = Lp the factor
+    (2 - p)/(2 + p) of :func:`simple_scalar_case1` is (2L - P)/(2L + P),
+    with its pole at P = -2L.
     """
-    nu = tuple(frac(v) for v in nu)
-    scalar = Fraction(1)
+    L, ks = scaled(vec(nu))
+    num = den = 1
     for gen in word:
-        scalar *= simple_scalar_case1(system.pairing(gen, nu))
-        nu = system.reflect(gen, nu)
-    return scalar
+        P, ks = system._reflect_scaled(gen, ks)
+        if P == -2 * L:
+            raise Pole("pairing -2")
+        num, den = num * (2 * L - P), den * (2 * L + P)
+    return Fraction(num, den)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from time import perf_counter_ns
 
-from .halfint import vec, fmt, fmt_vec, ratio, residue, scaled, unscaled, HALF
+from .halfint import vec, fmt, fmt_ints, fmt_vec, ratio, residue, scaled, texts, unscaled, HALF
 from .weyl import GenuineParam, GroupTag, _dominant, _mu_blocks
 from .glclass import GLStatus, CompParams, _classify_symmetric, _multiplicity_layers
 # not called here: bench/tracing.py wraps these names on this module
@@ -191,8 +191,8 @@ def _grouped_classes(L: int, classes: dict):
             ints, twists = blocks.setdefault(r0, ([], []))
             ints += classes[r]
             twists += [1 if abs(r) == r0 else -1] * len(classes[r])
-    gl_blocks = [("t=0,1" if r0 == 0 else f"t={fmt(ratio(r0, L))}", ints, twists)
-                 for r0, (ints, twists) in blocks.items() if ints]
+    gl_blocks = [("t=0,1" if r0 == 0 else f"t={text}", ints, twists)
+                 for (r0, (ints, twists)), text in zip(blocks.items(), texts(L, blocks)) if ints]
     return classes.get(L // 2, []), classes.get(-(L // 2), []), gl_blocks
 
 
@@ -258,9 +258,8 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
     if family == "D":
         for top, bottom in runs:
             if top < 1 or bottom > 1:
-                run = unscaled(2, range(top, bottom - 1, -4))
                 raise MalformedParameter(
-                    f"string {fmt_vec(run)} does not pass through 1/2"
+                    f"string {fmt_ints(2, range(top, bottom - 1, -4))} does not pass through 1/2"
                 )
         return StringPairs("D", _columns(runs))
     betas, others = _split_betas(runs)
@@ -270,7 +269,7 @@ def _pairs_from_doubled(family: str, doubled) -> StringPairs:
         rest = sorted(v for top, bottom in others if bottom != 1
                       for v in range(bottom, top + 1, 4))
         raise MalformedParameter(
-            f"remaining values {fmt_vec(unscaled(2, rest))} "
+            f"remaining values {fmt_ints(2, rest)} "
             "contain no string ending at 1/2"
         )
     return StringPairs("B", _columns(betas + alphas))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby, permutations, product
 
-from .halfint import fmt_vec, scaled, unscaled, vec
+from .halfint import fmt_ints, scaled, unscaled, vec
 
 
 class DimensionError(ValueError):
@@ -161,7 +161,8 @@ class GenuineParam:
         return hash((self.group, self.integer_form))
 
     def __str__(self):
-        return f"{self.group}: mu={fmt_vec(self.mu)}, nu={fmt_vec(self.nu)}"
+        L, mu, nu = self.integer_form
+        return f"{self.group}: mu={fmt_ints(L, mu)}, nu={fmt_ints(L, nu)}"
 
 
 class _FractionRow:

@@ -8,12 +8,11 @@ says, and ``table --json`` must pass the benchmark's independent checker.
 
 import contextlib
 import io
-from fractions import Fraction
 
 import pytest
 
 from spindual import cli, spinclass
-from spindual.cli import _DEN_BOUND, _TEXT_BOUND, _TEXTS_OF, _langlands_text, _row_for
+from spindual.cli import _row_for
 from spindual.halfint import fmt
 from spindual.spinclass import Status, classify, enumerate_pairs, pairs_to_param
 from tests.test_bench_checker import _checker
@@ -70,17 +69,3 @@ def test_table_json_passes_the_independent_checker(family):
             code = cli.main(["table", "--group", family, "--rank", str(n), "--json"])
         checker.check_table(family, n, code, out.getvalue())
 
-
-def test_text_table_stays_within_its_bound():
-    ks = range(-10 ** 6, 10 ** 6 + 1, 101)
-    doc = _langlands_text(2, [1] * len(ks), ks)
-    assert doc["lambda_L"] == [fmt(Fraction(k + 1, 4)) for k in ks]
-    for L in (1, 3, 7, _DEN_BOUND, 10 ** 6):
-        mu, nu = [1, -1, 2 * L], [2 * L * _TEXT_BOUND, -(10 ** 7), 3]
-        doc = _langlands_text(L, mu, nu)
-        assert doc["lambda_R"] == [fmt(Fraction(n - m, 2 * L)) for m, n in zip(mu, nu)]
-    assert len(_TEXTS_OF) <= _DEN_BOUND - 1
-    assert all(0 < den < _DEN_BOUND for den in _TEXTS_OF)
-    for texts in _TEXTS_OF.values():
-        assert len(texts) <= 2 * _TEXT_BOUND - 1
-        assert all(-_TEXT_BOUND < k < _TEXT_BOUND for k in texts)

@@ -3,11 +3,12 @@
 A NonUnitary verdict builds its eta(q) weight once, on the padded group when
 the rewriter padded and on the input group otherwise, and lists the
 staircase slacks once for the staircase test and once per padding round
-(the last round's list also locates the base).  ``halfint.unscaled``
-shares the Fractions k/L of small k and L through a bounded table, so table
-parameters hold few Fraction objects, and ``eta_weight`` reuses module-level
-3/2 and -1/2.  The dominant form, ``pairs_to_param`` and parameter equality
-build no Fraction at all: they work on the integer form.
+(the last round's list also locates the base).  ``halfint`` shares the
+Fractions k/L of small k and L and their texts through one bounded table
+rule, so table parameters hold few Fraction objects, and ``eta_weight``
+reuses module-level 3/2 and -1/2.  The dominant form, ``pairs_to_param``,
+parameter equality and the text of a parameter build no Fraction at all:
+they work on the integer form.
 """
 
 from fractions import Fraction
@@ -16,10 +17,11 @@ import pytest
 
 from spindual import rewriter, spinclass
 from spindual.halfint import (
-    _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _ratio_table, unscaled,
+    _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES, _ratio_table,
+    fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    Status, StringPairs, classify, eta_weight, pairs_to_param, staircase_slacks,
+    Status, StringPairs, classify, eta_weight, pairs_to_param, staircase_slacks, transcript,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
 
@@ -88,14 +90,26 @@ def test_halves_inside_the_bound_are_shared():
 
 
 def test_half_table_stays_within_its_bound():
+    # one bound rule for both kinds of entry, the Fraction k/L and its text
+    far = [10 ** 6, -(10 ** 6), 10 ** 6 + 1]
+    sample = [*range(-_RATIO_BOUND - 3, _RATIO_BOUND + 4), *range(-10 ** 6, 10 ** 6, 10007), *far]
     for L in (*DENOMINATORS, *range(1, 40)):
         unscaled(L, range(-10 ** 6, 10 ** 6 + 1, 101))
-        unscaled(L, [10 ** 6, -(10 ** 6), 10 ** 6 + 1])
-    assert set(_RATIO_TABLES) <= set(range(1, _DENOMINATOR_BOUND))
-    for L, table in _RATIO_TABLES.items():
-        assert table.L == L
-        assert len(table) <= 2 * _RATIO_BOUND - 1
-        assert all(-_RATIO_BOUND < k < _RATIO_BOUND for k in table)
+        unscaled(L, far)
+        texts(L, range(-10 ** 6, 10 ** 6 + 1, 1009))
+    for L in (*DENOMINATORS, 17, 18, 34):
+        expected = [str(Fraction(k, L)) for k in sample]
+        assert texts(L, sample) == expected
+        assert [fmt(Fraction(k, L)) for k in sample] == expected
+        assert fmt_ints(L, sample) == fmt_vec(unscaled(L, sample)) == f"({', '.join(expected)})"
+    assert [fmt(k) for k in far] == [str(k) for k in far]
+    for tables, entry in ((_RATIO_TABLES, Fraction),
+                          (_TEXT_TABLES, lambda k, L: str(Fraction(k, L)))):
+        assert set(tables) <= set(range(1, _DENOMINATOR_BOUND))
+        for L, table in tables.items():
+            assert len(table) <= 2 * _RATIO_BOUND - 1
+            assert all(-_RATIO_BOUND < k < _RATIO_BOUND for k in table)
+            assert all(value == entry(k, L) for k, value in table.items())
 
 
 @pytest.fixture
@@ -173,10 +187,17 @@ def test_eta_weight_equals_explicit_fractions():
 def test_classify_builds_no_fraction_once_the_table_holds_its_values(
         built_fractions, family, t):
     # a lifted GL witness at t = 7/4; GL factors, a Stein pair and the core
-    # at t = 3/4; the first call fills the shared k/L table
+    # at t = 3/4; the first call and its transcript fill the shared k/L table
     p = _mixed(family, t)
     first = classify(p)
+    lines = list(transcript(first))
     assert first.status is Status.NON_UNITARY or first.certificate.gl_factors
     built_fractions.clear()
-    assert classify(p) == first
+    again = classify(p)
+    assert again == first
+    assert list(transcript(again)) == lines
     assert built_fractions == []
+    # the dominant form line is rendered from the integer form
+    dom = again.chain[1].fields()["param"]
+    assert dom is not p and lines[0] == f"dominant form: {dom}"
+    assert "mu" not in vars(dom) and "nu" not in vars(dom)
