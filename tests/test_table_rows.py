@@ -8,12 +8,13 @@ says, and ``table --json`` must pass the benchmark's independent checker.
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 
 from spindual import cli, spinclass
-from spindual.cli import _row_for
-from spindual.halfint import fmt
+from spindual.cli import _langlands_text, _row_for
+from spindual.halfint import _DENOMINATOR_BOUND, _RATIO_BOUND, _TEXT_TABLES, fmt
 from spindual.spinclass import Status, classify, enumerate_pairs, pairs_to_param
 from tests.test_bench_checker import _checker
 
@@ -69,3 +70,18 @@ def test_table_json_passes_the_independent_checker(family):
             code = cli.main(["table", "--group", family, "--rank", str(n), "--json"])
         checker.check_table(family, n, code, out.getvalue())
 
+
+def test_text_table_stays_within_its_bound():
+    # the CLI's Langlands texts come from the shared k/L text table of halfint
+    ks = range(-10 ** 6, 10 ** 6 + 1, 101)
+    doc = _langlands_text(2, [1] * len(ks), ks)
+    assert doc["lambda_L"] == [fmt(Fraction(k + 1, 4)) for k in ks]
+    for L in (1, 3, 7, _DENOMINATOR_BOUND, 10 ** 6):
+        mu, nu = [1, -1, 2 * L], [2 * L * _RATIO_BOUND, -(10 ** 7), 3]
+        doc = _langlands_text(L, mu, nu)
+        assert doc["lambda_R"] == [fmt(Fraction(n - m, 2 * L)) for m, n in zip(mu, nu)]
+    assert len(_TEXT_TABLES) <= _DENOMINATOR_BOUND - 1
+    assert all(0 < den < _DENOMINATOR_BOUND for den in _TEXT_TABLES)
+    for texts in _TEXT_TABLES.values():
+        assert len(texts) <= 2 * _RATIO_BOUND - 1
+        assert all(-_RATIO_BOUND < k < _RATIO_BOUND for k in texts)
