@@ -217,7 +217,7 @@ def _row_for(pairs: StringPairs):
     if result:
         tag, witness = ("Yes - unipotent" if result.strict else "Yes"), ""
     else:
-        base = rewriter._normalize(pairs, result).base
+        base = rewriter.normalize_to_base(pairs).base
         tag, witness = "No", f"eta({_eta_index(pairs.family, base)})"
     nu = _doubled_nu(pairs)
     return {

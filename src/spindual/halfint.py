@@ -96,12 +96,6 @@ _RATIO_TABLES = _tables(Fraction)
 _TEXT_TABLES = _tables(lambda k, L: str(ratio(k, L)))
 
 
-def _ratio_table(L: int) -> _Table:
-    """The shared table of denominator L, or a table for one call when L is
-    past the bound."""
-    return _RATIO_TABLES[L]
-
-
 def ratio(k: int, L: int) -> Fraction:
     """The Fraction k/L, from the shared table of its lowest terms."""
     g = math.gcd(k, L)

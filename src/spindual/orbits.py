@@ -54,12 +54,6 @@ def attach_orbit(pairs) -> OrbitColumns:
     """The nilpotent orbit attached to a strict core."""
     if not unitarity_test(pairs).strict:
         raise NotStrictCore(f"{pairs} does not satisfy the strict inequalities")
-    return _strict_core_orbit(pairs)
-
-
-def _strict_core_orbit(pairs) -> OrbitColumns:
-    """:func:`attach_orbit` of pairs known to be a strict core, as
-    ``spinclass`` knows of the cores it peels."""
     n = pairs.n
     cols = []
     if pairs.family == "D":

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import neg
 
-from .spinclass import StringPairs, UnitarityResult, _peel, staircase_slacks, unitarity_test
+from .spinclass import StringPairs, peel_stein_factors, staircase_slacks, unitarity_test
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
 from .spinclass import extract_pairs  # noqa: F401
@@ -216,14 +216,8 @@ def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
     insertions re-sort globally, so the loop re-locates the violation each
     round until exactly one remains with everything else a staircase step.
     """
-    return _normalize(pairs, unitarity_test(pairs))
-
-
-def _normalize(pairs: StringPairs, staircase: UnitarityResult) -> NormalizedBase:
-    """:func:`normalize_to_base` of pairs whose staircase test is
-    ``staircase``; ``spinclass.classify`` holds that test, so it calls this."""
-    if staircase:
-        factors, _ = _peel(pairs, staircase)
+    if unitarity_test(pairs):
+        factors, _ = peel_stein_factors(pairs)
         stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
         return NormalizedBase((), stein, None, pairs)
     moves, final, slacks = _pad(pairs, _outside_base)

@@ -17,8 +17,10 @@ strict inequalities give the isolated unipotent representations, equalities
 peel off as complementary-series factors at shift 1/2, and any violation is
 witnessed on a spin-relevant K-type eta(q) located through the rewriting
 engine in :mod:`spindual.rewriter`.  :func:`staircase_slacks` is the one
-statement of these inequalities: the unitarity test, peeling, the rewriter's
-bases and targets and the orbit module's strictness check read its slacks.
+statement of these inequalities: the unitarity test, peeling and the
+rewriter's bases and targets read its slacks.  :func:`unitarity_test` keeps
+its verdict on the StringPairs it tested, so peeling, the certificate, the
+normalization and the orbit each test their input without a second scan.
 """
 
 from dataclasses import dataclass, field
@@ -64,6 +66,8 @@ class StringPairs:
     """
     family: str
     pairs: tuple
+    # the result of unitarity_test, stored on the instance by its first test
+    _staircase = None
 
     def __post_init__(self):
         if self.family not in ("B", "D"):
@@ -110,6 +114,10 @@ class StringPairs:
     @property
     def ys(self):
         return tuple(y for _, y in self.pairs)
+
+    def __getstate__(self):
+        # copies and pickles carry the fields, not the staircase memo
+        return {"family": self.family, "pairs": self.pairs}
 
     def __str__(self):
         return "(" + " ".join(str(x) for x in self.xs) + "; " \
@@ -306,6 +314,10 @@ class UnitarityResult:
         return self.satisfied
 
 
+# the two satisfied results, shared by every test
+_SATISFIED, _STRICT = UnitarityResult(True), UnitarityResult(True, strict=True)
+
+
 def staircase_slacks(family: str, cols):
     """The staircase inequalities of columns (x_i; y_i) as integer slacks.
 
@@ -330,13 +342,19 @@ def unitarity_test(pairs: StringPairs) -> UnitarityResult:
     """The staircase inequalities, reporting the leftmost violation.
 
     ``strict`` means every slack is positive, i.e. the parameter is an
-    isolated unipotent one.  Empty pairs are satisfied and strict.
+    isolated unipotent one.  Empty pairs are satisfied and strict.  The
+    result is kept on ``pairs``: a second test of the same instance reads it.
     """
-    slacks = list(staircase_slacks(pairs.family, pairs.pairs))
-    for j, slack in enumerate(slacks):
-        if slack < 0:
-            return UnitarityResult(False, index=j // 2 + 1, kind=("column", "gap")[j % 2])
-    return UnitarityResult(True, strict=0 not in slacks)
+    if (result := pairs._staircase) is None:
+        slacks = list(staircase_slacks(pairs.family, pairs.pairs))
+        for j, slack in enumerate(slacks):
+            if slack < 0:
+                result = UnitarityResult(False, index=j // 2 + 1, kind=("column", "gap")[j % 2])
+                break
+        else:
+            result = _STRICT if 0 not in slacks else _SATISFIED
+        object.__setattr__(pairs, "_staircase", result)
+    return result
 
 
 def peel_stein_factors(pairs: StringPairs):
@@ -346,21 +364,15 @@ def peel_stein_factors(pairs: StringPairs):
     merges its two columns into one, on a plain column list that stays
     doubly non-increasing.  Returns (factors, core) where each factor is a
     CompParams at t = 1/2 and ``core`` is a StringPairs satisfying the strict
-    inequalities (or None when everything peels away).
+    inequalities (or None when everything peels away).  A strict input peels
+    nothing and is its own core; otherwise the core is built once, tested,
+    and asserted strict, so its test is kept for :func:`orbits.attach_orbit`.
     """
-    factors, core = _peel(pairs, unitarity_test(pairs))
-    return factors, (core if core.pairs else None)
-
-
-def _peel(pairs: StringPairs, staircase: UnitarityResult):
-    """Peeling of pairs whose staircase test is ``staircase``, which must be
-    satisfied: (factors, core), the core a strict StringPairs, possibly empty.
-    A strict input peels nothing and is its own core; otherwise the core is
-    built once, tested, and asserted strict."""
+    staircase = unitarity_test(pairs)
     if not staircase:
         raise ValueError("peeling requires the staircase inequalities")
     if staircase.strict:
-        return (), pairs
+        return (), (pairs if pairs.pairs else None)
     fam = pairs.family
     factors = []
     cols = list(pairs.pairs)
@@ -375,27 +387,20 @@ def _peel(pairs: StringPairs, staircase: UnitarityResult):
         factors.append(CompParams(size, HALF))
     core = StringPairs(fam, tuple(cols))
     assert unitarity_test(core).strict
-    return tuple(factors), core
+    return tuple(factors), (core if cols else None)
 
 
 # ---------------------------------------------------------------------------
 # spin-relevant K-types and verdicts
 
-def build_certificate(pairs: StringPairs) -> "UnitaryCertificate":
-    """Certificate of a satisfied parameter: peeled factors, core, orbit."""
-    return _certificate(pairs, unitarity_test(pairs))
-
-
-def _certificate(pairs: StringPairs, staircase: UnitarityResult,
-                 gl_factors: tuple = ()) -> "UnitaryCertificate":
-    """:func:`build_certificate` of pairs whose staircase test ``staircase``
-    is satisfied, with GL factors; :func:`classify` holds both, so it calls this."""
-    from . import orbits as orbits_mod
-    factors, core = _peel(pairs, staircase)
-    if not core.pairs:
+def build_certificate(pairs: StringPairs, gl_factors: tuple = ()) -> "UnitaryCertificate":
+    """Certificate of a satisfied parameter: peeled factors, core, orbit, and
+    the unitary GL factors of the other residue classes, if any."""
+    from . import orbits
+    factors, core = peel_stein_factors(pairs)
+    if core is None:
         return UnitaryCertificate(factors, gl_factors)
-    # _peel's core is strict
-    return UnitaryCertificate(factors, gl_factors, core, orbits_mod._strict_core_orbit(core))
+    return UnitaryCertificate(factors, gl_factors, core, orbits.attach_orbit(core))
 
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
@@ -713,12 +718,12 @@ def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        cert = _certificate(pairs, result, gl_factors)
+        cert = build_certificate(pairs, gl_factors)
         stages.record("certificate", "strict core" if cert.core is not None else "no core",
                       cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
     stages.record("staircase", "violated", result.kind, result.index)
-    normal = rewriter._normalize(pairs, result)
+    normal = rewriter.normalize_to_base(pairs)
     stages.record("normalize", "normalized", result.kind, result.index,
                   normal.base, len(normal.moves))
     # without padding the witness lives on the original group

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spindual.halfint import (
-    HALF, _DENOMINATOR_BOUND, _RATIO_BOUND, _ratio_table, fmt_vec, scaled, vec,
+    HALF, _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, fmt_vec, scaled, vec,
 )
 from spindual.spinclass import (
     MalformedParameter, StringPairs, _eta_witness_full, _pairs_from_doubled,
@@ -226,7 +226,7 @@ def test_dominantize_permutes_integers_and_reuses_fractions(p):
     assert dom == dominantize_reference(p)
     # entries inside the bounds of the shared k/L table are its objects
     if L < _DENOMINATOR_BOUND:
-        table = _ratio_table(L)
+        table = _RATIO_TABLES[L]
         for k, v in zip(ints, q0.mu + q0.nu):
             assert (v is table[k]) or not -_RATIO_BOUND < k < _RATIO_BOUND
 

@@ -88,6 +88,10 @@ def test_comp_nu():
     assert comp_nu(2, H) == (F(3, 2), -H)
     assert comp_nu(1, 0) == (F(0),)
     assert comp_nu(3, -H) == (F(3, 2), -H, F(-5, 2))
+    with pytest.raises(ValueError, match="positive"):
+        comp_nu(0, H)
+    with pytest.raises(ValueError, match="positive"):
+        CompParams(0, H)
 
 
 # ---------------------------------------------------------------------------

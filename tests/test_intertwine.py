@@ -27,6 +27,13 @@ def test_simple_scalars():
     assert simple_scalar_case1(4) == F(-1, 3)
     with pytest.raises(Pole):
         simple_scalar_case1(-2)
+    # the same pole along a word: the pairing of (0, 2, 0) with s1 is -2
+    a2 = WordSystem("A2")
+    assert a2.pairing("s1", (F(0), F(2), F(0))) == -2
+    with pytest.raises(Pole, match="pairing -2"):
+        word_scalar(a2, ("s1",), (F(0), F(2), F(0)))
+    with pytest.raises(ValueError, match="supported systems"):
+        WordSystem("C3")
 
 
 def test_gl_move_scalar_examples():
@@ -85,6 +92,8 @@ def test_verify_chain_basics():
     assert reports[0].scalar is not None
     with pytest.raises(ScriptError):
         verify_chain([PassLeft(2, 1, 0)], start)
+    with pytest.raises(ScriptError, match="unknown move"):
+        verify_chain(["sort"], start)
 
 
 @pytest.mark.parametrize("move", [
@@ -134,6 +143,8 @@ def test_case_ii_d_script():
         # the pass moves are certified; the interior core is external
         assert all(r.ok for r in reports[:-1])
         assert not reports[-1].ok
+    with pytest.raises(ScriptError, match="doubly non-increasing"):
+        it.case_ii_script_d(1, 2, 1, 1)
 
 
 def test_build_case_dispatch():

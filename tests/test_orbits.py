@@ -52,6 +52,10 @@ def test_transpose():
 
 def test_column_sizes_must_be_ints():
     assert OrbitColumns([1, 3], 4).cols == (3, 1)
+    with pytest.raises(ValueError, match="positive"):
+        OrbitColumns((4, 0), 4)
+    with pytest.raises(ValueError, match="not the ambient 5"):
+        OrbitColumns((3, 1), 5)
     for bad in ((2.9, 1.1), ("2", 1), (2, True), (3.0,)):
         with pytest.raises(TypeError, match="column sizes must be ints"):
             OrbitColumns(bad, 3)
@@ -78,6 +82,8 @@ def test_codim_identity_examples():
     assert codim_identity_holds(D((2, 1)))
     assert codim_identity_holds(D((4, 0)))
     assert codim_identity_holds(D((3, 2), (2, 0)))
+    with pytest.raises(ValueError, match="family D"):
+        codim_identity_holds(StringPairs("B", ((1, 1),)))
 
 
 def strict_cores(max_cols, bound):

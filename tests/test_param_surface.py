@@ -90,6 +90,8 @@ def test_parameters_are_frozen():
         for name in ("group", "mu", "nu"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(p, name, getattr(p, name))
+    # read on the class, a row is its descriptor, which builds nothing
+    assert GenuineParam.mu is vars(GenuineParam)["mu"]
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,8 @@ def test_steps_not_built_by_len_or_equality(monkeypatch):
     repr(a)
     assert calls == list(a.normalized.moves)
     assert a == b and calls == list(a.normalized.moves)
+    # a padded base hashes as the tuple of its replayed steps
+    assert hash(a.normalized) == hash(b.normalized)
 
 
 def test_replaced_steps_are_kept():

@@ -1,7 +1,9 @@
 """Tests for string pairs, extraction, the staircase criterion and classify."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import CompParams
 from spindual.spinclass import (
-    MalformedParameter, StageEvent, Status, StringPairs, classify,
+    MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs, Verdict, classify,
     decompose_alpha_beta, enumerate_pairs, eta_weight, extract_pairs,
     pairs_to_param, partition_nt, peel_stein_factors, transcript,
     unitarity_test,
@@ -48,6 +50,8 @@ def test_string_pairs_invariants():
     StringPairs("B", ((0, 1),))
     with pytest.raises(MalformedParameter):
         StringPairs("B", ((2, 0), (0, 1)))  # mixing both zero kinds
+    with pytest.raises(ValueError, match="family must be 'B' or 'D'"):
+        StringPairs("C", ((1, 0),))
 
 
 def test_extract_pairs_d_examples():
@@ -382,34 +386,60 @@ def test_classify_scales_once(monkeypatch):
 
 
 def test_classify_tests_the_staircase_once_per_core(monkeypatch):
-    """classify passes its staircase test on: a strict or violated core is
-    tested once, by classify, and a core that peeling changed once more, for
-    the strictness assertion on the peeled core.  Neither normalize_to_base
-    nor attach_orbit re-tests the input."""
-    from spindual import orbits, rewriter, spinclass
-    calls = []
+    """The staircase test of a StringPairs is computed once and kept on it:
+    classify scans a strict or violated core's own pairs once, and a core
+    that peeling changed once more, for the strictness assertion on the
+    peeled core.  build_certificate, normalize_to_base and attach_orbit test
+    their input again, but only read the kept result.  Padding and peeling
+    list the slacks of their working rows (lists and zips), not counted."""
+    from spindual import rewriter, spinclass
+    scans = []
+    slacks = spinclass.staircase_slacks
 
-    def counted(pairs):
-        calls.append(pairs)
-        return unitarity_test(pairs)
+    def counted(family, cols):
+        if isinstance(cols, tuple):
+            scans.append(cols)
+        return slacks(family, cols)
 
-    for module in (spinclass, orbits, rewriter):
-        monkeypatch.setattr(module, "unitarity_test", counted)
+    for module in (spinclass, rewriter):
+        monkeypatch.setattr(module, "staircase_slacks", counted)
     kinds = set()
     for fam in ("B", "D"):
         for n in range(1, 9):
             for pairs in enumerate_pairs(fam, n):
                 result = unitarity_test(pairs)
-                calls.clear()
+                scans.clear()
                 v = classify(pairs_to_param(pairs))
                 kind = "strict" if result.strict else "peeled" if result else "violated"
                 kinds.add(kind)
-                assert calls[0] == pairs
+                assert scans[0] == pairs.pairs
                 if kind == "peeled":
-                    assert calls[1:] == [v.certificate.core or StringPairs(fam, ())]
+                    core = v.certificate.core
+                    assert scans[1:] == [core.pairs if core else ()]
                 else:
-                    assert len(calls) == 1, (fam, pairs, kind)
+                    assert len(scans) == 1, (fam, pairs, kind)
     assert kinds == {"strict", "peeled", "violated"}
+
+
+def test_staircase_memo_is_not_state():
+    """The kept staircase result leaves equality, hashing, repr, replace,
+    copies and pickles as they are: a copy, a pickle and a replace start
+    without it.  The two satisfied results are shared."""
+    for cols, strict in ((((3, 0),), True), (((2, 2),), False), (((1, 3),), None)):
+        tested, fresh = StringPairs("D", cols), StringPairs("D", cols)
+        result = unitarity_test(tested)
+        assert unitarity_test(tested) is result
+        assert "_staircase" not in vars(fresh)
+        assert tested == fresh and hash(tested) == hash(fresh)
+        assert repr(tested) == repr(fresh) == f"StringPairs(family='D', pairs={cols!r})"
+        assert pickle.dumps(tested) == pickle.dumps(fresh)
+        for other in (dataclasses.replace(tested), copy.copy(tested), copy.deepcopy(tested),
+                      pickle.loads(pickle.dumps(tested))):
+            assert other == tested and "_staircase" not in vars(other)
+        if strict is None:
+            assert not result and result is not unitarity_test(fresh)
+        else:
+            assert result.strict is strict and result is unitarity_test(fresh)
 
 
 def test_witness_parity():
@@ -444,6 +474,8 @@ def test_enumerate_counts_and_order():
             rows = list(enumerate_pairs(fam, n))
             assert len(set(r.pairs for r in rows)) == len(rows)
             assert all(r.n == n for r in rows)
+        with pytest.raises(ValueError, match="n must be positive"):
+            list(enumerate_pairs(fam, 0))
 
 
 def test_build_certificate_surface():
@@ -459,6 +491,11 @@ def test_build_certificate_surface():
         build_certificate(StringPairs("D", ((2, 0), (2, 0))))
     with pytest.raises(ValueError, match="peeling requires"):
         peel_stein_factors(StringPairs("B", ((2, 0),)))
+    # a verdict holds a certificate exactly when it is Unitary
+    with pytest.raises(ValueError, match="certificate present iff Unitary"):
+        Verdict(Status.UNITARY)
+    with pytest.raises(ValueError, match="certificate present iff Unitary"):
+        Verdict(Status.NON_UNITARY, certificate=cert)
 
 
 def test_witness_direct():
@@ -473,6 +510,11 @@ def test_witness_direct():
     pairs = StringPairs("B", ((2, 0),))
     w = witness(pairs, normalize_to_base(pairs))
     assert w.q == 2 and w.weight == eta_weight("B", 4, 2)
+    # a satisfied normal form has no base and no witness
+    pairs = StringPairs("D", ((2, 2),))
+    assert witness(pairs, normalize_to_base(pairs)) is None
+    with pytest.raises(ValueError, match="weight of length 3 on the group D4"):
+        SpinRelevantKType(2, eta_weight("D", 3, 2), GroupTag("D", 4))
 
 
 def test_classify_without_half_block():

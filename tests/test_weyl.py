@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindual.weyl import (
-    DimensionError, GenuineParam, GroupTag, WeylElement, apply, dominantize,
+    DimensionError, GenuineParam, GroupTag, LanglandsPair, WeylElement, apply, dominantize,
     enumerate_weyl, from_langlands, hermitian_dual, hermitian_witness,
     is_conjugate, rho, to_langlands,
 )
@@ -33,6 +33,8 @@ def test_group_rank_must_be_an_int():
             GroupTag("D", bad)
     with pytest.raises(ValueError):
         GroupTag("D", 0)
+    with pytest.raises(ValueError, match="family must be"):
+        GroupTag("C", 2)
 
 
 def test_apply_examples():
@@ -102,6 +104,8 @@ def test_langlands_roundtrip_golden():
     lp = to_langlands(GenuineParam(GroupTag("D", 8), mu, nu))
     assert lp.lambda_l == (F(7, 2), F(5, 2), F(3, 2), H, F(0), F(-1), F(-2), F(-3))
     assert lp.lambda_r == (F(3), F(2), F(1), F(0), -H, F(-3, 2), F(-5, 2), F(-7, 2))
+    with pytest.raises(DimensionError, match="equal length"):
+        LanglandsPair(GroupTag("D", 2), (H, H), (H,))
 
 
 def test_langlands_roundtrip_random():
@@ -179,6 +183,11 @@ def test_is_conjugate_examples():
     assert not is_conjugate(p, GenuineParam(g, (H, H), (F(1), F(3))))
     p = GenuineParam(GroupTag("D", 3), (H, F(3, 2), H), (F(1), F(2), F(3)))
     assert is_conjugate(p, dominantize(p).param)
+    # a (0, 0) coordinate is its own mate and frees the parity in family D
+    p = GenuineParam(g, (F(0), F(1)), (F(0), F(2)))
+    assert is_conjugate(p, GenuineParam(g, (F(-1), F(0)), (F(-2), F(0))))
+    with pytest.raises(ValueError, match="different groups"):
+        is_conjugate(p, GenuineParam(GroupTag("B", 2), p.mu, p.nu))
 
 
 def test_is_conjugate_vs_bruteforce():
@@ -206,6 +215,10 @@ def test_weyl_element_rejects_boolean_signs():
     with pytest.raises(ValueError, match="signs must be"):
         WeylElement((0, 1), (True, 1))
     assert WeylElement((0, 1), (1, -1)).flip_count() == 1
+    with pytest.raises(ValueError, match="invalid signed permutation"):
+        WeylElement((0, 0), (1, 1))
+    with pytest.raises(DimensionError, match="rank mismatch"):
+        WeylElement.identity(2).compose(WeylElement.identity(3))
 
 
 # ---------------------------------------------------------------------------

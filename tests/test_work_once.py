@@ -11,17 +11,19 @@ parameter equality and the text of a parameter build no Fraction at all:
 they work on the integer form.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from spindual import rewriter, spinclass
 from spindual.halfint import (
-    _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES, _ratio_table,
+    _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES,
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    Status, StringPairs, classify, eta_weight, pairs_to_param, staircase_slacks, transcript,
+    Status, StringPairs, classify, enumerate_pairs, eta_weight, pairs_to_param, staircase_slacks,
+    transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
 
@@ -67,6 +69,19 @@ def test_classify_lists_each_state_once(monkeypatch, cols, padded):
     assert len(calls) == 1 + moves + 1
 
 
+def test_kept_staircase_results_add_one_object_per_violation():
+    """Keeping the staircase result on each StringPairs retains one new
+    GC-tracked object per violated instance: satisfied ones share their
+    result, and storing it builds no instance ``__dict__``."""
+    rows = [pairs for fam in "BD" for n in range(1, 9) for pairs in enumerate_pairs(fam, n)]
+    gc.collect()
+    before = len(gc.get_objects())
+    results = [unitarity_test(pairs) for pairs in rows]
+    gc.collect()
+    grown = len(gc.get_objects()) - before - 1   # the results list
+    assert grown <= sum(not result for result in results) < len(rows)
+
+
 DENOMINATORS = (1, 2, 3, 12, _DENOMINATOR_BOUND - 1, _DENOMINATOR_BOUND, 10 ** 6)
 
 
@@ -86,17 +101,21 @@ def test_halves_inside_the_bound_are_shared():
         for first, again in zip(unscaled(L, inside), unscaled(L, reversed(inside))[::-1]):
             assert (first is again) is shared
             if shared:
-                assert first is _ratio_table(L)[first.numerator * (L // first.denominator)]
+                assert first is _RATIO_TABLES[L][first.numerator * (L // first.denominator)]
 
 
 def test_half_table_stays_within_its_bound():
     # one bound rule for both kinds of entry, the Fraction k/L and its text
-    far = [10 ** 6, -(10 ** 6), 10 ** 6 + 1]
+    far = [10 ** 6, -(10 ** 6), 10 ** 6 + 1, 10 ** 9]
     sample = [*range(-_RATIO_BOUND - 3, _RATIO_BOUND + 4), *range(-10 ** 6, 10 ** 6, 10007), *far]
+    # keys a few hundred either side of each bound, inside and past it
+    near = [*range(-_RATIO_BOUND - 300, -_RATIO_BOUND + 300),
+            *range(_RATIO_BOUND - 300, _RATIO_BOUND + 300)]
     for L in (*DENOMINATORS, *range(1, 40)):
-        unscaled(L, range(-10 ** 6, 10 ** 6 + 1, 101))
+        unscaled(L, near)
         unscaled(L, far)
-        texts(L, range(-10 ** 6, 10 ** 6 + 1, 1009))
+        texts(L, near)
+        texts(L, far)
     for L in (*DENOMINATORS, 17, 18, 34):
         expected = [str(Fraction(k, L)) for k in sample]
         assert texts(L, sample) == expected
