@@ -28,8 +28,9 @@ per block.  The public classifiers test it in :func:`_classify_scaled` and
 report NotHermitian when it fails.  ``spinclass.classify`` tests it on each
 mu-block's nu before any block is classified and then calls
 :func:`_classify_symmetric` directly: a mu > 1/2 block is one of those
-mu-blocks, and the residue-class blocks of the mu = 1/2 block inherit the
-symmetry, since negation maps the class t to the class -t at the same twist.
+mu-blocks, and the mu = 1/2 block is tested class by class, each residue
+class against its negation, so the residue-class blocks built from it are
+closed under (value, twist) negation.
 """
 
 from dataclasses import dataclass

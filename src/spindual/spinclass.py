@@ -23,6 +23,7 @@ its verdict on the StringPairs it tested, so peeling, the certificate, the
 normalization and the orbit each test their input without a second scan.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -165,10 +166,10 @@ def _doubled_nu(pairs: StringPairs) -> tuple:
 def _partition_scaled(L: int, ints) -> dict:
     """Residue classes of the values ints/L in order of first occurrence,
     as L*t -> the ints of the class t, descending."""
-    classes = {}
+    classes = defaultdict(list)
     modulus = 2 * L
     for s in ints:
-        classes.setdefault(s % modulus, []).append(s)
+        classes[s % modulus].append(s)
     # s mod 2L names the class; residue moves it into (-L, L] once per class
     return {residue(r, L): sorted(ss, reverse=True) for r, ss in classes.items()}
 
@@ -186,8 +187,8 @@ def _grouped_classes(L: int, classes: dict):
     """Merge residue classes of :func:`_partition_scaled` (L even) into
     GL-blocks and the half-integral core.
 
-    Returns (core_plus, core_minus, gl_blocks): the ints of the classes +-1/2
-    and a list of (label, ints, twists): each class t other than +-1/2 joins
+    Returns (core_plus, gl_blocks): the ints of the class 1/2 and a list of
+    (label, ints, twists): each class t other than +-1/2 joins
     the block of t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and -
     otherwise.  The block t0 = 0 is {0 with +, 1 with -} and comes first; the
     others follow in the order of their least class.
@@ -201,7 +202,7 @@ def _grouped_classes(L: int, classes: dict):
             twists += [1 if abs(r) == r0 else -1] * len(classes[r])
     gl_blocks = [("t=0,1" if r0 == 0 else f"t={text}", ints, twists)
                  for (r0, (ints, twists)), text in zip(blocks.items(), texts(L, blocks)) if ints]
-    return classes.get(L // 2, []), classes.get(-(L // 2), []), gl_blocks
+    return classes.get(L // 2, []), gl_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +438,14 @@ class SpinRelevantKType:
             raise ValueError(
                 f"weight of length {len(self.weight)} on the group {self.group}")
 
+    @classmethod
+    def _built(cls, q, weight: tuple, group: GroupTag) -> "SpinRelevantKType":
+        """The K-type of a weight that spindual built, which its caller vouches
+        for: a tuple of Fractions of length ``group.rank``."""
+        k = object.__new__(cls)
+        k.__dict__.update(q=q, weight=weight, group=group)
+        return k
+
 
 @dataclass(frozen=True)
 class UnitaryCertificate:
@@ -470,7 +479,10 @@ class StageEvent:
     :meth:`fields` names them.  Every value compares by value (Fractions,
     ints, strings, tuples, frozen dataclasses), so classifying one parameter
     twice gives equal verdicts.  ``elapsed_ns``, the time since the previous
-    event, is left out of comparisons and of the repr.
+    event, is left out of comparisons and of the repr.  The mu = 1/2 block is
+    split into its residue classes before the Hermitian test, which reads
+    them, so the hermitian event's time includes that split, and the
+    partition event times only the GL classes of the block.
     """
     stage: str
     outcome: str
@@ -602,7 +614,7 @@ def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
     """eta(q) of the D/B-factor on the mu = 1/2 block [start, stop), lifted
     to mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself."""
     pattern = eta_weight(group.family, stop - start, q)
-    return SpinRelevantKType(q, mu[:start] + pattern + mu[stop:], group)
+    return SpinRelevantKType._built(q, mu[:start] + pattern + mu[stop:], group)
 
 
 def _symmetric(ints) -> bool:
@@ -611,14 +623,31 @@ def _symmetric(ints) -> bool:
     return ordered == [-s for s in reversed(ordered)]
 
 
+def _classes_symmetric(L: int, classes: dict) -> bool:
+    """The block split into the residue classes of :func:`_partition_scaled`
+    is closed under negation: negation maps the class t to the class -t, so
+    each class is the negation of its mate, and t = 0 and t = 1 (L*t = L) are
+    their own mates.  A class descends, so its negation, reversed, is its
+    mate as listed; a class t < 0 is compared from the side of -t."""
+    for r, ints in classes.items():
+        mate = classes.get(-r if r != L else r)
+        if mate is None or (r >= 0 and mate != [-s for s in reversed(ints)]):
+            return False
+    return True
+
+
 def classify(p: GenuineParam) -> Verdict:
     """End-to-end classification of a genuine parameter.
 
     Pipeline: genuineness, dominance normalization, Hermitian check, then the
     mu-blocks: blocks of value (2r-1)/2 with r >= 2 are GL-blocks; the value
     1/2 block splits into residue classes, with the +-1/2 core handled by
-    string pairs and the staircase criterion.  Each stage records a
-    :class:`StageEvent` in ``Verdict.chain``; :func:`transcript` renders them.
+    string pairs and the staircase criterion.  The Hermitian check sorts
+    each GL-block's nu, and reads the mu = 1/2 block off its residue classes,
+    split once, before the check: so the hermitian event's time includes the
+    split, and the partition event's covers only the GL classes.  Each stage
+    records a :class:`StageEvent` in ``Verdict.chain``; :func:`transcript`
+    renders them.
     """
     stages = _Stages()
     if not p.is_genuine():
@@ -629,37 +658,39 @@ def classify(p: GenuineParam) -> Verdict:
     stages.record("dominantize", "diagram flip" if outer else "dominant", q0)
     L, mu_ints, nu_ints = q0.integer_form
     blocks = _mu_blocks(mu_ints)
+    # the dominant mu descends, so the mu = 1/2 block, if any, is the last
+    # one: it is split into residue classes here, and the blocks before it
+    # are GL-blocks, of mu-value (2r-1)/2 with r >= 2
+    m, start, stop = blocks[-1]
+    classes = None
+    if 2 * m == L:
+        blocks.pop()
+        classes = _partition_scaled(L, nu_ints[start:])
     # q0 is genuine, so no mu-entry is 0 and no sign flip is available: it is
-    # Hermitian exactly when each block's nu is closed under negation
-    if not all(_symmetric(nu_ints[start:stop]) for _, start, stop in blocks):
+    # Hermitian exactly when each block's nu is closed under negation, which
+    # the mu = 1/2 block shows class by class
+    if not (all(_symmetric(nu_ints[a:b]) for _, a, b in blocks)
+            and (classes is None or _classes_symmetric(L, classes))):
         stages.record("hermitian", "not hermitian")
         return stages.verdict(Status.NOT_HERMITIAN)
     stages.record("hermitian", "hermitian")
     gl_factors = []
-    # GL-blocks: mu-value (2r-1)/2 with r >= 2; the dominant mu descends, so
-    # the mu = 1/2 block, if any, is the last one
-    for m, start, stop in blocks:
-        if 2 * m == L:
-            break
+    for m, a, b in blocks:
         value = ratio(m, L)
         # the block's nu passed the symmetry test above
-        glv = _classify_symmetric(L, nu_ints[start:stop], (1,) * (stop - start))
+        glv = _classify_symmetric(L, nu_ints[a:b], (1,) * (b - a))
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
-            weight = _embed_block_shift(L, mu_ints, start, glv.witness)
-            return stages.non_unitary(SpinRelevantKType(None, weight, p.group), "lifted")
+            weight = _embed_block_shift(L, mu_ints, a, glv.witness)
+            return stages.non_unitary(SpinRelevantKType._built(None, weight, p.group), "lifted")
         stages.record("gl_block", "unitary", value, len(glv.factors))
         label = fmt(value)
         gl_factors.extend((label, f) for f in glv.factors)
-    else:
+    if classes is None:
         stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
-    assert stop == len(mu_ints), blocks
-    classes = _partition_scaled(L, nu_ints[start:])
-    core_plus, core_minus, blocks_gl = _grouped_classes(L, classes)
-    # both classes descend
-    assert core_minus == [-s for s in reversed(core_plus)]
+    core_plus, blocks_gl = _grouped_classes(L, classes)
     for label, ints, twists in blocks_gl:
         # closed under (value, twist) negation, as the mu = 1/2 block's nu is
         glv = _classify_symmetric(L, ints, twists)
@@ -670,8 +701,9 @@ def classify(p: GenuineParam) -> Verdict:
         gl_factors.extend((label, f) for f in glv.factors)
     stages.record("partition", "unitary", len(classes))
     # the +-1/2 core as string pairs
-    # the class is 1/2 mod 2, so each doubled value L*v // (L/2) is an int
-    doubled = [s // (L // 2) for s in core_plus]
+    # the class is 1/2 mod 2, so each doubled value L*v // (L/2) is an int;
+    # at L = 2 the class holds the doubled values already
+    doubled = core_plus if L == 2 else [s // (L // 2) for s in core_plus]
     try:
         pairs = _pairs_from_doubled(p.group.family, doubled)
     except MalformedParameter as exc:
@@ -744,7 +776,7 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
         return None
     fam, n2 = pairs.family, 2 * normal_form.final.n
     q = _eta_index(fam, normal_form.base)
-    return SpinRelevantKType(q, eta_weight(fam, n2, q), GroupTag(fam, n2))
+    return SpinRelevantKType._built(q, eta_weight(fam, n2, q), GroupTag(fam, n2))
 
 
 def _eta_index(family: str, base) -> int:

@@ -6,15 +6,17 @@ least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
 including ``None`` and the ``ValueError`` on non-dominant mu.  ``classify``
 decides Hermitian symmetry per mu-block without building a Weyl element;
-it agrees with ``hermitian_witness`` on the dominant form.  It reads the
-dominant form through ``weyl._dominant``, which builds no element either.
+it agrees with ``hermitian_witness`` on the dominant form, and on a
+mu = 1/2 block, which it tests class by class, with the whole-block test
+that nu is closed under negation.  It reads the dominant form through
+``weyl._dominant``, which builds no element either.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spindual.spinclass import (
     Status, StringPairs, _grouped_classes, _partition_scaled, classify, pairs_to_param,
@@ -303,6 +305,62 @@ def test_classify_not_hermitian_iff_no_witness(p):
     assert (classify(p).status is Status.NOT_HERMITIAN) == no_witness
 
 
+# the places where a drawn mu = 1/2 block may fail negation, each with the
+# residue t of its values: the +-1/2 core, a GL class t and its mate -t, and
+# the self-paired classes t = 1 and t = 0
+HALF_BLOCK_PLACES = {"core": Fraction(1, 2), "gl": Fraction(1, 3), "one": Fraction(1),
+                     "zero": Fraction(0)}
+
+
+@st.composite
+def half_blocks(draw):
+    """(family, nu, place): the nu of a mu = 1/2 block, closed under negation
+    in every residue class pair but, when ``place`` is not None, that one.
+    Each place holds values t + 2k and their negations; the failing place
+    has one value moved by +-2 within its class, or one unpaired value."""
+    family = draw(st.sampled_from("BD"))
+    parts = {}
+    for place, t in HALF_BLOCK_PLACES.items():
+        values = [t + 2 * k for k in draw(st.lists(st.integers(-2, 2), max_size=3))]
+        parts[place] = values + [-v for v in values]
+    place = draw(st.sampled_from((None, *HALF_BLOCK_PLACES)))
+    if place is not None:
+        values = parts[place]
+        if values and draw(st.booleans()):
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] += draw(st.sampled_from((2, -2)))
+        else:
+            values.append(HALF_BLOCK_PLACES[place] + 2)
+    nu = [v for values in parts.values() for v in values]
+    assume(nu)
+    return family, draw(st.permutations(nu)), place
+
+
+@settings(max_examples=400, deadline=None)
+@given(half_blocks())
+def test_classify_tests_the_half_block_class_by_class(drawn):
+    """``classify`` decides the Hermitian symmetry of the mu = 1/2 block on
+    its residue classes; it agrees with the whole-block reference."""
+    family, nu, place = drawn
+    symmetric = sorted(nu) == sorted(-v for v in nu)
+    assert symmetric is (place is None)
+    p = GenuineParam(GroupTag(family, len(nu)), (Fraction(1, 2),) * len(nu), nu)
+    assert (classify(p).status is Status.NOT_HERMITIAN) is not symmetric
+
+
+@pytest.mark.parametrize("family, nu", [
+    ("D", "1/2 -1/2 1/3 1/3"),      # a GL class
+    ("B", "5/2 1/2 -1/2"),          # the +-1/2 core
+    ("B", "1 1 1/2 -1/2"),          # the class t = 1
+    ("D", "0 1 1/2 -1/2"),          # t = 0 next to t = 1
+])
+def test_half_block_asymmetric_in_one_place(family, nu):
+    nu = [Fraction(v) for v in nu.split()]
+    p = GenuineParam(GroupTag(family, len(nu)), (Fraction(1, 2),) * len(nu), nu)
+    assert classify(p).status is Status.NOT_HERMITIAN
+    assert hermitian_witness(p) is None
+
+
 @settings(max_examples=400, deadline=None)
 @given(genuine_params(hermitian=True))
 def test_grouped_classes_are_closed_under_negation(p):
@@ -317,7 +375,7 @@ def test_grouped_classes_are_closed_under_negation(p):
     # the dominant mu descends, so the mu = 1/2 block is the last one
     _, start, _ = _mu_blocks(mu)[-1]
     assert 2 * mu[start] == L
-    _, _, blocks = _grouped_classes(L, _partition_scaled(L, nu[start:]))
+    _, blocks = _grouped_classes(L, _partition_scaled(L, nu[start:]))
     for _, ints, twists in blocks:
         assert Counter(zip(ints, twists)) == Counter(zip((-v for v in ints), twists))
 

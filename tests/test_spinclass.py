@@ -515,6 +515,12 @@ def test_witness_direct():
     assert witness(pairs, normalize_to_base(pairs)) is None
     with pytest.raises(ValueError, match="weight of length 3 on the group D4"):
         SpinRelevantKType(2, eta_weight("D", 3, 2), GroupTag("D", 4))
+    # the public constructor coerces strings and ints, and checks the length
+    k = SpinRelevantKType(1, ("3/2", "1/2", 1, -1), GroupTag("D", 4))
+    assert k.weight == (F(3, 2), H, F(1), F(-1))
+    assert set(map(type, k.weight)) == {F}
+    with pytest.raises(ValueError, match="weight of length 2 on the group B3"):
+        SpinRelevantKType(1, ("3/2", 1), GroupTag("B", 3))
 
 
 def test_classify_without_half_block():

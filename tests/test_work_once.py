@@ -8,24 +8,31 @@ Fractions k/L of small k and L and their texts through one bounded table
 rule, so table parameters hold few Fraction objects, and ``eta_weight``
 reuses module-level 3/2 and -1/2.  The dominant form, ``pairs_to_param``,
 parameter equality and the text of a parameter build no Fraction at all:
-they work on the integer form.
+they work on the integer form.  The witnesses that ``classify`` builds from
+those shared Fractions skip the coercion and length check of the public
+``SpinRelevantKType`` constructor, and equal what it would build.
 """
 
 import gc
+import importlib
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from spindual import rewriter, spinclass
+from spindual import glclass, halfint, intertwine, rewriter, spinclass, weyl
 from spindual.halfint import (
     _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES,
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    Status, StringPairs, classify, enumerate_pairs, eta_weight, pairs_to_param, staircase_slacks,
-    transcript, unitarity_test,
+    SpinRelevantKType, Status, StringPairs, classify, enumerate_pairs, eta_weight, pairs_to_param,
+    staircase_slacks, transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("cols, padded", [
@@ -220,3 +227,62 @@ def test_classify_builds_no_fraction_once_the_table_holds_its_values(
     dom = again.chain[1].fields()["param"]
     assert dom is not p and lines[0] == f"dominant form: {dom}"
     assert "mu" not in vars(dom) and "nu" not in vars(dom)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's seeded input generators."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+def test_built_witnesses_equal_the_public_construction(workloads):
+    """Every NonUnitary verdict of the D/B tables at n <= 10 and of the
+    seed-1 ``mixed_blocks`` and ``large_rank`` inputs has a witness that the
+    public constructor, which coerces and checks the weight, rebuilds equal,
+    with the same tuple of Fractions, one per coordinate of its group."""
+    h = Fraction(1, 2)
+    params = [pairs_to_param(pairs) for family in "BD" for n in range(1, 11)
+              for pairs in enumerate_pairs(family, n)]
+    params += [GenuineParam(GroupTag(family, len(mu)), mu, nu)
+               for family, mu, nu in workloads.gen_mixed_blocks(None, 1)]
+    params += [pairs_to_param(StringPairs(family, cols))
+               for family, cols in workloads.gen_large_rank(None, 1)]
+    # a half-class that is no string pair: the adjoint-shift witness
+    params.append(GenuineParam(GroupTag("D", 2), (h, h), (5 * h, -5 * h)))
+    kinds = Counter()
+    for p in params:
+        verdict = classify(p)
+        if verdict.status is not Status.NON_UNITARY:
+            continue
+        w = verdict.witness
+        kinds[verdict.chain[-1].outcome] += 1
+        assert SpinRelevantKType(w.q, w.weight, w.group) == w
+        assert SpinRelevantKType(w.q, w.weight, w.group).weight is w.weight
+        assert len(w.weight) == w.group.rank
+    assert set(kinds) == {"eta", "lifted", "adjoint shift"}
+
+
+def test_classify_of_large_rank_inputs_calls_no_vec(monkeypatch, workloads):
+    """``classify`` coerces no vector: the seed-1 ``large_rank`` parameters
+    are built from integers, and their witnesses, padded or not, from shared
+    Fractions."""
+    calls = []
+    vec = halfint.vec
+
+    def counting(values):
+        calls.append(values)
+        return vec(values)
+
+    params = [pairs_to_param(StringPairs(family, cols))
+              for family, cols in workloads.gen_large_rank(None, 1)]
+    for module in (halfint, weyl, glclass, spinclass, intertwine):
+        monkeypatch.setattr(module, "vec", counting)
+    padded = 0
+    for p in params:
+        verdict = classify(p)
+        padded += bool(verdict.normalized and verdict.normalized.moves)
+    assert padded and calls == []
+    # the public constructor still coerces its weight
+    SpinRelevantKType(1, ("3/2", "1/2"), GroupTag("B", 2))
+    assert len(calls) == 1
