@@ -257,8 +257,8 @@ def test_built_witnesses_equal_the_public_construction(workloads):
             continue
         w = verdict.witness
         kinds[verdict.chain[-1].outcome] += 1
-        assert SpinRelevantKType(w.q, w.weight, w.group) == w
-        assert SpinRelevantKType(w.q, w.weight, w.group).weight is w.weight
+        rebuilt = SpinRelevantKType(w.q, w.weight, w.group)
+        assert rebuilt == w and rebuilt.weight is w.weight
         assert len(w.weight) == w.group.rank
     assert set(kinds) == {"eta", "lifted", "adjoint shift"}
 
