@@ -104,10 +104,11 @@ def _param_from_document(doc: dict):
 def _load_document(args):
     """The parameter to classify, and the string pairs it was built from
     (None when it was given by mu and nu)."""
-    if args.pairs:
+    # an option given with an empty value is given: it fails to parse
+    if args.pairs is not None:
         return _pairs_input(_parse_pairs(args.pairs, args.group))
-    if args.mu or args.nu:
-        if not (args.mu and args.nu):
+    if args.mu is not None or args.nu is not None:
+        if args.mu is None or args.nu is None:
             raise ParseError("--mu and --nu must be given together")
         try:
             mu = [frac(s) for s in args.mu.split(",")]

@@ -8,11 +8,11 @@ blocks) runs on the integers L*v of a parameter scaled once by a common
 denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``;
 :func:`residue`).  This module alone shares and prints a value k/L: one
 bounded table rule serves the Fraction k/L (:func:`unscaled`, :func:`ratio`)
-and its text, the ``str`` of that Fraction (:func:`texts`, :func:`fmt_ints`,
-:func:`fmt`).  Parameters, string pairs (L = 2), GL factors and Langlands
-coordinates hold few distinct values in many entries, so each value and
-each text is built once and whatever spindual prints is rendered from the
-integers.  No floating point is used.
+and its text, the ``str`` of that Fraction rendered from k and L
+(:func:`texts`, :func:`fmt_ints`, :func:`fmt`).  Parameters, string pairs
+(L = 2), GL factors and Langlands coordinates hold few distinct values in
+many entries, so each value and each text is built once and whatever
+spindual prints is rendered from the integers.  No floating point is used.
 """
 
 import math
@@ -90,10 +90,16 @@ def _tables(entry) -> _Table:
     return _Table(lambda L: _Table(lambda k: entry(k, L), _RATIO_BOUND), _DENOMINATOR_BOUND)
 
 
+def _text(k: int, L: int) -> str:
+    """``str(Fraction(k, L))`` for L > 0, from the ints: k/L in lowest
+    terms, without the denominator when it is 1."""
+    g = math.gcd(k, L)
+    return str(k // g) if g == L else f"{k // g}/{L // g}"
+
+
 _RATIO_BOUND, _DENOMINATOR_BOUND = 512, 16
 _RATIO_TABLES = _tables(Fraction)
-# the text of k/L is the str of its shared Fraction, in lowest terms
-_TEXT_TABLES = _tables(lambda k, L: str(ratio(k, L)))
+_TEXT_TABLES = _tables(_text)
 
 
 def ratio(k: int, L: int) -> Fraction:

@@ -24,6 +24,7 @@ normalization and the orbit each test their input without a second scan.
 """
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -478,11 +479,14 @@ class StageEvent:
     the values the transcript line shows and the stage's integer counters;
     :meth:`fields` names them.  Every value compares by value (Fractions,
     ints, strings, tuples, frozen dataclasses), so classifying one parameter
-    twice gives equal verdicts.  ``elapsed_ns``, the time since the previous
-    event, is left out of comparisons and of the repr.  The mu = 1/2 block is
-    split into its residue classes before the Hermitian test, which reads
-    them, so the hermitian event's time includes that split, and the
-    partition event times only the GL classes of the block.
+    twice gives equal verdicts.  The ``half_class`` of an extract_pairs event
+    is kept as its doubled ints; its tuple of Fractions is built on first
+    read, and it prints, compares and hashes as that tuple.  ``elapsed_ns``,
+    the time since the previous event, is left out of comparisons and of the
+    repr.  The mu = 1/2 block is split into its residue classes before the
+    Hermitian test, which reads them, so the hermitian event's time includes
+    that split, and the partition event times only the GL classes of the
+    block.
     """
     stage: str
     outcome: str
@@ -493,6 +497,48 @@ class StageEvent:
         """``data`` by name."""
         names, _ = _EVENTS[self.stage, self.outcome]
         return dict(zip(names, self.data, strict=True))
+
+
+class _HalfClass(Sequence):
+    """The Fractions k/2 of the doubled half-class ints k, built on first
+    read and kept.  It prints, compares and hashes as their tuple; its text,
+    and equality with another half-class, read only the ints."""
+    __slots__ = ("ints", "_row")
+
+    def __init__(self, ints: tuple):
+        self.ints, self._row = ints, None
+
+    def _built(self) -> tuple:
+        if self._row is None:
+            self._row = unscaled(2, self.ints)
+        return self._row
+
+    def __len__(self):
+        return len(self.ints)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, _HalfClass):
+            return self.ints == other.ints
+        return self._built() == other
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self):
+        return repr(self._built())
+
+    def __str__(self):
+        return fmt_ints(2, self.ints)
+
+    def __reduce__(self):
+        # copies and pickles carry the ints, not the built row
+        return _HalfClass, (self.ints,)
 
 
 @dataclass(frozen=True)
@@ -564,7 +610,8 @@ _EVENTS = {
 
 
 def render(event: StageEvent) -> tuple:
-    """The transcript lines of one stage event; a tuple prints as a vector."""
+    """The transcript lines of one stage event; a tuple prints as a vector,
+    and a half-class as one, from its ints."""
     _, templates = _EVENTS[event.stage, event.outcome]
     if not templates:
         return ()
@@ -712,7 +759,7 @@ def classify(p: GenuineParam) -> Verdict:
         return stages.non_unitary(
             _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
-                  unscaled(2, doubled), pairs, pairs.k)
+                  _HalfClass(tuple(doubled)), pairs, pairs.k)
     return _pairs_verdict(stages, pairs, tuple(gl_factors), q0, start, stop)
 
 
@@ -735,7 +782,7 @@ def _classify_pairs(pairs: StringPairs, p: GenuineParam) -> Verdict:
     stages.record("dominantize", "dominant", p)
     stages.record("hermitian", "hermitian")
     stages.record("partition", "unitary", 2)
-    stages.record("extract_pairs", "pairs", unscaled(2, p.integer_form[2][:pairs.n]),
+    stages.record("extract_pairs", "pairs", _HalfClass(p.integer_form[2][:pairs.n]),
                   pairs, pairs.k)
     return _pairs_verdict(stages, pairs, (), p, 0, p.group.rank)
 

@@ -406,6 +406,20 @@ def test_mu_without_nu(capsys):
     assert code == 2 and "--mu and --nu" in err
 
 
+@pytest.mark.parametrize("options", [
+    ("--mu=", "--nu="),
+    ("--pairs", ""),
+    ("--mu=1/2", "--nu="),
+])
+def test_empty_option_values_are_parse_errors(monkeypatch, capsys, options):
+    # an option given with an empty value is given: neither the other
+    # options nor a document on stdin stand in for it
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D", "pairs": {"x": [4], "y": [0]}}'))
+    code, err = run_error(capsys, "classify", "--group", "D", *options)
+    assert code == 2 and err.startswith("parse error: ")
+    assert "must be given together" not in err
+
+
 def test_invalid_json_on_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D",'))
     code, err = run_error(capsys, "classify")

@@ -10,24 +10,34 @@ reuses module-level 3/2 and -1/2.  The dominant form, ``pairs_to_param``,
 parameter equality and the text of a parameter build no Fraction at all:
 they work on the integer form.  The witnesses that ``classify`` builds from
 those shared Fractions skip the coercion and length check of the public
-``SpinRelevantKType`` constructor, and equal what it would build.
+``SpinRelevantKType`` constructor, and equal what it would build.  The
+half-class of the extract_pairs event is kept as doubled ints: its Fractions
+are built when it is first read, and a verdict, its transcript and the CLI
+print it from the ints.
 """
 
+import copy
+import dataclasses
 import gc
 import importlib
+import json
+import pickle
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindual import glclass, halfint, intertwine, rewriter, spinclass, weyl
+from spindual.cli import main
 from spindual.halfint import (
     _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES,
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    SpinRelevantKType, Status, StringPairs, classify, enumerate_pairs, eta_weight, pairs_to_param,
+    SpinRelevantKType, Status, StringPairs, classify, classify_pairs, enumerate_pairs, eta_weight,
+    pairs_to_param,
     staircase_slacks, transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
@@ -286,3 +296,115 @@ def test_classify_of_large_rank_inputs_calls_no_vec(monkeypatch, workloads):
     # the public constructor still coerces its weight
     SpinRelevantKType(1, ("3/2", "1/2"), GroupTag("B", 2))
     assert len(calls) == 1
+
+
+@pytest.fixture
+def far_pairs():
+    """D (1000; 0): 872 of its 1,000 half-class values lie past the k/L
+    table bound, so a Fraction row of them is 872 new Fractions."""
+    pairs = StringPairs("D", ((1000, 0),))
+    return pairs, pairs_to_param(pairs)
+
+
+def _half_class(verdict):
+    (event,) = [e for e in verdict.chain if e.stage == "extract_pairs"]
+    return event.fields()["half_class"]
+
+
+@pytest.mark.parametrize("read, row_only", [
+    (lambda verdict: _half_class(verdict)[0], True),
+    (hash, True),
+    # the repr of a verdict also shows the mu and nu of its parameter
+    (repr, False),
+])
+@pytest.mark.parametrize("via_pairs", [False, True])
+def test_half_class_row_is_built_on_first_read(
+        built_fractions, far_pairs, read, row_only, via_pairs):
+    pairs, p = far_pairs
+    doubled = range(3997, 0, -4)
+    expected = tuple(Fraction(k, 2) for k in doubled)
+    unscaled(2, doubled)    # the shared values inside the bound
+    built_fractions.clear()
+    verdict = classify_pairs(pairs) if via_pairs else classify(p)
+    assert verdict.status is Status.UNITARY
+    # the transcript and the text of the parameter are rendered from ints
+    lines = str(verdict)
+    assert f"half-integral class {fmt_vec(expected)} <-> (1000; 0)" in lines
+    assert str(p) and built_fractions == []
+    read(verdict)
+    past_bound = sum(k >= _RATIO_BOUND for k in doubled)
+    assert past_bound == 872
+    assert len(built_fractions) == past_bound if row_only else len(built_fractions) > past_bound
+    # the row is kept: once the verdict is read, reading it again builds nothing
+    repr(verdict), hash(verdict)
+    count = len(built_fractions)
+    row = _half_class(verdict)
+    assert tuple(row) == row[:] == expected and list(reversed(row)) == sorted(expected)
+    repr(verdict), hash(verdict)
+    assert row[0] is row[0] and len(built_fractions) == count
+
+
+def test_cli_json_of_far_pairs_builds_no_fraction(built_fractions, capsys):
+    built_fractions.clear()
+    assert main(["classify", "--group", "D", "--pairs", "1000;0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["langlands"]["lambda_L"][0] == "1999/2"
+    assert built_fractions == []
+
+
+def _with_plain_row(verdict):
+    """The verdict with its half-class given as a plain tuple of Fractions."""
+    chain = tuple(dataclasses.replace(e, data=(tuple(e.data[0]), *e.data[1:]))
+                  if e.stage == "extract_pairs" else e for e in verdict.chain)
+    return dataclasses.replace(verdict, chain=chain)
+
+
+def test_unread_read_and_plain_rows_are_equal(far_pairs):
+    pairs, p = far_pairs
+    unread, read = classify(p), classify_pairs(pairs)
+    _half_class(read)[0]
+    plain = _with_plain_row(classify(p))
+    assert type(_half_class(plain)) is tuple
+    for a in (unread, read, plain):
+        for b in (unread, read, plain):
+            assert a == b and not a != b
+    # equal rows of two unread verdicts compare on their ints
+    assert classify(p) == classify_pairs(pairs)
+    assert _half_class(unread) == _half_class(plain) == _half_class(read)
+    assert hash(unread) == hash(read) == hash(plain)
+    assert repr(unread) == repr(read) == repr(plain)
+    assert str(unread) == str(plain)
+    other = classify(pairs_to_param(StringPairs("D", ((999, 1),))))
+    assert _half_class(other) != _half_class(unread) and other != unread
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda v: pickle.loads(pickle.dumps(v)),
+    lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+])
+@pytest.mark.parametrize("read_first", [False, True])
+def test_verdict_copies_and_pickles(far_pairs, clone, read_first):
+    _, p = far_pairs
+    verdict = classify(p)
+    if read_first:
+        _half_class(verdict)[0]
+    twin = clone(verdict)
+    assert twin == verdict and hash(twin) == hash(verdict)
+    assert repr(twin) == repr(verdict) and str(twin) == str(verdict)
+
+
+def test_classify_pairs_equals_classify_on_large_rank_inputs(workloads):
+    for family, cols in workloads.gen_large_rank(None, 1):
+        pairs = StringPairs(family, cols)
+        direct, through = classify_pairs(pairs), classify(pairs_to_param(pairs))
+        assert direct == through and str(direct) == str(through)
+        assert _half_class(direct) == _half_class(through) == pairs.half_class()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-_RATIO_BOUND - 40, _RATIO_BOUND + 40), st.integers()),
+       st.integers(1, 40))
+def test_text_of_k_over_L_is_the_str_of_the_fraction(k, L):
+    assert texts(L, [k]) == [str(Fraction(k, L))] == [fmt(Fraction(k, L))]
