@@ -37,8 +37,7 @@ from spindual.halfint import (
 )
 from spindual.spinclass import (
     SpinRelevantKType, Status, StringPairs, classify, classify_pairs, enumerate_pairs, eta_weight,
-    pairs_to_param,
-    staircase_slacks, transcript, unitarity_test,
+    pairs_to_param, staircase_slacks, transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
 
