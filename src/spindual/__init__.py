@@ -9,8 +9,7 @@ and intertwining-operator scalars and predicates (:mod:`spindual.intertwine`).
 
 from .weyl import (
     DimensionError, GenuineParam, GroupTag, LanglandsPair, WeylElement,
-    apply, dominantize, from_langlands, hermitian_dual, hermitian_witness,
-    is_conjugate, rho, to_langlands,
+    apply, dominantize, hermitian_dual, hermitian_witness, rho, to_langlands,
 )
 from .glclass import (
     CompParams, GLStatus, GLVerdict, SteinPair, TrivialString, classify_gl,

@@ -34,12 +34,11 @@ class ParseError(ValueError):
 
 
 def _parse_pairs(text: str, family: str) -> StringPairs:
-    try:
-        xs_text, ys_text = text.split(";")
-        xs = [int(t) for t in xs_text.replace(" ", ",").split(",") if t.strip()]
-        ys = [int(t) for t in ys_text.replace(" ", ",").split(",") if t.strip()]
-    except ValueError as exc:
-        raise ParseError(f"cannot parse pairs {text!r}: {exc}") from None
+    try:  # a ValueError: not two rows, or an entry that is not an integer
+        xs, ys = [[int(t) for t in row.replace(" ", ",").split(",") if t.strip()]
+                  for row in text.split(";")]
+    except ValueError:
+        raise ParseError(f'--pairs {text!r} is not of the form "x1,..;y1,.."') from None
     if len(xs) != len(ys):
         raise ParseError("x-row and y-row have different lengths")
     if not xs:

@@ -36,20 +36,6 @@ class ScriptError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# scalar formulas
-
-def simple_scalar_case1(coroot_pairing) -> Fraction:
-    """Rank-one scalar on the antisymmetric line when the discrete parts agree.
-
-    (2 - p)/(2 + p) at pairing p; the symmetric branch is the constant 1.
-    """
-    p = frac(coroot_pairing)
-    if p == -2:
-        raise Pole("pairing -2")
-    return (2 - p) / (2 + p)
-
-
-# ---------------------------------------------------------------------------
 # the scalar and the predicates on entries scaled by L: (int, sign) pairs
 
 def _chain_ends(chain, L: int) -> tuple:
@@ -78,14 +64,6 @@ def _pass_terms(ends, x, L: int) -> tuple:
 
 def _sort_ok(prefix, ends, L: int) -> bool:
     return all(_pass_terms(ends, x, L)[1] != 0 for x in prefix)
-
-
-def _short_root_ok(k: int, L: int) -> bool:
-    return 2 * abs(k) != 3 * L
-
-
-def _pair_flip_ok(a, b, L: int) -> bool:
-    return abs(a[0] + b[0]) != (3 if a[1] == b[1] else 2) * L
 
 
 def _on_ints(seq) -> tuple:
@@ -157,34 +135,11 @@ def sort_ok(prefix, chain) -> bool:
     return _sort_ok(ints[:len(prefix)], _chain_ends(ints[len(prefix):], L), L)
 
 
-def short_root_ok(a) -> bool:
-    """The short-root flip is an isomorphism on spin-relevant K-types
-    except at a = +-3/2."""
-    L, (k,) = scaled((frac(a),))
-    return _short_root_ok(k, L)
-
-
-def pair_flip_ok(e1: SignedEntry, e2: SignedEntry) -> bool:
-    """The rank-one flip (v_i, v_j) -> (-v_j, -v_i) on two entries.
-
-    Kernel/pole locus: |v_i + v_j| = 3 when the signs agree (the discrete
-    pairing is nonzero), |v_i + v_j| = 2 when they differ.
-    """
-    L, (a, b) = _on_ints((e1, e2))
-    return _pair_flip_ok(a, b, L)
-
-
 # ---------------------------------------------------------------------------
 # block moves and replay
 
-class _Move:
-    def describe(self, seq) -> str:
-        """The replay's description of the move on the entries seq."""
-        return verify_chain((self,), seq)[0].description
-
-
 @dataclass(frozen=True)
-class PassLeft(_Move):
+class PassLeft:
     """Move entry ``xi`` just before the contiguous chain [start, stop)."""
     start: int
     stop: int
@@ -192,7 +147,7 @@ class PassLeft(_Move):
 
 
 @dataclass(frozen=True)
-class SortDescending(_Move):
+class SortDescending:
     """Sort the slice [start, stop) into descending order (prefix; chain)."""
     start: int
     split: int
@@ -200,26 +155,26 @@ class SortDescending(_Move):
 
 
 @dataclass(frozen=True)
-class BarGL(_Move):
+class BarGL:
     """Reinterpret entry i through the opposite type-A Levi: v^s -> (-v)^(-s)."""
     index: int
 
 
 @dataclass(frozen=True)
-class ShortRootFlip(_Move):
+class ShortRootFlip:
     """The short-root move of family B on entry i: v^s -> (-v)^(-s)."""
     index: int
 
 
 @dataclass(frozen=True)
-class PairFlip(_Move):
+class PairFlip:
     """Flip entries i < j through the e_i + e_j rank-one move."""
     i: int
     j: int
 
 
 @dataclass(frozen=True)
-class Uncertified(_Move):
+class Uncertified:
     """A move the predicate layer does not certify (external base cases)."""
     note: str
 
@@ -283,7 +238,7 @@ def _step(seq: list, move, L: int, text: dict) -> StepReport:
         seq[i] = bar = (-e[0], -e[1])
         if isinstance(move, BarGL):
             return StepReport(move, f"bar-reading {text[e]} as {text[bar]}", True, True)
-        ok = _short_root_ok(e[0], L)
+        ok = 2 * abs(e[0]) != 3 * L  # the short-root locus a = +-3/2
         return StepReport(move, f"short-root flip of {text[e]}", True, ok,
                           reason="" if ok else "short-root move fails at +-3/2")
     if isinstance(move, PairFlip):
@@ -291,7 +246,8 @@ def _step(seq: list, move, L: int, text: dict) -> StepReport:
         if not 0 <= i < j < n:
             raise ScriptError("pair-flip operands out of order")
         a, b = seq[i], seq[j]
-        ok = _pair_flip_ok(a, b, L)
+        # the kernel locus: |v_i + v_j| = 3 when the signs agree, else 2
+        ok = abs(a[0] + b[0]) != (3 if a[1] == b[1] else 2) * L
         seq[i], seq[j] = (-b[0], -b[1]), (-a[0], -a[1])
         return StepReport(move, f"pair flip of {text[a]}, {text[b]}", True, ok,
                           reason="" if ok else "pair-flip kernel locus hit")
@@ -440,22 +396,12 @@ class WordSystem:
         self.gens = tuple(self._roots)
         self.dim = len(self._roots["s1"][0])
 
-    def _simple(self, gen: str):
-        if gen not in self._roots:
-            raise ValueError(f"{self.name} has no generator {gen!r}")
-        return self._roots[gen]
-
-    def pairing(self, gen: str, nu) -> Fraction:
-        _, coroot = self._simple(gen)
-        return sum(v * c for v, c in zip(nu, coroot, strict=True))
-
-    def reflect(self, gen: str, nu):
-        return word_action(self, (gen,), nu)
-
     def _reflect_scaled(self, gen: str, ks) -> tuple:
         """(P, the reflection) for nu = ks/L on the ints ks: P is L times
         the pairing, and the reflection is scaled by L as well."""
-        root, coroot = self._simple(gen)
+        if gen not in self._roots:
+            raise ValueError(f"{self.name} has no generator {gen!r}")
+        root, coroot = self._roots[gen]
         P = sum(k * c for k, c in zip(ks, coroot, strict=True))
         return P, tuple(k - P * a for k, a in zip(ks, root, strict=True))
 
@@ -473,9 +419,9 @@ def word_scalar(system: WordSystem, word, nu) -> Fraction:
 
     The word is applied left to right; equal Weyl elements give equal
     products wherever every factor is defined, reduced or not.  It runs on
-    nu scaled once by L: at the scaled pairing P = Lp the factor
-    (2 - p)/(2 + p) of :func:`simple_scalar_case1` is (2L - P)/(2L + P),
-    with its pole at P = -2L.
+    nu scaled once by L: the rank-one scalar on the antisymmetric line,
+    (2 - p)/(2 + p) at the pairing p, is (2L - P)/(2L + P) at the scaled
+    pairing P = Lp, with its pole at P = -2L.
     """
     L, ks = scaled(vec(nu))
     num = den = 1

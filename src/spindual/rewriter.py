@@ -26,7 +26,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import neg
 
-from .spinclass import StringPairs, peel_stein_factors, staircase_slacks, unitarity_test
+from .spinclass import (
+    StringPairs, _LazyTuple, peel_stein_factors, staircase_slacks, unitarity_test,
+)
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
 from .spinclass import extract_pairs  # noqa: F401
@@ -67,41 +69,26 @@ class CaseII:
     f: int
 
 
-class _Steps(Sequence):
-    """The InductionSteps of a padding, replayed from its moves on first read.
-    It prints, compares and hashes as their tuple; its length, and equality
-    with another replay, read only the moves."""
-    __slots__ = ("start", "moves", "_steps")
+class _Steps(_LazyTuple):
+    """The InductionSteps of a padding, replayed from its moves on first read."""
+    __slots__ = ("start", "moves")
 
     def __init__(self, start: StringPairs, moves: tuple):
-        self.start, self.moves, self._steps = start, moves, None
+        self.start, self.moves, self._tuple = start, moves, None
 
-    def _built(self) -> tuple:
-        if self._steps is None:
-            steps, current = [], self.start
-            for dx, dy in self.moves:
-                steps.append(step := _insert(current, dx, dy))
-                current = step.after
-            self._steps = tuple(steps)
-        return self._steps
+    def _build(self) -> tuple:
+        steps, current = [], self.start
+        for dx, dy in self.moves:
+            steps.append(step := _insert(current, dx, dy))
+            current = step.after
+        return tuple(steps)
+
+    def _key(self) -> tuple:
+        # equal moves from equal starts replay equal steps
+        return self.moves, self.start if self.moves else None
 
     def __len__(self):
         return len(self.moves)
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __eq__(self, other):
-        if isinstance(other, _Steps):
-            # equal moves from equal starts replay equal steps
-            return self.moves == other.moves and (not self.moves or self.start == other.start)
-        return self._built() == other
-
-    def __hash__(self):
-        return hash(self._built())
-
-    def __repr__(self):
-        return repr(self._built())
 
 
 @dataclass(frozen=True)

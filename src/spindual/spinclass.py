@@ -499,22 +499,17 @@ class StageEvent:
         return dict(zip(names, self.data, strict=True))
 
 
-class _HalfClass(Sequence):
-    """The Fractions k/2 of the doubled half-class ints k, built on first
-    read and kept.  It prints, compares and hashes as their tuple; its text,
-    and equality with another half-class, read only the ints."""
-    __slots__ = ("ints", "_row")
-
-    def __init__(self, ints: tuple):
-        self.ints, self._row = ints, None
+class _LazyTuple(Sequence):
+    """A tuple built from integers on first read and kept.  It prints,
+    compares and hashes as that tuple, but equality with another of its kind
+    reads only the integers.  A subclass defines ``_build`` (the tuple),
+    ``_key`` (the integers, equal only where the tuples are) and ``__len__``."""
+    __slots__ = ("_tuple",)
 
     def _built(self) -> tuple:
-        if self._row is None:
-            self._row = unscaled(2, self.ints)
-        return self._row
-
-    def __len__(self):
-        return len(self.ints)
+        if self._tuple is None:
+            self._tuple = self._build()
+        return self._tuple
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -523,8 +518,8 @@ class _HalfClass(Sequence):
         return iter(self._built())
 
     def __eq__(self, other):
-        if isinstance(other, _HalfClass):
-            return self.ints == other.ints
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
         return self._built() == other
 
     def __hash__(self):
@@ -532,6 +527,23 @@ class _HalfClass(Sequence):
 
     def __repr__(self):
         return repr(self._built())
+
+
+class _HalfClass(_LazyTuple):
+    """The Fractions k/2 of the doubled half-class ints k."""
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: tuple):
+        self.ints, self._tuple = ints, None
+
+    def _build(self) -> tuple:
+        return unscaled(2, self.ints)
+
+    def _key(self) -> tuple:
+        return self.ints
+
+    def __len__(self):
+        return len(self.ints)
 
     def __str__(self):
         return fmt_ints(2, self.ints)

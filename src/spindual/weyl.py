@@ -58,37 +58,12 @@ class WeylElement:
     @lru_cache(maxsize=64)
     def identity(n: int) -> "WeylElement":
         """The identity at rank n, built and validated once per rank and then
-        shared (the element is frozen).  The cache keeps at most 64 ranks,
-        more than the distinct ranks of one benchmark round (42); an entry
-        holds two n-tuples, about 44 n bytes (90 KB at n = 2,000), so the
-        cache holds at most 64 x 44 x (its largest rank) bytes."""
+        shared (the element is frozen); the cache keeps the last 64 ranks."""
         return WeylElement(tuple(range(n)), (1,) * n)
 
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def flip_count(self) -> int:
-        return sum(1 for s in self.signs if s == -1)
-
-    def inverse(self) -> "WeylElement":
-        n = self.n
-        inv = [0] * n
-        for j, i in enumerate(self.perm):
-            inv[i] = j
-        signs = tuple(self.signs[self.perm[k]] for k in range(n))
-        return WeylElement(tuple(inv), signs)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self o other (apply ``other`` first)."""
-        if self.n != other.n:
-            raise DimensionError("rank mismatch in composition")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        # slot i = self.perm[j] receives the sign other.signs[j] picked up at j
-        signs = [None] * self.n
-        for j, i in enumerate(self.perm):
-            signs[i] = self.signs[i] * other.signs[j]
-        return WeylElement(perm, tuple(signs))
 
 
 def apply(w: WeylElement, v) -> tuple:
@@ -205,12 +180,6 @@ def to_langlands(p: GenuineParam) -> LanglandsPair:
     lam_l = unscaled(2 * L, [m + n for m, n in zip(mu, nu)])
     lam_r = unscaled(2 * L, [n - m for m, n in zip(mu, nu)])
     return LanglandsPair(p.group, lam_l, lam_r)
-
-
-def from_langlands(lp: LanglandsPair) -> GenuineParam:
-    mu = tuple(a - b for a, b in zip(lp.lambda_l, lp.lambda_r))
-    nu = tuple(a + b for a, b in zip(lp.lambda_l, lp.lambda_r))
-    return GenuineParam(lp.group, mu, nu)
 
 
 def hermitian_dual(p: GenuineParam) -> GenuineParam:
@@ -337,35 +306,6 @@ def hermitian_witness(p: GenuineParam):
     # w mu = mu and w nu = -nu
     assert apply(w, mu) == mu and apply(w, nu) == tuple(-x for x in nu)
     return w
-
-
-def is_conjugate(p1: GenuineParam, p2: GenuineParam) -> bool:
-    """True iff a single Weyl element carries (mu1, nu1) to (mu2, nu2)."""
-    if p1.group != p2.group:
-        raise ValueError("parameters live in different groups")
-    from collections import Counter
-    c1 = Counter(zip(p1.mu, p1.nu))
-    c2 = Counter(zip(p2.mu, p2.nu))
-    seen = set()
-    parity = 0
-    has_free = c1[(Fraction(0), Fraction(0))] > 0
-    for key in set(c1) | set(c2):
-        if key in seen:
-            continue
-        a, b = key
-        mate = (-a, -b)
-        seen.add(key)
-        seen.add(mate)
-        u, v = c1[key], c1[mate]
-        u2, v2 = c2[key], c2[mate]
-        if u + v != u2 + v2:
-            return False
-        if key == mate:
-            continue
-        parity += (u + u2) % 2
-    if p1.group.family == "D" and parity % 2 == 1 and not has_free:
-        return False
-    return True
 
 
 def rho(group: GroupTag) -> tuple:

@@ -214,6 +214,14 @@ def test_document_decimal_rationals_rejected(tmp_path, capsys):
             assert code == 2 and f"'{entry}' is not a rational" in err, err
 
 
+@pytest.mark.parametrize("text", ["", "1;2;3", "1,a;2,0"])
+def test_pairs_not_of_their_form_rejected(capsys, text):
+    # one message naming the option and its form, not Python's own exception text
+    code, err = run_error(capsys, "classify", "--group", "D", "--pairs", text)
+    assert code == 2
+    assert err == f'parse error: --pairs {text!r} is not of the form "x1,..;y1,.."'
+
+
 @pytest.mark.parametrize("command", ["classify", "rewrite", "orbit", "verify-chain"])
 def test_empty_pairs_rejected(capsys, command):
     code = main([command, "--group", "D", "--pairs", ";"])

@@ -2,12 +2,13 @@
 
 ``verify_chain`` scales its start once and replays every move on
 (int, sign) pairs, where the pass-left scalar and the short-root and
-pair-flip predicates are stated once; ``gl_move_scalar``, ``pass_left_ok``,
-``sort_ok``, ``short_root_ok`` and ``pair_flip_ok`` wrap that statement.
-The reference here states the formulas directly on Fractions and replays on
-``SignedEntry`` sequences.  Hypothesis draws starts of general rationals
-(denominators 1 to 6, both signs) and well-formed moves of every kind, and
-checks that both give equal reports.
+pair-flip predicates are stated once; ``gl_move_scalar``, ``pass_left_ok``
+and ``sort_ok`` wrap the pass-left scalar, and one-move replays stand for
+the short-root and pair-flip predicates.  The reference here states the
+formulas directly on Fractions and replays on ``SignedEntry`` sequences.
+Hypothesis draws starts of general rationals (denominators 1 to 6, both
+signs) and well-formed moves of every kind, and checks that both give equal
+reports.
 """
 
 from fractions import Fraction
@@ -17,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from spindual.intertwine import (
     BarGL, PairFlip, PassLeft, Pole, ScriptError, ShortRootFlip, SignedEntry,
-    SortDescending, StepReport, Uncertified, gl_move_scalar, pair_flip_ok,
-    pass_left_ok, short_root_ok, sort_ok, verify_chain,
+    SortDescending, StepReport, Uncertified, gl_move_scalar, pass_left_ok,
+    sort_ok, verify_chain,
 )
 
 F = Fraction
@@ -195,7 +196,12 @@ def test_examples_reach_every_failure():
 
 
 # ---------------------------------------------------------------------------
-# the public wrappers against the reference
+# the public wrappers and one-move replays against the reference
+
+def one_move_ok(move, *start) -> bool:
+    report, = verify_chain([move], start)
+    return report.ok
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(rationals, max_size=4), st.lists(signs, min_size=4, max_size=4),
@@ -206,9 +212,10 @@ def test_wrappers_match_reference(values, chain_signs, x, x_sign, stepped):
         chain_signs = [chain_signs[0]] * 4
     chain = tuple(E(v, s) for v, s in zip(values, chain_signs))
     xi = E(x, x_sign)
-    assert short_root_ok(x) == short_root_reference(xi)
+    assert one_move_ok(ShortRootFlip(0), xi) == short_root_reference(xi)
     if chain:
-        assert pair_flip_ok(chain[0], xi) == pair_flip_reference(chain[0], xi)
+        assert (one_move_ok(PairFlip(0, 1), chain[0], xi)
+                == pair_flip_reference(chain[0], xi))
     if is_chain(chain):
         num, den = pass_terms_reference(chain, xi)
         assert pass_left_ok(chain, xi) == (den != 0 and num != 0)
@@ -249,7 +256,8 @@ def test_wrappers_pole_and_script_errors():
     # a pole is a failed predicate, not an exception
     assert not pass_left_ok((E(H, 1),), E(F(5, 2), 1))
     assert not sort_ok([E(F(7, 2), -1)], (E(H, 1),))
-    assert short_root_ok(F(3, 4)) and not short_root_ok("-3/2")
-    assert not pair_flip_ok(E(F(1, 3), 1), E(F(8, 3), 1))
-    assert not pair_flip_ok(E(F(1, 3), 1), E(F(-7, 3), -1))
-    assert pair_flip_ok(E(F(1, 3), 1), E(F(-7, 3), 1))
+    assert one_move_ok(ShortRootFlip(0), E(F(3, 4), -1))
+    assert not one_move_ok(ShortRootFlip(0), E("-3/2", 1))
+    assert not one_move_ok(PairFlip(0, 1), E(F(1, 3), 1), E(F(8, 3), 1))
+    assert not one_move_ok(PairFlip(0, 1), E(F(1, 3), 1), E(F(-7, 3), -1))
+    assert one_move_ok(PairFlip(0, 1), E(F(1, 3), 1), E(F(-7, 3), 1))

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.weyl import (
     DimensionError, GenuineParam, GroupTag, LanglandsPair, WeylElement, apply, dominantize,
-    enumerate_weyl, from_langlands, hermitian_dual, hermitian_witness,
-    is_conjugate, rho, to_langlands,
+    enumerate_weyl, hermitian_dual, hermitian_witness, rho, to_langlands,
 )
 
 F = Fraction
@@ -51,15 +50,31 @@ def test_apply_length_mismatch():
         apply(WeylElement.identity(2), (F(1),))
 
 
+def element_of(images) -> WeylElement:
+    """The signed permutation that sends (1, ..., n) to ``images``."""
+    perm = [0] * len(images)
+    for i, k in enumerate(images):
+        perm[abs(k) - 1] = i
+    return WeylElement(tuple(perm), tuple(1 if k > 0 else -1 for k in images))
+
+
 def test_apply_is_group_action():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 8)
         w1, w2 = rnd_weyl(rng, n), rnd_weyl(rng, n)
         v = tuple(F(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(n))
-        assert apply(w1.compose(w2), v) == apply(w1, apply(w2, v))
-        assert apply(w1.compose(w1.inverse()), v) == v
-        assert apply(w1.inverse(), apply(w1, v)) == v
+        basis = tuple(range(1, n + 1))
+        # the product is again a signed permutation, read off the basis
+        product = element_of(apply(w1, apply(w2, basis)))
+        assert apply(product, v) == apply(w1, apply(w2, v))
+        # and w1 has an inverse: w1 sends e_j to +-e_i, its inverse e_i to +-e_j
+        back = [0] * n
+        for i, k in enumerate(apply(w1, basis)):
+            back[abs(k) - 1] = i + 1 if k > 0 else -(i + 1)
+        inverse = element_of(tuple(back))
+        assert apply(inverse, apply(w1, v)) == v
+        assert apply(w1, apply(inverse, v)) == v
 
 
 def test_dominantize_examples():
@@ -93,8 +108,12 @@ def test_dominantize_idempotent_and_conjugate():
         assert again.param == dom.param and not again.outer_applied
         mus = list(dom.param.mu)
         assert mus == sorted(mus, reverse=True) and all(m > 0 for m in mus)
-        if not dom.outer_applied:
-            assert is_conjugate(p, dom.param)
+        # the returned element, then the diagram flip, carries p to its dominant form
+        mu, nu = apply(dom.weyl, p.mu), apply(dom.weyl, p.nu)
+        if dom.outer_applied:
+            mu, nu = mu[:-1] + (-mu[-1],), nu[:-1] + (-nu[-1],)
+        assert (mu, nu) == (dom.param.mu, dom.param.nu)
+        assert fam == "B" or dom.weyl.signs.count(-1) % 2 == 0
 
 
 def test_langlands_roundtrip_golden():
@@ -116,7 +135,10 @@ def test_langlands_roundtrip_random():
         mu = tuple(F(2 * rng.randint(-3, 3) + 1, 2) for _ in range(n))
         nu = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
         p = GenuineParam(GroupTag(fam, n), mu, nu)
-        assert from_langlands(to_langlands(p)) == p
+        lp = to_langlands(p)
+        mu = tuple(a - b for a, b in zip(lp.lambda_l, lp.lambda_r))
+        nu = tuple(a + b for a, b in zip(lp.lambda_l, lp.lambda_r))
+        assert GenuineParam(lp.group, mu, nu) == p
 
 
 def test_hermitian_dual():
@@ -127,7 +149,7 @@ def test_hermitian_dual():
     mu = (H,) * 4
     nu = (F(5, 2), H, -H, F(-5, 2))
     q = GenuineParam(GroupTag("D", 4), mu, nu)
-    assert is_conjugate(q, hermitian_dual(q))
+    assert _brute_conjugate(q, hermitian_dual(q))
 
 
 def test_hermitian_witness_examples():
@@ -166,7 +188,7 @@ def test_hermitian_witness_vs_bruteforce():
             assert apply(got, p.mu) == p.mu
             assert apply(got, p.nu) == tuple(-x for x in p.nu)
             if fam == "D":
-                assert got.flip_count() % 2 == 0
+                assert got.signs.count(-1) % 2 == 0
 
 
 def _brute_conjugate(p1, p2):
@@ -174,35 +196,6 @@ def _brute_conjugate(p1, p2):
         if apply(w, p1.mu) == p2.mu and apply(w, p1.nu) == p2.nu:
             return True
     return False
-
-
-def test_is_conjugate_examples():
-    g = GroupTag("D", 2)
-    p = GenuineParam(g, (H, H), (F(1), F(2)))
-    assert is_conjugate(p, GenuineParam(g, (H, H), (F(2), F(1))))
-    assert not is_conjugate(p, GenuineParam(g, (H, H), (F(1), F(3))))
-    p = GenuineParam(GroupTag("D", 3), (H, F(3, 2), H), (F(1), F(2), F(3)))
-    assert is_conjugate(p, dominantize(p).param)
-    # a (0, 0) coordinate is its own mate and frees the parity in family D
-    p = GenuineParam(g, (F(0), F(1)), (F(0), F(2)))
-    assert is_conjugate(p, GenuineParam(g, (F(-1), F(0)), (F(-2), F(0))))
-    with pytest.raises(ValueError, match="different groups"):
-        is_conjugate(p, GenuineParam(GroupTag("B", 2), p.mu, p.nu))
-
-
-def test_is_conjugate_vs_bruteforce():
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        fam = rng.choice(("B", "D"))
-        g = GroupTag(fam, n)
-        pool_mu = [F(0), H, -H, F(3, 2)]
-        pool_nu = [F(0), F(1), F(-1), F(2)]
-        p1 = GenuineParam(g, tuple(rng.choice(pool_mu) for _ in range(n)),
-                          tuple(rng.choice(pool_nu) for _ in range(n)))
-        p2 = GenuineParam(g, tuple(rng.choice(pool_mu) for _ in range(n)),
-                          tuple(rng.choice(pool_nu) for _ in range(n)))
-        assert is_conjugate(p1, p2) == _brute_conjugate(p1, p2), (p1, p2)
 
 
 def test_rho():
@@ -214,11 +207,8 @@ def test_weyl_element_rejects_boolean_signs():
     # True == 1, but a bool is not a sign
     with pytest.raises(ValueError, match="signs must be"):
         WeylElement((0, 1), (True, 1))
-    assert WeylElement((0, 1), (1, -1)).flip_count() == 1
     with pytest.raises(ValueError, match="invalid signed permutation"):
         WeylElement((0, 0), (1, 1))
-    with pytest.raises(DimensionError, match="rank mismatch"):
-        WeylElement.identity(2).compose(WeylElement.identity(3))
 
 
 # ---------------------------------------------------------------------------
