@@ -402,6 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before 3.12 drops a '--' value, so --rank=-- parses to []
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -128,6 +128,23 @@ def test_mu_starting_with_minus_needs_equals_form(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--rank=--"),
+    ("enumerate", "--rank=--"),
+    ("classify", "--mu=--", "--nu=1"),
+    ("classify", "--group=--", "--pairs=4;0"),
+    ("rewrite", "--pairs=--"),
+])
+def test_double_dash_option_value_rejected(capsys, argv):
+    # '--' joined by '=' is no value: exit 2 with argparse's message, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ": error: argument --" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["rewrite", "orbit", "verify-chain"])
 def test_pairs_commands_require_pairs(capsys, command):
     # these commands read only --pairs: without it, exit 2 with a message
