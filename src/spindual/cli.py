@@ -10,13 +10,16 @@ is read off the staircase test and the doubled integers alone.
 Rationals are serialized as strings like "3/2" to keep output exact.
 
 Exit codes: 0 unitary, 3 non-unitary (or module error), 4 not Hermitian or
-not genuine, 2 parse error.  ``classify --trace`` writes one JSON line per
-stage event of the classification to standard error.
+not genuine, 2 parse error, 141 standard output closed by its reader (128 +
+SIGPIPE, the status a shell reports for ``yes | head -1``).  ``classify
+--trace`` writes one JSON line per stage event of the classification to
+standard error.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from operator import add, sub
 
@@ -63,8 +66,21 @@ def _json_list(value, what: str, items: str) -> list:
     return value
 
 
+_DOCUMENT_FORM = "a JSON object with group and either pairs: {x, y} or mu and nu"
+
+
+def _json_field(obj, key: str, what: str, form: str):
+    """The field ``key`` of ``what``, a JSON object of the form ``form``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be {form}")
+    if key not in obj:
+        raise ParseError(f"{what} has no field {key}: it must be {form}")
+    return obj[key]
+
+
 def _json_row(doc: dict, key: str) -> list:
-    row = _json_list(doc["pairs"][key], f"pairs.{key}", "integers")
+    row = _json_field(doc["pairs"], key, "pairs", "a JSON object {x: [...], y: [...]}")
+    row = _json_list(row, f"pairs.{key}", "integers")
     return [_json_int(v, f"pairs.{key} entry") for v in row]
 
 
@@ -81,22 +97,25 @@ def _pairs_input(pairs: StringPairs):
     return pairs_to_param(_bounded(pairs, rewriter.MAX_PADDED_N, "classify")), pairs
 
 
-def _param_from_document(doc: dict):
+def _param_from_document(doc):
+    def field(key):
+        return _json_field(doc, key, "the parameter document", _DOCUMENT_FORM)
+
     try:
-        family = doc["group"]
+        family = field("group")
         if "pairs" in doc:
             xs = _json_row(doc, "x")
             ys = _json_row(doc, "y")
             if len(xs) != len(ys):
                 raise ParseError("x-row and y-row have different lengths")
             return _pairs_input(StringPairs(family, tuple(zip(xs, ys))))
-        mu = [frac(s) for s in _json_list(doc["mu"], "mu", "rationals")]
-        nu = [frac(s) for s in _json_list(doc["nu"], "nu", "rationals")]
+        mu = [frac(s) for s in _json_list(field("mu"), "mu", "rationals")]
+        nu = [frac(s) for s in _json_list(field("nu"), "nu", "rationals")]
         rank = _json_int(doc["rank"], "rank") if "rank" in doc else len(mu)
         return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu)), None
     except ParseError:
         raise
-    except (KeyError, ValueError, TypeError, DimensionError, MalformedParameter) as exc:
+    except (ValueError, TypeError, DimensionError, MalformedParameter) as exc:
         raise ParseError(f"invalid parameter document: {exc}") from None
 
 
@@ -407,7 +426,15 @@ def main(argv=None) -> int:
         if value == []:
             parser.error(f"argument --{name}: expected one argument")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe early is found here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes standard output once more at exit: point
+        # it at the null device so that flush neither fails nor reports
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

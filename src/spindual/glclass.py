@@ -23,31 +23,26 @@ and pair with matching twist.  The classifier runs on nu scaled to integers
 by a common denominator: its own least one, or the parameter's integer form
 in ``spinclass.classify``; Fractions appear only in the factors and reasons.
 
-Symmetry (closure of the block under (value, twist) negation) is tested once
-per block.  The public classifiers test it in :func:`_classify_scaled` and
-report NotHermitian when it fails.  ``spinclass.classify`` tests it on each
-mu-block's nu before any block is classified and then calls
-:func:`_classify_symmetric` directly: a mu > 1/2 block is one of those
-mu-blocks, and the mu = 1/2 block is tested class by class, each residue
-class against its negation, so the residue-class blocks built from it are
-closed under (value, twist) negation.
+A block reaches :func:`_classify_symmetric` as its residue classes, (twist,
+descending ints) pairs of one residue class mod 2 at one twist each, and
+closed under (value, twist) negation.  ``spinclass.classify`` splits each
+mu-block once (:func:`_partition_scaled`) and tests that split
+(:func:`_classes_symmetric`) before it classifies any block: a mu > 1/2
+block passes its classes at twist +1, and the residue-class blocks of the
+mu = 1/2 block inherit its symmetry, since negation maps the class t to the
+class -t at the same twist.  The public classifiers test the multiset of
+signed values and report NotHermitian when it fails (:func:`_classify_scaled`),
+then group it by (residue, twist) (:func:`_signed_classes`).
 """
 
+# _count_elements, the loop of Counter.update, counts into any mapping: a
+# Counter's construction costs more than the count on the small blocks of classify
+from collections import _count_elements, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .halfint import frac, vec, is_sign, ratio, scaled, fmt, fmt_ints, HALF
-
-try:
-    # the C loop that Counter.update runs (CPython), counting into any
-    # mapping: a Counter's construction costs more than the count on the
-    # small blocks of classify
-    from collections import _count_elements
-except ImportError:
-    def _count_elements(counts, values):
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
 
 
 def _multiplicity_layers(values) -> list:
@@ -64,17 +59,36 @@ def _multiplicity_layers(values) -> list:
     return layers
 
 
-def _layers(L: int, ints, signs) -> list:
-    """The chains of the values ints/L as (twist, scaled values) layers: the
-    multiplicity layers of each (residue mod 2, twist) class, longest first,
-    then by their values descending."""
-    groups = {}
+def _partition_scaled(L: int, ints) -> dict:
+    """Residue classes of the values ints/L in order of first occurrence, as
+    L*t -> the ints of the class t, descending, with t in (-1, 1]."""
+    classes = defaultdict(list)
     modulus = 2 * L
-    for v, s in zip(ints, signs):
-        # v mod 2L names the residue class; the key is never read as a value
-        groups.setdefault((v % modulus, s), []).append(v)
-    layers = [(s, layer) for (_, s), values in groups.items()
-              for layer in _multiplicity_layers(values)]
+    for s in ints:
+        classes[s % modulus].append(s)
+    for ss in classes.values():
+        ss.sort(reverse=True)
+    return {r - modulus if r > L else r: ss for r, ss in classes.items()}
+
+
+def _classes_symmetric(L: int, classes: dict) -> bool:
+    """The block split into the residue classes of :func:`_partition_scaled`
+    is closed under negation: negation maps the class t to the class -t, so
+    each class is the negation of its mate, and t = 0 and t = 1 (L*t = L) are
+    their own mates.  A class descends, so its negation, reversed, is its
+    mate as listed; a class t < 0 is compared from the side of -t."""
+    for r, ints in classes.items():
+        mate = classes.get(-r if r != L else r)
+        if mate is None or (r >= 0 and mate != [-s for s in reversed(ints)]):
+            return False
+    return True
+
+
+def _layers(classes) -> list:
+    """The chains of a block given as (twist, ints) residue classes, as
+    (twist, scaled values) layers: the multiplicity layers of each class,
+    longest first, then by their values descending."""
+    layers = [(s, layer) for s, ints in classes for layer in _multiplicity_layers(ints)]
     # reverse=True keeps ties (equal layers of two twists) in order
     return sorted(layers, key=lambda sl: (len(sl[1]), sl[1]), reverse=True)
 
@@ -136,14 +150,16 @@ class GLVerdict:
     reason: str = ""
 
 
-def _shift(n: int, q: int) -> tuple:
+def _shift(layers, q: int) -> tuple:
+    # each value of the block lies in as many layers as its multiplicity
+    n = sum(len(layer) for _, layer in layers)
     return (1,) * q + (0,) * (n - 2 * q) + (-1,) * q
 
 
-def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
-    """The block of values ints/L with the twists signs, L any common
-    denominator, when the block is closed under (value, twist) negation:
-    its chains must be strings and pair as characters/Stein pairs.
+def _classify_symmetric(L: int, classes) -> GLVerdict:
+    """The block of values ints/L, L any common denominator, given as its
+    (twist, descending ints) residue classes and closed under (value, twist)
+    negation: its chains must be strings and pair as characters/Stein pairs.
 
     The layers are distinct values of one residue class, so they descend by
     multiples of 2L, and a layer is a step-2 string exactly when its span
@@ -153,13 +169,13 @@ def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
     larger top value and comes first; it stands for the pair, and the layer
     with negative center is skipped.
     """
-    layers = _layers(L, ints, signs)
+    layers = _layers(classes)
     # step gaps first: a chain that is not a pure step-2 string is attached to
     # a module that is not one-dimensional
     for _, layer in layers:
         if layer[0] - layer[-1] != 2 * L * (len(layer) - 1):
             return GLVerdict(
-                GLStatus.NON_UNITARY, witness=_shift(len(ints), 1), q=1,
+                GLStatus.NON_UNITARY, witness=_shift(layers, 1), q=1,
                 reason=f"chain {fmt_ints(L, layer)} has a gap larger than 2",
             )
     # the layers come longest first, so each list is in factor order
@@ -175,7 +191,7 @@ def _classify_symmetric(L: int, ints, signs) -> GLVerdict:
                 continue
             qw = max(len(layer) - doubled_center // (2 * L) + 1, 1)
             return GLVerdict(
-                GLStatus.NON_UNITARY, witness=_shift(len(ints), qw), q=qw,
+                GLStatus.NON_UNITARY, witness=_shift(layers, qw), q=qw,
                 reason=f"deformation pair of size {len(layer)} at |t|={fmt(t)} outside the unitary range",
             )
     return GLVerdict(GLStatus.UNITARY_FACTORS, factors=(*trivial, *stein))
@@ -208,4 +224,14 @@ def _classify_scaled(L: int, ints, signs) -> GLVerdict:
     denominator, tested for symmetry first: the public classifiers run this."""
     if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):
         return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
-    return _classify_symmetric(L, ints, signs)
+    return _classify_symmetric(L, _signed_classes(L, ints, signs))
+
+
+def _signed_classes(L: int, ints, signs) -> list:
+    """The (twist, descending ints) classes of the values ints/L with the
+    twists signs: their (residue, twist) groups in order of first occurrence."""
+    groups = {}
+    modulus = 2 * L
+    for v, s in zip(ints, signs):
+        groups.setdefault((v % modulus, s), []).append(v)
+    return [(s, sorted(vs, reverse=True)) for (_, s), vs in groups.items()]

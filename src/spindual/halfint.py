@@ -5,14 +5,14 @@ classification inputs, general rationals in intertwining scalars and in the
 deformations of complementary series.  The classification (genuineness,
 dominance, the Hermitian check, residue classes, string extraction, GL
 blocks) runs on the integers L*v of a parameter scaled once by a common
-denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``;
-:func:`residue`).  This module alone shares and prints a value k/L: one
-bounded table rule serves the Fraction k/L (:func:`unscaled`, :func:`ratio`)
-and its text, the ``str`` of that Fraction rendered from k and L
-(:func:`texts`, :func:`fmt_ints`, :func:`fmt`).  Parameters, string pairs
-(L = 2), GL factors and Langlands coordinates hold few distinct values in
-many entries, so each value and each text is built once and whatever
-spindual prints is rendered from the integers.  No floating point is used.
+denominator L (:func:`scaled`, kept as ``GenuineParam.integer_form``).
+This module alone shares and prints a value k/L: one bounded table rule
+serves the Fraction k/L (:func:`unscaled`, :func:`ratio`) and its text, the
+``str`` of that Fraction rendered from k and L (:func:`texts`,
+:func:`fmt_ints`, :func:`fmt`).  Parameters, string pairs (L = 2), GL
+factors and Langlands coordinates hold few distinct values in many entries,
+so each value and each text is built once and whatever spindual prints is
+rendered from the integers.  No floating point is used.
 """
 
 import math
@@ -133,9 +133,3 @@ def fmt(v) -> str:
 
 def fmt_vec(values) -> str:
     return "(" + ", ".join(map(fmt, values)) + ")"
-
-
-def residue(s: int, L: int) -> int:
-    """L times the representative of s/L mod 2Z in (-1, 1]: s mod 2L in (-L, L]."""
-    r = s % (2 * L)
-    return r - 2 * L if r > L else r

@@ -23,17 +23,17 @@ its verdict on the StringPairs it tested, so peeling, the certificate, the
 normalization and the orbit each test their input without a second scan.
 """
 
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from time import perf_counter_ns
 
-from .halfint import vec, fmt, fmt_ints, fmt_vec, ratio, residue, scaled, texts, unscaled, HALF
+from .halfint import vec, fmt, fmt_ints, fmt_vec, ratio, scaled, texts, unscaled, HALF
 from .weyl import GenuineParam, GroupTag, _dominant, _mu_blocks
-from .glclass import GLStatus, CompParams, _classify_symmetric, _multiplicity_layers
+from .glclass import GLStatus, CompParams, _classes_symmetric, _classify_symmetric
+from .glclass import _multiplicity_layers, _partition_scaled
 # not called here: bench/tracing.py wraps these names on this module
 from .glclass import classify_gl, classify_gl_genuine_block  # noqa: F401
 from .weyl import dominantize, hermitian_witness  # noqa: F401
@@ -164,17 +164,6 @@ def _doubled_nu(pairs: StringPairs) -> tuple:
     return (*half, *(-d for d in reversed(half)))
 
 
-def _partition_scaled(L: int, ints) -> dict:
-    """Residue classes of the values ints/L in order of first occurrence,
-    as L*t -> the ints of the class t, descending."""
-    classes = defaultdict(list)
-    modulus = 2 * L
-    for s in ints:
-        classes[s % modulus].append(s)
-    # s mod 2L names the class; residue moves it into (-L, L] once per class
-    return {residue(r, L): sorted(ss, reverse=True) for r, ss in classes.items()}
-
-
 def partition_nt(nu) -> dict:
     """Split nu into residue classes: t in (-1,1] with nu_i - t in 2Z.
 
@@ -185,24 +174,22 @@ def partition_nt(nu) -> dict:
 
 
 def _grouped_classes(L: int, classes: dict):
-    """Merge residue classes of :func:`_partition_scaled` (L even) into
+    """Group residue classes of :func:`_partition_scaled` (L even) into
     GL-blocks and the half-integral core.
 
     Returns (core_plus, gl_blocks): the ints of the class 1/2 and a list of
-    (label, ints, twists): each class t other than +-1/2 joins
-    the block of t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and -
+    (label, [(twist, ints), ...]): each class t other than +-1/2 joins the
+    block of t0 = min(|t|, 1-|t|), with twist + when |t| = t0 and -
     otherwise.  The block t0 = 0 is {0 with +, 1 with -} and comes first; the
     others follow in the order of their least class.
     """
-    blocks = {0: ([], [])}
+    blocks = {0: []}
     for r in sorted(classes):
         if 2 * abs(r) != L:
             r0 = min(abs(r), L - abs(r))
-            ints, twists = blocks.setdefault(r0, ([], []))
-            ints += classes[r]
-            twists += [1 if abs(r) == r0 else -1] * len(classes[r])
-    gl_blocks = [("t=0,1" if r0 == 0 else f"t={text}", ints, twists)
-                 for (r0, (ints, twists)), text in zip(blocks.items(), texts(L, blocks)) if ints]
+            blocks.setdefault(r0, []).append((1 if abs(r) == r0 else -1, classes[r]))
+    gl_blocks = [("t=0,1" if r0 == 0 else f"t={text}", block)
+                 for (r0, block), text in zip(blocks.items(), texts(L, blocks)) if block]
     return classes.get(L // 2, []), gl_blocks
 
 
@@ -483,10 +470,10 @@ class StageEvent:
     is kept as its doubled ints; its tuple of Fractions is built on first
     read, and it prints, compares and hashes as that tuple.  ``elapsed_ns``,
     the time since the previous event, is left out of comparisons and of the
-    repr.  The mu = 1/2 block is split into its residue classes before the
+    repr.  Every mu-block is split into its residue classes before the
     Hermitian test, which reads them, so the hermitian event's time includes
-    that split, and the partition event times only the GL classes of the
-    block.
+    the splits, and the partition event times only the GL classes of the
+    mu = 1/2 block.
     """
     stage: str
     outcome: str
@@ -669,30 +656,11 @@ def _embed_block_shift(L, mu_ints, start, shift):
     return unscaled(L, out)
 
 
-def _eta_witness_full(mu, start, stop, group, q) -> SpinRelevantKType:
-    """eta(q) of the D/B-factor on the mu = 1/2 block [start, stop), lifted
-    to mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself."""
-    pattern = eta_weight(group.family, stop - start, q)
-    return SpinRelevantKType._built(q, mu[:start] + pattern + mu[stop:], group)
-
-
-def _symmetric(ints) -> bool:
-    """The multiset of ints is closed under negation."""
-    ordered = sorted(ints)
-    return ordered == [-s for s in reversed(ordered)]
-
-
-def _classes_symmetric(L: int, classes: dict) -> bool:
-    """The block split into the residue classes of :func:`_partition_scaled`
-    is closed under negation: negation maps the class t to the class -t, so
-    each class is the negation of its mate, and t = 0 and t = 1 (L*t = L) are
-    their own mates.  A class descends, so its negation, reversed, is its
-    mate as listed; a class t < 0 is compared from the side of -t."""
-    for r, ints in classes.items():
-        mate = classes.get(-r if r != L else r)
-        if mate is None or (r >= 0 and mate != [-s for s in reversed(ints)]):
-            return False
-    return True
+def _eta_witness_full(mu, start, group, q) -> SpinRelevantKType:
+    """eta(q) of the D/B-factor on the mu = 1/2 block mu[start:], lifted to
+    mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself."""
+    pattern = eta_weight(group.family, len(mu) - start, q)
+    return SpinRelevantKType._built(q, mu[:start] + pattern, group)
 
 
 def classify(p: GenuineParam) -> Verdict:
@@ -701,10 +669,10 @@ def classify(p: GenuineParam) -> Verdict:
     Pipeline: genuineness, dominance normalization, Hermitian check, then the
     mu-blocks: blocks of value (2r-1)/2 with r >= 2 are GL-blocks; the value
     1/2 block splits into residue classes, with the +-1/2 core handled by
-    string pairs and the staircase criterion.  The Hermitian check sorts
-    each GL-block's nu, and reads the mu = 1/2 block off its residue classes,
-    split once, before the check: so the hermitian event's time includes the
-    split, and the partition event's covers only the GL classes.  Each stage
+    string pairs and the staircase criterion.  Every mu-block is split into
+    its residue classes once, before the Hermitian check, which reads them:
+    so the hermitian event's time includes the splits, and the partition
+    event's covers only the GL classes of the mu = 1/2 block.  Each stage
     records a :class:`StageEvent` in ``Verdict.chain``; :func:`transcript`
     renders them.
     """
@@ -716,47 +684,41 @@ def classify(p: GenuineParam) -> Verdict:
     q0, outer, _ = _dominant(p)
     stages.record("dominantize", "diagram flip" if outer else "dominant", q0)
     L, mu_ints, nu_ints = q0.integer_form
-    blocks = _mu_blocks(mu_ints)
-    # the dominant mu descends, so the mu = 1/2 block, if any, is the last
-    # one: it is split into residue classes here, and the blocks before it
-    # are GL-blocks, of mu-value (2r-1)/2 with r >= 2
-    m, start, stop = blocks[-1]
-    classes = None
-    if 2 * m == L:
-        blocks.pop()
-        classes = _partition_scaled(L, nu_ints[start:])
+    blocks = [(m, start, _partition_scaled(L, nu_ints[start:stop]))
+              for m, start, stop in _mu_blocks(mu_ints)]
     # q0 is genuine, so no mu-entry is 0 and no sign flip is available: it is
-    # Hermitian exactly when each block's nu is closed under negation, which
-    # the mu = 1/2 block shows class by class
-    if not (all(_symmetric(nu_ints[a:b]) for _, a, b in blocks)
-            and (classes is None or _classes_symmetric(L, classes))):
+    # Hermitian exactly when each block's nu is closed under negation
+    if not all(_classes_symmetric(L, classes) for _, _, classes in blocks):
         stages.record("hermitian", "not hermitian")
         return stages.verdict(Status.NOT_HERMITIAN)
     stages.record("hermitian", "hermitian")
     gl_factors = []
-    for m, a, b in blocks:
+    # the dominant mu descends, so the mu = 1/2 block, if any, is the last
+    # one, and the blocks before it are GL-blocks, of mu-value (2r-1)/2 with
+    # r >= 2, each one twist
+    for m, start, classes in blocks:
+        if 2 * m == L:
+            break
         value = ratio(m, L)
-        # the block's nu passed the symmetry test above
-        glv = _classify_symmetric(L, nu_ints[a:b], (1,) * (b - a))
+        glv = _classify_symmetric(L, zip(repeat(1), classes.values()))
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("gl_block", "non-unitary", value, glv.reason)
-            weight = _embed_block_shift(L, mu_ints, a, glv.witness)
+            weight = _embed_block_shift(L, mu_ints, start, glv.witness)
             return stages.non_unitary(SpinRelevantKType._built(None, weight, p.group), "lifted")
         stages.record("gl_block", "unitary", value, len(glv.factors))
         label = fmt(value)
         gl_factors.extend((label, f) for f in glv.factors)
-    if classes is None:
+    else:
         stages.record("certificate", "no core", None, None, 0, len(gl_factors))
         cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
         return stages.verdict(Status.UNITARY, certificate=cert)
     core_plus, blocks_gl = _grouped_classes(L, classes)
-    for label, ints, twists in blocks_gl:
+    for label, block in blocks_gl:
         # closed under (value, twist) negation, as the mu = 1/2 block's nu is
-        glv = _classify_symmetric(L, ints, twists)
+        glv = _classify_symmetric(L, block)
         if glv.status is GLStatus.NON_UNITARY:
             stages.record("partition", "non-unitary", label, glv.reason)
-            return stages.non_unitary(
-                _eta_witness_full(q0.mu, start, stop, p.group, glv.q), "eta")
+            return stages.non_unitary(_eta_witness_full(q0.mu, start, p.group, glv.q), "eta")
         gl_factors.extend((label, f) for f in glv.factors)
     stages.record("partition", "unitary", len(classes))
     # the +-1/2 core as string pairs
@@ -768,11 +730,10 @@ def classify(p: GenuineParam) -> Verdict:
     except MalformedParameter as exc:
         # the message, not the exception: exceptions compare by identity
         stages.record("extract_pairs", "malformed", str(exc))
-        return stages.non_unitary(
-            _eta_witness_full(q0.mu, start, stop, p.group, 1), "adjoint shift")
+        return stages.non_unitary(_eta_witness_full(q0.mu, start, p.group, 1), "adjoint shift")
     stages.record("extract_pairs", "pairs" if core_plus else "empty",
                   _HalfClass(tuple(doubled)), pairs, pairs.k)
-    return _pairs_verdict(stages, pairs, tuple(gl_factors), q0, start, stop)
+    return _pairs_verdict(stages, pairs, tuple(gl_factors), q0, start)
 
 
 def classify_pairs(pairs: StringPairs) -> Verdict:
@@ -796,13 +757,13 @@ def _classify_pairs(pairs: StringPairs, p: GenuineParam) -> Verdict:
     stages.record("partition", "unitary", 2)
     stages.record("extract_pairs", "pairs", _HalfClass(p.integer_form[2][:pairs.n]),
                   pairs, pairs.k)
-    return _pairs_verdict(stages, pairs, (), p, 0, p.group.rank)
+    return _pairs_verdict(stages, pairs, (), p, 0)
 
 
 def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
-                   q0: GenuineParam, start: int, stop: int) -> Verdict:
+                   q0: GenuineParam, start: int) -> Verdict:
     """The stages after extract_pairs, on the string pairs of the mu = 1/2
-    block [start, stop) of the dominant parameter q0: staircase, then
+    block, from start on, of the dominant parameter q0: staircase, then
     certificate, or normalize and witness."""
     from . import rewriter
 
@@ -819,7 +780,7 @@ def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
                   normal.base, len(normal.moves))
     # without padding the witness lives on the original group
     wit = witness(pairs, normal) if normal.moves else _eta_witness_full(
-        q0.mu, start, stop, q0.group, _eta_index(pairs.family, normal.base))
+        q0.mu, start, q0.group, _eta_index(pairs.family, normal.base))
     return stages.non_unitary(wit, "eta", pairs=pairs, normalized=normal)
 
 

@@ -241,7 +241,7 @@ def test_eta_witness_full_past_position_zero(family):
     start, stop = 3, 9
     qs = range(0, 6) if family == "D" else range(0, 7)
     for q in qs:
-        wit = _eta_witness_full(mu, start, stop, group, q)
+        wit = _eta_witness_full(mu, start, group, q)
         shift = [Fraction(0)] * start + [e - Fraction(1, 2)
                                          for e in eta_weight(family, stop - start, q)]
         assert wit.weight == tuple(m + s for m, s in zip(mu, shift))
@@ -250,7 +250,7 @@ def test_eta_witness_full_past_position_zero(family):
         if family == "D" and q % 2 == 1:
             assert wit.weight[-1] == Fraction(-1, 2)
     with pytest.raises(ValueError):
-        _eta_witness_full(mu, start, stop, group, qs.stop)
+        _eta_witness_full(mu, start, group, qs.stop)
 
 
 def test_identity_is_shared_per_rank():

@@ -445,6 +445,26 @@ def test_empty_option_values_are_parse_errors(monkeypatch, capsys, options):
     assert "must be given together" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1,2]", "the parameter document must be a JSON object with group and either "
+     "pairs: {x, y} or mu and nu"),
+    ('"text"', "the parameter document must be a JSON object"),
+    ("null", "the parameter document must be a JSON object"),
+    ('{"group": "D", "pairs": [1]}', "pairs must be a JSON object {x: [...], y: [...]}"),
+    ('{"group": "D", "pairs": {"x": [1]}}', "pairs has no field y"),
+    ('{"group": "D", "nu": ["1"]}', "the parameter document has no field mu"),
+    ('{"mu": ["1/2"], "nu": ["0"]}', "the parameter document has no field group"),
+    ('{"group": "D", "mu": ["1/2"]}', "the parameter document has no field nu"),
+], ids=["array", "string", "null", "pairs array", "no y", "no mu", "no group", "no nu"])
+def test_document_not_of_its_form(monkeypatch, capsys, text, message):
+    """A document that is not an object, or lacks a field, gets one parse
+    error naming the field or the expected form, not Python's own words."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, err = run_error(capsys, "classify")
+    assert code == 2 and err.startswith("parse error: ") and message in err
+    assert "indices" not in err and "subscriptable" not in err
+
+
 def test_invalid_json_on_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D",'))
     code, err = run_error(capsys, "classify")
@@ -524,13 +544,31 @@ def test_classify_gl_factors_json_golden(capsys):
     ]
 
 
-def _fresh_process(*argv):
-    """Exit code, stdout and stderr of ``python -m spindual.cli`` in a new process."""
+def _cli_process(argv) -> dict:
+    """The arguments of a new process that runs ``python -m spindual.cli``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "spindual.cli", *argv],
-                          capture_output=True, text=True, env=env, check=False)
+    return {"args": [sys.executable, "-m", "spindual.cli", *argv], "env": env}
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout and stderr of ``python -m spindual.cli`` in a new process."""
+    proc = subprocess.run(**_cli_process(argv), capture_output=True, text=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_standard_output_exits_141():
+    """A reader that stops after one line, as ``table ... | head -n 1`` does,
+    ends the run with 141 (128 + SIGPIPE) and nothing on standard error: the
+    table (some 290 KB) is more than a pipe holds."""
+    proc = subprocess.Popen(**_cli_process(["table", "--group", "B", "--rank", "12"]),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"(12; 0) ") and err == b""
 
 
 def test_parser_is_reused(capsys):

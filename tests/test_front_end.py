@@ -5,11 +5,11 @@ layers of ``glclass._layers`` work on vectors scaled to integers by their
 least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
 including ``None`` and the ``ValueError`` on non-dominant mu.  ``classify``
-decides Hermitian symmetry per mu-block without building a Weyl element;
-it agrees with ``hermitian_witness`` on the dominant form, and on a
-mu = 1/2 block, which it tests class by class, with the whole-block test
-that nu is closed under negation.  It reads the dominant form through
-``weyl._dominant``, which builds no element either.
+decides Hermitian symmetry per mu-block without building a Weyl element:
+it splits each mu-block into residue classes once and tests it class by
+class, and agrees with ``hermitian_witness`` on the dominant form and with
+the whole-block test that nu is closed under negation.  It reads the
+dominant form through ``weyl._dominant``, which builds no element either.
 """
 
 from collections import Counter
@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from spindual import spinclass
 from spindual.spinclass import (
     Status, StringPairs, _grouped_classes, _partition_scaled, classify, pairs_to_param,
     partition_nt,
@@ -376,8 +377,37 @@ def test_grouped_classes_are_closed_under_negation(p):
     _, start, _ = _mu_blocks(mu)[-1]
     assert 2 * mu[start] == L
     _, blocks = _grouped_classes(L, _partition_scaled(L, nu[start:]))
-    for _, ints, twists in blocks:
+    for _, block in blocks:
+        ints = [v for _, vs in block for v in vs]
+        twists = [s for s, vs in block for _ in vs]
         assert Counter(zip(ints, twists)) == Counter(zip((-v for v in ints), twists))
+
+
+_MU_TWO_BLOCKS = (Fraction(5, 2), Fraction(5, 2), Fraction(1, 2), Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(genuine_params(), genuine_params(hermitian=True)))
+@example(GenuineParam(GroupTag("D", 4), _MU_TWO_BLOCKS, (1, -1, Fraction(1, 2), Fraction(-1, 2))))
+@example(GenuineParam(GroupTag("B", 4), _MU_TWO_BLOCKS, (1, 0, Fraction(1, 2), Fraction(-1, 2))))
+@example(GenuineParam(GroupTag("B", 4), _MU_TWO_BLOCKS, (1, -1, Fraction(1, 2), Fraction(1, 2))))
+def test_classify_splits_each_mu_block_once(p):
+    """``classify`` splits each mu-block of the dominant form into residue
+    classes exactly once, before its Hermitian test, whatever the verdict."""
+    calls = []
+
+    def counted(L, ints):
+        calls.append(len(ints))
+        return _partition_scaled(L, ints)
+
+    original, spinclass._partition_scaled = spinclass._partition_scaled, counted
+    try:
+        status = classify(p).status
+    finally:
+        spinclass._partition_scaled = original
+    _, mu, _ = dominantize(p).param.integer_form
+    assert calls == [stop - start for _, start, stop in _mu_blocks(mu)]
+    assert (status is Status.NOT_HERMITIAN) == (hermitian_witness(dominantize(p).param) is None)
 
 
 def test_dominantize_returns_dominant_input_as_is(monkeypatch):

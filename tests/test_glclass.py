@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
     CompParams, GLStatus, SteinPair, TrivialString, _layers, _multiplicity_layers,
-    classify_gl, classify_gl_genuine_block, comp_nu,
+    _signed_classes, classify_gl, classify_gl_genuine_block, comp_nu,
 )
 from spindual.halfint import scaled, vec
 
@@ -30,10 +30,12 @@ def halves(*numerators):
 
 def layer_chains(nu, signs=None):
     """The chains of nu as (twist, values) tuples: the layers of
-    ``_layers`` mapped back to Fractions."""
+    ``_layers`` mapped back to Fractions, on the classes that the public
+    classifiers build (``_signed_classes``)."""
     L, ints = scaled(vec(nu))
     signs = (1,) * len(ints) if signs is None else tuple(signs)
-    return tuple((s, tuple(F(v, L) for v in layer)) for s, layer in _layers(L, ints, signs))
+    classes = _signed_classes(L, ints, signs)
+    return tuple((s, tuple(F(v, L) for v in layer)) for s, layer in _layers(classes))
 
 
 def _brute_chains(values):
@@ -283,21 +285,31 @@ def test_multiplicity_layers_match_counter_reference_drawn(values):
 
 
 def test_multiplicity_layers_without_the_c_count(monkeypatch):
-    """Where collections has no _count_elements, glclass still imports and
-    counts with its own loop."""
+    """Where _collections has no C _count_elements, collections keeps the
+    one it defines in Python; glclass imports that one and counts alike."""
+    import _collections
     import collections
     import importlib.util
     import sys
     import spindual.glclass
-    # a second copy of the module, so the one every other module holds is untouched
-    name = "spindual._glclass_without_c_count"
-    spec = importlib.util.spec_from_file_location(name, spindual.glclass.__file__)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    # only while it imports: Counter itself reads the name
-    with monkeypatch.context() as m:
-        m.delattr(collections, "_count_elements")
+
+    def load(name, path):
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
+        return module
+
+    # second copies of both modules, so the ones every other module holds are
+    # untouched; each patch lasts only while a copy imports
+    with monkeypatch.context() as m:
+        m.delattr(_collections, "_count_elements", raising=False)
+        pure = load("spindual._collections_without_c_count", collections.__file__)
+    assert pure._count_elements is not collections._count_elements
+    with monkeypatch.context() as m:
+        m.setattr(collections, "_count_elements", pure._count_elements)
+        module = load("spindual._glclass_without_c_count", spindual.glclass.__file__)
+    assert module._count_elements is pure._count_elements
     assert module._count_elements is not spindual.glclass._count_elements
     rng = random.Random("layers:fallback")
     for size in (0, 1, 7, 300):

@@ -2,9 +2,9 @@
 
 ``classify_gl`` and ``classify_gl_genuine_block`` scale a block once to
 integers and run ``_classify_scaled``: a symmetry test, then
-``_classify_symmetric``, which ``classify`` calls directly on the blocks of a
-parameter's integer form, whose symmetry it has tested per mu-block.  It
-takes the chains as integer layers and lets the chain with positive center
+``_classify_symmetric``, which ``classify`` calls directly on the residue
+classes of a parameter's integer form, split and tested for symmetry per
+mu-block.  It takes the chains as integer layers and lets the chain with positive center
 stand for each dual pair.  The
 Fraction implementation it replaced is kept here as the oracle: Fraction
 symmetry checks, chains as (twist, Fraction values) tuples, and each chain's
@@ -167,15 +167,22 @@ def test_any_common_multiple_classifies_alike(signed, k):
 def test_classify_reaches_both_block_kinds(monkeypatch):
     """The 800 ``mixed_blocks`` parameters of seed 1 reach the integer GL
     classifier with both kinds of block, each closed under (value, twist)
-    negation, and give both statuses."""
+    negation, and give both statuses.  Each class handed to the classifier
+    is one residue class at one twist, descending."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     calls = []
 
-    def counted(L, ints, twists):
-        calls.append(len(ints))
+    def counted(L, classes):
+        classes = list(classes)
+        calls.append(len(classes))
+        for s, ints in classes:
+            assert s in (1, -1) and ints == sorted(ints, reverse=True)
+            assert len({v % (2 * L) for v in ints}) == 1
+        ints = [v for _, vs in classes for v in vs]
+        twists = [s for s, vs in classes for _ in vs]
         assert sorted(zip(ints, twists)) == sorted(zip((-v for v in ints), twists))
-        return _classify_symmetric(L, ints, twists)
+        return _classify_symmetric(L, classes)
 
     monkeypatch.setattr(spinclass, "_classify_symmetric", counted)
     statuses = Counter()
