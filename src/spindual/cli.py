@@ -24,9 +24,9 @@ import sys
 from operator import add, sub
 
 from .halfint import frac, fmt, texts
-from .weyl import GenuineParam, GroupTag, DimensionError
+from .weyl import GenuineParam, GroupTag
 from .spinclass import (
-    MalformedParameter, Status, StringPairs, Verdict, _classify_pairs, _doubled_nu,
+    Status, StringPairs, Verdict, _classify_pairs, _doubled_nu,
     _eta_index, classify, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
 )
 from . import intertwine, orbits, rewriter
@@ -36,20 +36,26 @@ class ParseError(ValueError):
     pass
 
 
+def _string_pairs(family, xs: list, ys: list) -> StringPairs:
+    """The pairs of the rows ``xs`` and ``ys``; StringPairs rejects a bad shape."""
+    if len(xs) != len(ys):
+        raise ParseError("x-row and y-row have different lengths")
+    return StringPairs(family, tuple(zip(xs, ys)))
+
+
 def _parse_pairs(text: str, family: str) -> StringPairs:
     try:  # a ValueError: not two rows, or an entry that is not an integer
         xs, ys = [[int(t) for t in row.replace(" ", ",").split(",") if t.strip()]
                   for row in text.split(";")]
     except ValueError:
         raise ParseError(f'--pairs {text!r} is not of the form "x1,..;y1,.."') from None
-    if len(xs) != len(ys):
-        raise ParseError("x-row and y-row have different lengths")
-    if not xs:
-        raise ParseError(f"pairs {text!r} have no columns")
     try:
-        return StringPairs(family, tuple(zip(xs, ys)))
-    except MalformedParameter as exc:
+        pairs = _string_pairs(family, xs, ys)
+    except ValueError as exc:  # the row lengths, or no string-pair shape
         raise ParseError(str(exc)) from None
+    if not pairs.pairs:
+        raise ParseError(f"pairs {text!r} have no columns")
+    return pairs
 
 
 def _json_int(value, what: str) -> int:
@@ -104,18 +110,14 @@ def _param_from_document(doc):
     try:
         family = field("group")
         if "pairs" in doc:
-            xs = _json_row(doc, "x")
-            ys = _json_row(doc, "y")
-            if len(xs) != len(ys):
-                raise ParseError("x-row and y-row have different lengths")
-            return _pairs_input(StringPairs(family, tuple(zip(xs, ys))))
+            return _pairs_input(_string_pairs(family, _json_row(doc, "x"), _json_row(doc, "y")))
         mu = [frac(s) for s in _json_list(field("mu"), "mu", "rationals")]
         nu = [frac(s) for s in _json_list(field("nu"), "nu", "rationals")]
         rank = _json_int(doc["rank"], "rank") if "rank" in doc else len(mu)
         return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu)), None
     except ParseError:
         raise
-    except (ValueError, TypeError, DimensionError, MalformedParameter) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid parameter document: {exc}") from None
 
 
@@ -135,7 +137,7 @@ def _load_document(args):
                 raise ParseError("mu and nu have different lengths")
             rank = len(mu) if args.rank is None else args.rank
             return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu)), None
-        except (DimensionError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc)) from None
     try:
         if args.file:
@@ -299,11 +301,7 @@ def cmd_rewrite(args) -> int:
 def cmd_orbit(args) -> int:
     # the orbit's work grows linearly with n, so it takes classify's bound
     pairs = _bounded(_parse_pairs(args.pairs, args.group), rewriter.MAX_PADDED_N, "orbit")
-    try:
-        orbit = orbits.attach_orbit(pairs)
-    except orbits.NotStrictCore as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    orbit = orbits.attach_orbit(pairs)
     dim = orbits.orbit_dim(orbit)
     doc = {
         "columns": list(orbit.cols),
@@ -325,11 +323,7 @@ def cmd_orbit(args) -> int:
 def cmd_verify_chain(args) -> int:
     pairs = _bounded(_parse_pairs(args.pairs, args.group), intertwine.MAX_SCRIPT_SIZE,
                      "verify-chain")
-    try:
-        parts = intertwine.build_case_script(args.group, pairs.pairs)
-    except intertwine.ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    parts = intertwine.build_case_script(args.group, pairs.pairs)
     reports = [intertwine.verify_chain(script, start) for _, start, script in parts]
     doc = [
         {
@@ -438,12 +432,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except rewriter.PaddingBoundExceeded as exc:
+    except (rewriter.PaddingBoundExceeded, orbits.NotStrictCore, intertwine.ScriptError) as exc:
+        # input padded past its bound, a core that is not strict, pairs with no script
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedParameter, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, rewriter.PaddingBoundExceeded) else 3
 
 
 if __name__ == "__main__":
