@@ -4,16 +4,21 @@ Subcommands: classify, table, enumerate, rewrite, orbit, verify-chain.
 Parameters come from ``--pairs "x1,..;y1,.."`` with ``--group``, from a JSON
 document (``--file`` or stdin) with fields {group, rank, mu, nu} or
 {group, pairs: {x: [...], y: [...]}}, or from explicit ``--mu/--nu`` lists.
+``classify`` reads one source, and a second one is a parse error: ``--pairs``
+next to ``--mu``, ``--nu``, ``--rank`` or ``--file``, ``--mu``/``--nu`` next
+to ``--file``, ``--rank`` without ``--mu``/``--nu``, and a document that holds
+pairs next to mu, nu or rank.
 String pairs are classified by ``classify_pairs``, which gives the verdict of
 ``classify`` on their parameter without extracting them again; a table row
 is read off the staircase test and the doubled integers alone.
 Rationals are serialized as strings like "3/2" to keep output exact.
 
-Exit codes: 0 unitary, 3 non-unitary (or module error), 4 not Hermitian or
-not genuine, 2 parse error, 141 standard output closed by its reader (128 +
-SIGPIPE, the status a shell reports for ``yes | head -1``).  ``classify
---trace`` writes one JSON line per stage event of the classification to
-standard error.
+Exit codes: 0 unitary, 3 non-unitary (or a module error: ``orbit`` on a core
+that is not strict, ``verify-chain`` on pairs with no built-in script), 4 not
+Hermitian or not genuine, 2 parse error, 141 standard output closed by its
+reader (128 + SIGPIPE, the status a shell reports for ``yes | head -1``).
+``classify --trace`` writes one JSON line per stage event of the
+classification to standard error.
 """
 
 import argparse
@@ -110,6 +115,10 @@ def _param_from_document(doc):
     try:
         family = field("group")
         if "pairs" in doc:
+            for second in ("mu", "nu", "rank"):
+                if second in doc:
+                    raise ParseError(f"the parameter document holds both pairs and {second}: "
+                                     "give pairs, or mu and nu (with rank)")
             return _pairs_input(_string_pairs(family, _json_row(doc, "x"), _json_row(doc, "y")))
         mu = [frac(s) for s in _json_list(field("mu"), "mu", "rationals")]
         nu = [frac(s) for s in _json_list(field("nu"), "nu", "rationals")]
@@ -121,9 +130,25 @@ def _param_from_document(doc):
         raise ParseError(f"invalid parameter document: {exc}") from None
 
 
+def _one_source(args) -> None:
+    """Reject classify options that give the parameter by two sources, or a
+    --rank that no --mu/--nu reads."""
+    given = [f"--{name}" for name in ("pairs", "mu", "nu", "file")
+             if getattr(args, name) is not None]
+    if args.rank is not None and args.mu is None and args.nu is None:
+        first, second = ["--rank", *given, "a document on standard input"][:2]
+    elif len(given) > 1 and given != ["--mu", "--nu"]:
+        first, second = given[0], given[-1]
+    else:
+        return
+    raise ParseError(f"{first} and {second} cannot be given together: give --pairs, "
+                     "or --mu and --nu (with --rank), or a document")
+
+
 def _load_document(args):
     """The parameter to classify, and the string pairs it was built from
     (None when it was given by mu and nu)."""
+    _one_source(args)
     # an option given with an empty value is given: it fails to parse
     if args.pairs is not None:
         return _pairs_input(_parse_pairs(args.pairs, args.group))

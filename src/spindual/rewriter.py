@@ -43,10 +43,6 @@ class InductionStep:
     after: StringPairs
 
     @property
-    def size(self) -> int:
-        return self.dx + self.dy
-
-    @property
     def label(self) -> int:
         """Arrow annotation: dx, the half-size used in induction transcripts."""
         return self.dx

@@ -465,15 +465,64 @@ def test_document_not_of_its_form(monkeypatch, capsys, text, message):
     assert "indices" not in err and "subscriptable" not in err
 
 
+PAIRS_DOCUMENT = '{"group": "D", "pairs": {"x": [4], "y": [0]}}'
+ONE_SOURCE = "give --pairs, or --mu and --nu (with --rank), or a document"
+
+
+@pytest.mark.parametrize("options, first, second", [
+    (["--pairs", "4;0", "--mu=1/2", "--nu=1/2"], "--pairs", "--nu"),
+    (["--pairs", "4;0", "--mu=1/2"], "--pairs", "--mu"),
+    (["--pairs", "4;0", "--rank", "7"], "--rank", "--pairs"),
+    (["--pairs", "4;0", "--file", "param.json"], "--pairs", "--file"),
+    (["--mu=1/2", "--nu=1/2", "--file", "param.json"], "--mu", "--file"),
+    (["--nu=1/2", "--file", "param.json"], "--nu", "--file"),
+    (["--rank", "7", "--file", "param.json"], "--rank", "--file"),
+    (["--rank", "7"], "--rank", "a document on standard input"),
+], ids=["pairs-mu-nu", "pairs-mu", "pairs-rank", "pairs-file", "mu-nu-file", "nu-file",
+        "rank-file", "rank-stdin"])
+def test_classify_reads_one_parameter_source(tmp_path, monkeypatch, capsys, options,
+                                             first, second):
+    # a second source is rejected, not ignored: each of these classified one
+    # source (or --rank was dropped) and exited 0 or 4
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "param.json").write_text(PAIRS_DOCUMENT)
+    monkeypatch.setattr("sys.stdin", io.StringIO(PAIRS_DOCUMENT))
+    code, err = run_error(capsys, "classify", "--group", "D", *options)
+    assert code == 2
+    assert err == f"parse error: {first} and {second} cannot be given together: {ONE_SOURCE}"
+
+
+@pytest.mark.parametrize("key, value", [("mu", ["1/2"]), ("nu", ["0"]), ("rank", 5)],
+                         ids=["mu", "nu", "rank"])
+def test_pairs_document_is_one_parameter_source(tmp_path, capsys, key, value):
+    # {"group": "D", "rank": 5, "pairs": ...} classified D8, ignoring its rank
+    doc = {"group": "D", key: value, "pairs": {"x": [4], "y": [0]}}
+    code, err = classify_document(tmp_path, capsys, doc)
+    assert code == 2 and err == (f"parse error: the parameter document holds both pairs "
+                                 f"and {key}: give pairs, or mu and nu (with rank)")
+
+
+def test_one_source_with_rank_still_classifies(capsys):
+    code, out = run(capsys, "classify", "--mu=1/2,1/2", "--nu=1/2,-1/2", "--rank", "2")
+    assert code == 0 and out.startswith("parameter: D2: ")
+
+
 def test_invalid_json_on_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D",'))
     code, err = run_error(capsys, "classify")
     assert code == 2 and "invalid JSON" in err
 
 
-def test_verify_chain_without_script(capsys):
-    code, err = run_error(capsys, "verify-chain", "--group", "B", "--pairs", "2,1;1,0")
-    assert code == 3 and err.startswith("error: ")
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["classify", "--mu", "1/2", "--nu", "0/0"], 2, "parse error: "),
+    (["rewrite", "--pairs", "317;0"], 2, "error: "),
+    (["orbit", "--group", "D", "--pairs", "2;2"], 3, "error: "),
+    (["verify-chain", "--group", "B", "--pairs", "2,1;1,0"], 3, "error: "),
+], ids=["parse-error", "padding-bound", "core-not-strict", "no-script"])
+def test_exit_code_table(capsys, argv, code, prefix):
+    # each failure exits with its code, one stderr line and nothing on stdout
+    got, err = run_error(capsys, *argv)
+    assert got == code and err.startswith(prefix), err
 
 
 def test_verify_chain_size_bound(capsys, monkeypatch):

@@ -67,7 +67,7 @@ def test_full_staircase_all_steps_legal():
             for pairs in enumerate_pairs(fam, n):
                 steps, final = full_staircase(pairs)
                 for s in steps:
-                    assert s.after.n == s.before.n + s.size
+                    assert s.after.n == s.before.n + s.dx + s.dy
                 assert all(x - y in (0, 1) for x, y in final.pairs)
 
 
@@ -120,7 +120,7 @@ def test_normalize_base_hypotheses():
                         assert nb.base.f > nb.base.c
                 assert all(x - y in (0, 1) for x, y in nb.stein_columns)
                 # transcript sizes are positive and extend the rank
-                assert nb.final.n == pairs.n + sum(s.size for s in nb.steps)
+                assert nb.final.n == pairs.n + sum(s.dx + s.dy for s in nb.steps)
 
 
 def test_step_string_rendering():
