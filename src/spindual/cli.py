@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (rewriter.PaddingBoundExceeded, orbits.NotStrictCore, intertwine.ScriptError) as exc:
-        # input padded past its bound, a core that is not strict, pairs with no script
+        # padding past its bound is input too large; the other two are module errors
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, rewriter.PaddingBoundExceeded) else 3
 

@@ -502,11 +502,6 @@ def test_pairs_document_is_one_parameter_source(tmp_path, capsys, key, value):
                                  f"and {key}: give pairs, or mu and nu (with rank)")
 
 
-def test_one_source_with_rank_still_classifies(capsys):
-    code, out = run(capsys, "classify", "--mu=1/2,1/2", "--nu=1/2,-1/2", "--rank", "2")
-    assert code == 0 and out.startswith("parameter: D2: ")
-
-
 def test_invalid_json_on_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D",'))
     code, err = run_error(capsys, "classify")
