@@ -31,8 +31,8 @@ from operator import add, sub
 from .halfint import frac, fmt, texts
 from .weyl import GenuineParam, GroupTag
 from .spinclass import (
-    Status, StringPairs, Verdict, _classify_pairs, _doubled_nu,
-    _eta_index, classify, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
+    Status, StringPairs, Verdict, _doubled_nu, _eta_index,
+    classify, classify_pairs, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
 )
 from . import intertwine, orbits, rewriter
 
@@ -225,7 +225,7 @@ def _trace_record(event) -> dict:
 
 def cmd_classify(args) -> int:
     p, pairs = _load_document(args)
-    verdict = classify(p) if pairs is None else _classify_pairs(pairs, p)
+    verdict = classify(p) if pairs is None else classify_pairs(pairs)
     if args.trace:
         for event in verdict.chain:
             print(json.dumps(_trace_record(event)), file=sys.stderr)

@@ -744,12 +744,7 @@ def classify_pairs(pairs: StringPairs) -> Verdict:
     from it are ``pairs`` again; so the front-end events are recorded as
     they stand and the pairs go straight to the staircase test.
     """
-    return _classify_pairs(pairs, pairs_to_param(pairs))
-
-
-def _classify_pairs(pairs: StringPairs, p: GenuineParam) -> Verdict:
-    """:func:`classify_pairs` with ``p = pairs_to_param(pairs)`` built
-    already; the CLI holds it for the Langlands coordinates, so it calls this."""
+    p = pairs_to_param(pairs)
     stages = _Stages()
     stages.record("genuine", "genuine")
     stages.record("dominantize", "dominant", p)

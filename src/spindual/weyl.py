@@ -11,7 +11,7 @@ family D).  Everything here is exact and immutable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby, permutations, product
 
 from .halfint import fmt_ints, scaled, unscaled, vec
@@ -55,10 +55,8 @@ class WeylElement:
             raise ValueError("signs must be +1/-1")
 
     @staticmethod
-    @lru_cache(maxsize=64)
     def identity(n: int) -> "WeylElement":
-        """The identity at rank n, built and validated once per rank and then
-        shared (the element is frozen); the cache keeps the last 64 ranks."""
+        """The identity at rank n."""
         return WeylElement(tuple(range(n)), (1,) * n)
 
     @property
@@ -141,24 +139,16 @@ class GenuineParam:
         return f"{self.group}: mu={fmt_ints(L, mu)}, nu={fmt_ints(L, nu)}"
 
 
-class _FractionRow:
+def _fraction_row(name: str, row: int) -> cached_property:
     """``mu`` (row 1) or ``nu`` (row 2) of a parameter built from its integer
-    form: the Fractions of that row, built on first read and kept in the
-    instance.  Like a cached_property it defines no ``__set__``, so the
-    values the dataclass ``__init__`` stores take precedence over it."""
-
-    def __init__(self, name: str, row: int):
-        self.name, self.row = name, row
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            return self
-        form = p.integer_form
-        values = p.__dict__[self.name] = unscaled(form[0], form[self.row])
-        return values
+    form, built on first read and kept; set after the class is made, since
+    the dataclass would read a class-body descriptor as the field default."""
+    rows = cached_property(lambda p: unscaled(p.integer_form[0], p.integer_form[row]))
+    rows.__set_name__(GenuineParam, name)
+    return rows
 
 
-GenuineParam.mu, GenuineParam.nu = _FractionRow("mu", 1), _FractionRow("nu", 2)
+GenuineParam.mu, GenuineParam.nu = _fraction_row("mu", 1), _fraction_row("nu", 2)
 
 
 @dataclass(frozen=True)

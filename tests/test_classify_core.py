@@ -4,9 +4,8 @@ Fraction or Counter work, against copies of the code they replaced.
 String extraction reads the runs off the multiplicity layers instead of a
 greedy search, ``StringPairs`` validates its columns with C-level passes, ``dominantize`` permutes only the integer
 form and builds its Fractions from the shared k/L table, ``_eta_witness_full`` places the
-eta pattern on the mu = 1/2 block, ``WeylElement.identity`` is shared per
-rank and ``vec`` returns a tuple of Fractions as it is.  The replaced
-versions are kept here as references.
+eta pattern on the mu = 1/2 block and ``vec`` returns a tuple of Fractions as
+it is.  The replaced versions are kept here as references.
 """
 
 from collections import Counter
@@ -253,11 +252,11 @@ def test_eta_witness_full_past_position_zero(family):
         _eta_witness_full(mu, start, group, qs.stop)
 
 
-def test_identity_is_shared_per_rank():
+def test_identity_is_equal_per_rank():
     for n in (1, 2, 7, 2000):
-        assert WeylElement.identity(n) is WeylElement.identity(n)
+        assert WeylElement.identity(n) == WeylElement.identity(n)
         assert WeylElement.identity(n) == WeylElement(tuple(range(n)), (1,) * n)
-    assert WeylElement.identity(3) != WeylElement.identity(4)
+        assert WeylElement.identity(n) != WeylElement.identity(n + 1)
 
 
 def test_vec_returns_fraction_tuples_as_they_are_and_coerces_the_rest():
