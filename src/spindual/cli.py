@@ -6,8 +6,9 @@ document (``--file`` or stdin) with fields {group, rank, mu, nu} or
 {group, pairs: {x: [...], y: [...]}}, or from explicit ``--mu/--nu`` lists.
 ``classify`` reads one source, and a second one is a parse error: ``--pairs``
 next to ``--mu``, ``--nu``, ``--rank`` or ``--file``, ``--mu``/``--nu`` next
-to ``--file``, ``--rank`` without ``--mu``/``--nu``, and a document that holds
-pairs next to mu, nu or rank.
+to ``--file``, ``--rank`` without ``--mu``/``--nu``, ``--group`` next to a
+document (``--file`` or stdin), which names its own group, and a document
+that holds pairs next to mu, nu or rank.
 String pairs are classified by ``classify_pairs``, which gives the verdict of
 ``classify`` on their parameter without extracting them again; a table row
 is read off the staircase test and the doubled integers alone.
@@ -132,13 +133,15 @@ def _param_from_document(doc):
 
 def _one_source(args) -> None:
     """Reject classify options that give the parameter by two sources, or a
-    --rank that no --mu/--nu reads."""
+    --rank or --group that no --pairs or --mu/--nu reads."""
     given = [f"--{name}" for name in ("pairs", "mu", "nu", "file")
              if getattr(args, name) is not None]
     if args.rank is not None and args.mu is None and args.nu is None:
         first, second = ["--rank", *given, "a document on standard input"][:2]
     elif len(given) > 1 and given != ["--mu", "--nu"]:
         first, second = given[0], given[-1]
+    elif args.group is not None and given in ([], ["--file"]):
+        first, second = ["--group", *given, "a document on standard input"][:2]
     else:
         return
     raise ParseError(f"{first} and {second} cannot be given together: give --pairs, "
@@ -149,9 +152,10 @@ def _load_document(args):
     """The parameter to classify, and the string pairs it was built from
     (None when it was given by mu and nu)."""
     _one_source(args)
+    family = args.group or "D"
     # an option given with an empty value is given: it fails to parse
     if args.pairs is not None:
-        return _pairs_input(_parse_pairs(args.pairs, args.group))
+        return _pairs_input(_parse_pairs(args.pairs, family))
     if args.mu is not None or args.nu is not None:
         if args.mu is None or args.nu is None:
             raise ParseError("--mu and --nu must be given together")
@@ -161,11 +165,11 @@ def _load_document(args):
             if len(mu) != len(nu):
                 raise ParseError("mu and nu have different lengths")
             rank = len(mu) if args.rank is None else args.rank
-            return GenuineParam(GroupTag(args.group, rank), tuple(mu), tuple(nu)), None
+            return GenuineParam(GroupTag(family, rank), tuple(mu), tuple(nu)), None
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     try:
-        if args.file:
+        if args.file is not None:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         else:
@@ -407,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--trace", action="store_true",
                     help="one JSON line per pipeline stage on standard error")
-    sp.set_defaults(func=cmd_classify)
+    # None, not D, so that a --group next to a document is seen
+    sp.set_defaults(func=cmd_classify, group=None)
 
     sp = sub.add_parser("table", help="classification table for all pairs of a size")
     sp.add_argument("--group", choices=("B", "D"), default="D")

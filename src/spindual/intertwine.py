@@ -101,9 +101,6 @@ class SignedEntry:
         if not is_sign(self.sign):
             raise ValueError("sign must be +1/-1")
 
-    def bar(self) -> "SignedEntry":
-        return SignedEntry(-self.value, -self.sign)
-
     def __str__(self):
         return f"{fmt(self.value)}^{'+' if self.sign == 1 else '-'}"
 

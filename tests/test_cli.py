@@ -445,6 +445,13 @@ def test_empty_option_values_are_parse_errors(monkeypatch, capsys, options):
     assert "must be given together" not in err
 
 
+def test_empty_file_value_is_a_parse_error(monkeypatch, capsys):
+    # --file "" classified the document on stdin, where --pairs "" fails
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"group": "D", "pairs": {"x": [4], "y": [0]}}'))
+    code, err = run_error(capsys, "classify", "--file", "")
+    assert code == 2 and err.startswith("parse error: cannot read the parameter document: ")
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1,2]", "the parameter document must be a JSON object with group and either "
      "pairs: {x, y} or mu and nu"),
@@ -478,8 +485,10 @@ ONE_SOURCE = "give --pairs, or --mu and --nu (with --rank), or a document"
     (["--nu=1/2", "--file", "param.json"], "--nu", "--file"),
     (["--rank", "7", "--file", "param.json"], "--rank", "--file"),
     (["--rank", "7"], "--rank", "a document on standard input"),
+    (["--file", "param.json"], "--group", "--file"),
+    ([], "--group", "a document on standard input"),
 ], ids=["pairs-mu-nu", "pairs-mu", "pairs-rank", "pairs-file", "mu-nu-file", "nu-file",
-        "rank-file", "rank-stdin"])
+        "rank-file", "rank-stdin", "group-file", "group-stdin"])
 def test_classify_reads_one_parameter_source(tmp_path, monkeypatch, capsys, options,
                                              first, second):
     # a second source is rejected, not ignored: each of these classified one

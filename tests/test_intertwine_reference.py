@@ -69,17 +69,18 @@ def step_reference(seq: list, move) -> StepReport:
                           reason="" if ok else "excluded value nu_last + c hit")
     if isinstance(move, BarGL):
         e = seq[move.index]
-        seq[move.index] = e.bar()
-        return StepReport(move, f"bar-reading {e} as {e.bar()}", True, True)
+        seq[move.index] = SignedEntry(-e.value, -e.sign)
+        return StepReport(move, f"bar-reading {e} as {seq[move.index]}", True, True)
     if isinstance(move, ShortRootFlip):
         e = seq[move.index]
-        seq[move.index] = e.bar()
+        seq[move.index] = SignedEntry(-e.value, -e.sign)
         ok = short_root_reference(e)
         return StepReport(move, f"short-root flip of {e}", True, ok,
                           reason="" if ok else "short-root move fails at +-3/2")
     if isinstance(move, PairFlip):
         a, b = seq[move.i], seq[move.j]
-        seq[move.i], seq[move.j] = b.bar(), a.bar()
+        seq[move.i], seq[move.j] = (SignedEntry(-b.value, -b.sign),
+                                    SignedEntry(-a.value, -a.sign))
         ok = pair_flip_reference(a, b)
         return StepReport(move, f"pair flip of {a}, {b}", True, ok,
                           reason="" if ok else "pair-flip kernel locus hit")

@@ -94,6 +94,15 @@ def test_parameters_are_frozen():
     assert GenuineParam.mu is vars(GenuineParam)["mu"]
 
 
+def test_rows_of_an_int_built_parameter_are_built_on_first_read_and_kept():
+    for p, hand in int_built():
+        assert "mu" not in vars(p) and "nu" not in vars(p)
+        assert p.mu == hand.mu and "nu" not in vars(p)
+        assert p.nu == hand.nu
+        assert p.mu is p.mu and p.nu is p.nu
+        assert vars(p)["mu"] is p.mu and vars(p)["nu"] is p.nu
+
+
 # ---------------------------------------------------------------------------
 # equality and hashing
 
