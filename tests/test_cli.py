@@ -492,7 +492,7 @@ ONE_SOURCE = "give --pairs, or --mu and --nu (with --rank), or a document"
 def test_classify_reads_one_parameter_source(tmp_path, monkeypatch, capsys, options,
                                              first, second):
     # a second source is rejected, not ignored: each of these classified one
-    # source (or --rank was dropped) and exited 0 or 4
+    # source (or --rank or --group was dropped) and exited 0 or 4
     monkeypatch.chdir(tmp_path)
     (tmp_path / "param.json").write_text(PAIRS_DOCUMENT)
     monkeypatch.setattr("sys.stdin", io.StringIO(PAIRS_DOCUMENT))
