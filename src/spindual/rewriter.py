@@ -122,7 +122,7 @@ def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
 
 # Every insertion adds its size to n, so padding ends; but a column (x; 0)
 # pads x - 1 times up to n = x^2.  The largest padded n on the benchmark's
-# inputs is 1,184, and (x; 0) passes this bound at x = 317.
+# inputs is 1,173 (large_rank, seed 1), and (x; 0) passes this bound at x = 317.
 MAX_PADDED_N = 100_000
 
 

@@ -5,7 +5,8 @@ String extraction reads the runs off the multiplicity layers instead of a
 greedy search, ``StringPairs`` validates its columns with C-level passes, ``dominantize`` permutes only the integer
 form and builds its Fractions from the shared k/L table, ``_eta_witness_full`` places the
 eta pattern on the mu = 1/2 block and ``vec`` returns a tuple of Fractions as
-it is.  The replaced versions are kept here as references.
+it is.  The replaced versions are kept here as references; that of
+``dominantize`` is the Fraction one of ``tests/test_front_end.py``.
 """
 
 from collections import Counter
@@ -21,7 +22,8 @@ from spindual.spinclass import (
     MalformedParameter, StringPairs, _eta_witness_full, _pairs_from_doubled,
     decompose_alpha_beta, eta_weight,
 )
-from spindual.weyl import DominantForm, GenuineParam, GroupTag, WeylElement, apply, dominantize
+from spindual.weyl import GenuineParam, GroupTag, WeylElement, apply, dominantize
+from tests.test_front_end import dominantize_reference
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +116,6 @@ def string_pairs_reference(family, raw):
         if x == 0 and y == 0:
             raise MalformedParameter("empty column")
     return ordered
-
-
-def dominantize_reference(p):
-    """The general path that permuted the Fractions and the integers alike."""
-    n = p.group.rank
-    L, mu, nu = p.integer_form
-    signs = [-1 if m < 0 else 1 for m in mu]
-    if p.group.family == "D" and signs.count(-1) % 2 == 1:
-        j_min = min(range(n), key=lambda j: (abs(mu[j]), signs[j]))
-        signs[j_min] = -signs[j_min]
-    flipped_mu = [s * m for s, m in zip(signs, mu)]
-    order = sorted(range(n), key=lambda j: -flipped_mu[j])
-    perm = [0] * n
-    out_signs = [1] * n
-    for i, j in enumerate(order):
-        perm[j] = i
-        out_signs[i] = signs[j]
-    w = WeylElement(tuple(perm), tuple(out_signs))
-    outer = p.group.family == "D" and flipped_mu[order[-1]] < 0
-    vectors = [apply(w, v) for v in (p.mu, p.nu, mu, nu)]
-    if outer:
-        vectors = [v[:-1] + (-v[-1],) for v in vectors]
-    q = GenuineParam(p.group, *vectors[:2])
-    assert q.integer_form == (L, *vectors[2:])
-    return DominantForm(q, w, outer)
 
 
 def _outcome(f, *args):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -57,6 +58,22 @@ def test_classify_document(tmp_path, capsys):
     path.write_text(json.dumps({"group": "D", "pairs": {"x": [4], "y": [0]}}))
     code, out = run(capsys, "classify", "--file", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("family, nu", [
+    ("D", "1/2,-1/2,1/3,1/3"),  # the GL class 1/3 without -1/3
+    ("B", "5/2,1/2,-1/2"),      # the +-1/2 core
+    ("B", "1,1,1/2,-1/2"),      # the self-paired class t = 1
+    ("D", "0,1,1/2,-1/2"),      # t = 0 next to t = 1
+], ids=["gl-class", "core", "t=1", "t=0"])
+def test_classify_not_hermitian_class_by_class(capsys, family, nu):
+    # mu = 1/2 throughout; each nu fails negation in one residue class pair only
+    mu = ",".join(["1/2"] * len(nu.split(",")))
+    argv = ["classify", "--group", family, f"--mu={mu}", f"--nu={nu}"]
+    code, out = run(capsys, *argv)
+    assert code == 4 and "status: NotHermitian" in out.splitlines(), out
+    code, out = run(capsys, *argv, "--json")
+    assert code == 4 and json.loads(out)["status"] == "NotHermitian", out
 
 
 def test_classify_parse_error(capsys):
@@ -296,6 +313,8 @@ def _pairs_inputs(tmp_path, family, pairs_text):
 @pytest.mark.parametrize("family, pairs_text", [
     ("D", "4;0"), ("D", "1;3"), ("D", "2,2;1,1"), ("D", "3,2,2;0,0,0"),
     ("B", "2,2;0,0"), ("B", "1,1;1,0"), ("B", "3,0;2,1"),
+    # the half-class and the Langlands texts lie past the shared k/L table bound
+    ("D", "1000;0"),
 ])
 def test_pairs_input_matches_mu_nu_input(tmp_path, capsys, family, pairs_text):
     # --pairs and pairs documents classify the pairs directly, --mu/--nu
@@ -470,6 +489,8 @@ def test_document_not_of_its_form(monkeypatch, capsys, text, message):
     code, err = run_error(capsys, "classify")
     assert code == 2 and err.startswith("parse error: ") and message in err
     assert "indices" not in err and "subscriptable" not in err
+    # nor a bare quoted key, the text of a KeyError
+    assert not re.search(r"'[A-Za-z_]+'$", err), err
 
 
 PAIRS_DOCUMENT = '{"group": "D", "pairs": {"x": [4], "y": [0]}}'
@@ -531,20 +552,24 @@ def test_exit_code_table(capsys, argv, code, prefix):
 
 def test_verify_chain_size_bound(capsys, monkeypatch):
     size = intertwine.MAX_SCRIPT_SIZE
-    # a cheap script at the bound still replays
-    code, out = run(capsys, "verify-chain", "--group", "D", "--pairs", f"1;{size - 1}")
+    # scripts at the bound of 256 still replay: a cheap one and the largest
+    code, out = run(capsys, "verify-chain", "--group", "D", "--pairs", "1;255")
     assert code == 0 and out.endswith("all steps OK\n")
+    for family in "DB":
+        for pairs in ("256;0", "128;128"):
+            code, out = run(capsys, "verify-chain", "--group", family, "--pairs", pairs)
+            assert code == 0 and out.splitlines()[-1] in (
+                "all steps OK", "some steps are not certified"), (family, pairs)
 
     def unbuilt(*args):
         raise AssertionError("a script was built above the bound")
 
     monkeypatch.setattr(intertwine, "build_case_script", unbuilt)
-    for family, pairs in (("D", f"{size + 1};0"), ("B", f"{size + 1};0"),
-                          ("D", f"{size // 2 + 1};{size // 2}")):
+    for family, pairs in (("D", "257;0"), ("B", "257;0"), ("D", "129;128")):
         start = time.perf_counter()
         code, err = run_error(capsys, "verify-chain", "--group", family, "--pairs", pairs)
         assert time.perf_counter() - start < 0.5
-        assert code == 2 and err == (f"parse error: pairs of total size {size + 1} "
+        assert code == 2 and err == ("parse error: pairs of total size 257 "
                                      f"exceed the bound {size} of verify-chain"), err
 
 
@@ -597,16 +622,17 @@ def test_classify_gl_factors_json_golden(capsys):
     ]
 
 
-def _cli_process(argv) -> dict:
-    """The arguments of a new process that runs ``python -m spindual.cli``."""
+def python_process(*args) -> dict:
+    """The arguments of a new ``python`` process that imports spindual from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return {"args": [sys.executable, "-m", "spindual.cli", *argv], "env": env}
+    return {"args": [sys.executable, *args], "env": env}
 
 
 def _fresh_process(*argv):
     """Exit code, stdout and stderr of ``python -m spindual.cli`` in a new process."""
-    proc = subprocess.run(**_cli_process(argv), capture_output=True, text=True, check=False)
+    proc = subprocess.run(**python_process("-m", "spindual.cli", *argv),
+                          capture_output=True, text=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -614,7 +640,8 @@ def test_closed_standard_output_exits_141():
     """A reader that stops after one line, as ``table ... | head -n 1`` does,
     ends the run with 141 (128 + SIGPIPE) and nothing on standard error: the
     table (some 290 KB) is more than a pipe holds."""
-    proc = subprocess.Popen(**_cli_process(["table", "--group", "B", "--rank", "12"]),
+    proc = subprocess.Popen(**python_process("-m", "spindual.cli", "table", "--group", "B",
+                                             "--rank", "12"),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -632,8 +659,16 @@ def test_parser_is_reused(capsys):
     assert exc.value.code == 2
     assert main(["classify", "--group", "D", "--pairs", "1;3", "--trace"]) == 3
     assert capsys.readouterr().err.count("elapsed_ns") > 0
+    # a new process exits with main's code and writes the same streams, also
+    # for a parse error, a module error and a parameter that is not Hermitian
+    codes = []
     for argv in (["classify", "--group", "B", "--pairs", "2,1;1,0", "--json"],
-                 ["table", "--group", "B", "--rank", "3"]):
-        code = main(argv)
+                 ["table", "--group", "B", "--rank", "3"],
+                 ["classify", "--group", "D", "--pairs", "1,a;2,0"],
+                 ["orbit", "--group", "D", "--pairs", "2;2"],
+                 ["classify", "--group", "D", "--mu=1/2,1/2,1/2,1/2",
+                  "--nu=1/2,-1/2,1/3,1/3"]):
+        codes.append(code := main(argv))
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_process(*argv), argv
+    assert codes == [0, 0, 2, 3, 4]

@@ -123,6 +123,18 @@ def test_normalize_base_hypotheses():
                 assert nb.final.n == pairs.n + sum(s.dx + s.dy for s in nb.steps)
 
 
+def test_normalize_steps_keep_the_staircase_status():
+    # no step of normalize_to_base on a violated table row with n <= 10
+    # satisfies the staircase inequalities: the violation it keeps stays one.
+    # This covers normalize_to_base only: full_staircase pads the violation too
+    steps = [step for fam in ("B", "D") for n in range(1, 11) for pairs in table(fam, n)
+             if not unitarity_test(pairs) for step in normalize_to_base(pairs).steps]
+    assert len(steps) == 1950
+    assert not any(unitarity_test(step.after) for step in steps)
+    (step,), _ = full_staircase(D((1, 2)))
+    assert str(step) == "(1; 2) --2--> (2 1; 2 1)" and unitarity_test(step.after)
+
+
 def test_step_string_rendering():
     steps, _ = full_staircase(D((3, 0)))
     assert "-->" in str(steps[0])

@@ -204,31 +204,32 @@ def test_eta_weight():
 # ---------------------------------------------------------------------------
 # the classify pipeline
 
-def classify_pairs(fam, cols):
+def classify_columns(fam, cols):
+    """``classify`` on the parameter of the string pairs of the columns."""
     return classify(pairs_to_param(StringPairs(fam, cols)))
 
 
 def test_classify_table_rows():
-    v = classify_pairs("D", ((4, 0),))
+    v = classify_columns("D", ((4, 0),))
     assert v.status is Status.UNITARY
     assert v.certificate.core.pairs == ((4, 0),)
     assert v.certificate.orbit.cols == (8, 7, 1)
 
-    v = classify_pairs("D", ((2, 1), (1, 0)))
+    v = classify_columns("D", ((2, 1), (1, 0)))
     assert v.status is Status.UNITARY
     assert v.certificate.core.pairs == ((2, 1), (1, 0))
     assert not v.certificate.stein_factors
 
-    v = classify_pairs("D", ((2, 1), (1, 0), (1, 0)))
+    v = classify_columns("D", ((2, 1), (1, 0), (1, 0)))
     assert v.status is Status.UNITARY and v.certificate.stein_factors
 
-    v = classify_pairs("D", ((1, 3),))
+    v = classify_columns("D", ((1, 3),))
     assert v.status is Status.NON_UNITARY and v.witness.q == 3
 
-    v = classify_pairs("B", ((0, 1), (0, 1)))
+    v = classify_columns("B", ((0, 1), (0, 1)))
     assert v.status is Status.NON_UNITARY and v.witness.q == 1
 
-    v = classify_pairs("B", ((2, 0),))
+    v = classify_columns("B", ((2, 0),))
     assert v.status is Status.NON_UNITARY and v.witness.q == 2
 
 
