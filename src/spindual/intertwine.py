@@ -101,12 +101,26 @@ class SignedEntry:
         if not is_sign(self.sign):
             raise ValueError("sign must be +1/-1")
 
+    @classmethod
+    def _built(cls, value: Fraction, sign: int) -> "SignedEntry":
+        """The entry of a Fraction and a sign +1/-1 that spindual built, which
+        its caller vouches for."""
+        e = object.__new__(cls)
+        e.__dict__.update(value=value, sign=sign)
+        return e
+
     def __str__(self):
         return f"{fmt(self.value)}^{'+' if self.sign == 1 else '-'}"
 
 
 def entries(values, sign=1):
     return tuple(SignedEntry(v, sign) for v in values)
+
+
+def _positive_entries(values) -> tuple:
+    """``entries(values)`` of Fractions, as the script builders make them
+    from the shared half-integers, without the coercion and sign check."""
+    return tuple([SignedEntry._built(v, 1) for v in values])
 
 
 def pass_left_ok(chain, xi: SignedEntry) -> bool:
@@ -306,7 +320,7 @@ def case_i_script_d(a: int, b: int):
     for _ in range(max(a - 1, 0)):
         top = max(d for d, s in seq if s == 1)
         _flip_and_pass(seq, script, top, BarGL)
-    parts.append(("omega", entries(unscaled(2, ascending)), tuple(script)))
+    parts.append(("omega", _positive_entries(unscaled(2, ascending)), tuple(script)))
     # dual side: flip the positive tail pairwise, then one descending sort;
     # the flipped tail is what turns negative
     dual = [-d for d in _doubled_string(a, b)]
@@ -317,7 +331,7 @@ def case_i_script_d(a: int, b: int):
     split = len(dual) - len(tail)
     if 0 < split < len(dual):
         script.append(SortDescending(0, split, len(dual)))
-    parts.append(("omega-dual", entries(unscaled(2, dual)), tuple(script)))
+    parts.append(("omega-dual", _positive_entries(unscaled(2, dual)), tuple(script)))
     return parts
 
 
@@ -335,7 +349,7 @@ def case_i_script_b(a: int, b: int):
     if a > b + 1:
         script.append(Uncertified(
             "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"))
-    return [("omega", entries(unscaled(2, ascending)), tuple(script))]
+    return [("omega", _positive_entries(unscaled(2, ascending)), tuple(script))]
 
 
 def case_ii_script_d(c: int, d: int, e: int, f: int):
@@ -351,7 +365,7 @@ def case_ii_script_d(c: int, d: int, e: int, f: int):
     script = _pass_block(len(block_de), len(block_f))
     script.append(Uncertified(
         "interior reduction to the (2 2; 0 0) / (2 1; 1 0) cores: external check"))
-    return [("delta", entries(unscaled(2, [*block_de, *block_f])), tuple(script))]
+    return [("delta", _positive_entries(unscaled(2, [*block_de, *block_f])), tuple(script))]
 
 
 def build_case_script(family: str, pairs):

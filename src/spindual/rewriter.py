@@ -5,8 +5,11 @@ adds its string to the +1/2 residue class.  On the string-pair matrix this is
 an integer row operation on two int rows (``_row_insert``): dx joins the
 x-row and dy the y-row, and the columns re-pair by position.  Padding reads
 one list of staircase slacks per round (the last one also locates the base),
-validates one StringPairs at the end, and replays its moves (dx, dy) into
-InductionSteps only when those are read.
+builds one StringPairs at the end, and replays its moves (dx, dy) into
+InductionSteps only when those are read.  Its moves keep valid pairs valid,
+so the StringPairs that padding and the replay derive skip the public
+constructor's checks (``StringPairs._built``); pairs that come from outside
+are validated where they are read.
 Repeated insertions normalize:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
@@ -113,11 +116,19 @@ def _row_insert(xs: list, ys: list, dx: int, dy: int) -> None:
 
 
 def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
-    """Induce the column (dx; dy) on the string pairs.  The result equals
-    re-extracting the pairs of the half-class with the string of (dx; dy) added."""
+    """Induce the int column (dx; dy) on the string pairs.  The result equals
+    re-extracting the pairs of the half-class with the string of (dx; dy) added.
+
+    The rows stay non-increasing and an empty last column is dropped, so the
+    result is valid unless its last column, which holds the least x and the
+    least y, is out of range for the family; only then does the public
+    constructor run, to raise its MalformedParameter."""
     xs, ys = list(pairs.xs), list(pairs.ys)
     _row_insert(xs, ys, dx, dy)
-    return InductionStep(dx, dy, pairs, StringPairs(pairs.family, tuple(zip(xs, ys))))
+    columns = tuple(zip(xs, ys))
+    if columns and (xs[-1] < (pairs.family == "D") or ys[-1] < 0):
+        StringPairs(pairs.family, columns)
+    return InductionStep(dx, dy, pairs, StringPairs._built(pairs.family, columns))
 
 
 # Every insertion adds its size to n, so padding ends; but a column (x; 0)
@@ -152,7 +163,9 @@ def _pad(pairs: StringPairs, target):
         if n > MAX_PADDED_N:
             raise PaddingBoundExceeded(
                 f"padding {pairs} passes the padded-size bound n = {MAX_PADDED_N}")
-    final = StringPairs(family, tuple(zip(xs, ys))) if moves else pairs
+    # every move, (x + 1; x) or (v; v) with v >= 1, has x >= 1 and y >= 0,
+    # so the rows stay in range for both families
+    final = StringPairs._built(family, tuple(zip(xs, ys))) if moves else pairs
     return tuple(moves), final, slacks
 
 

@@ -65,6 +65,14 @@ class StringPairs:
     admits x_i = 0 columns (strings topping out at -3/2) or y_i = 0 columns
     (strings ending at 1/2), but not both kinds at once; this exclusion is
     forced by the double-descent requirement.
+
+    The public constructor checks all of this, as do the extraction from a
+    half-class and the CLI, which read outside input.  The pairs that
+    spindual derives from valid pairs are built by ``_built`` without the
+    checks: the padded states of the rewriter and the steps it replays, the
+    strict core that peeling leaves and the rows of :func:`enumerate_pairs`.
+    Each is valid by construction and equals its public construction, and
+    a ``classify`` call would otherwise re-check several of them.
     """
     family: str
     pairs: tuple
@@ -101,13 +109,26 @@ class StringPairs:
             if x == 0 and y == 0:
                 raise MalformedParameter("empty column")
 
+    @classmethod
+    def _built(cls, family: str, columns) -> "StringPairs":
+        """The pairs of columns that spindual derived from valid pairs, which
+        its caller vouches for: a sequence of int columns, doubly
+        non-increasing, in range for the family.  Only the columns are
+        shared, as the public constructor shares them."""
+        p = object.__new__(cls)
+        # set as the dataclass __init__ sets them: reading __dict__ would build
+        # a dict object, which the staircase memo would then make GC-tracked
+        object.__setattr__(p, "family", family)
+        object.__setattr__(p, "pairs", tuple(map(_SHARED_COLUMNS.get, columns, columns)))
+        return p
+
     @property
     def k(self) -> int:
         return len(self.pairs)
 
     @property
     def n(self) -> int:
-        return sum(x + y for x, y in self.pairs)
+        return sum(map(sum, self.pairs))
 
     @property
     def xs(self):
@@ -374,7 +395,7 @@ def peel_stein_factors(pairs: StringPairs):
         else:
             size = sum(cols.pop(i))
         factors.append(CompParams(size, HALF))
-    core = StringPairs(fam, tuple(cols))
+    core = StringPairs._built(fam, cols)
     assert unitarity_test(core).strict
     return tuple(factors), (core if cols else None)
 
@@ -385,7 +406,6 @@ def peel_stein_factors(pairs: StringPairs):
 def build_certificate(pairs: StringPairs, gl_factors: tuple = ()) -> "UnitaryCertificate":
     """Certificate of a satisfied parameter: peeled factors, core, orbit, and
     the unitary GL factors of the other residue classes, if any."""
-    from . import orbits
     factors, core = peel_stein_factors(pairs)
     if core is None:
         return UnitaryCertificate(factors, gl_factors)
@@ -625,9 +645,17 @@ def transcript(verdict: Verdict):
         yield from render(event)
 
 
+# the slots of StageEvent, written past its frozen __setattr__
+_SET_STAGE, _SET_OUTCOME, _SET_DATA, _SET_ELAPSED = (
+    StageEvent.stage.__set__, StageEvent.outcome.__set__,
+    StageEvent.data.__set__, StageEvent.elapsed_ns.__set__)
+
+
 class _Stages:
     """The stage events of one :func:`classify` call; each event is timed
-    from the previous one (the first from the start of the call)."""
+    from the previous one (the first from the start of the call).  An event
+    is filled slot by slot: the frozen dataclass ``__init__`` costs more
+    than the rest of a record."""
 
     def __init__(self):
         self.events = []
@@ -635,7 +663,12 @@ class _Stages:
 
     def record(self, stage: str, outcome: str, *data):
         now = perf_counter_ns()
-        self.events.append(StageEvent(stage, outcome, data, now - self._mark))
+        event = object.__new__(StageEvent)
+        _SET_STAGE(event, stage)
+        _SET_OUTCOME(event, outcome)
+        _SET_DATA(event, data)
+        _SET_ELAPSED(event, now - self._mark)
+        self.events.append(event)
         self._mark = now
 
     def verdict(self, status: Status, **fields) -> Verdict:
@@ -760,8 +793,6 @@ def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
     """The stages after extract_pairs, on the string pairs of the mu = 1/2
     block, from start on, of the dominant parameter q0: staircase, then
     certificate, or normalize and witness."""
-    from . import rewriter
-
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
@@ -796,8 +827,7 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
 
 def _eta_index(family: str, base) -> int:
     """q of the witness eta(q) that a Case I / Case II base carries."""
-    from .rewriter import CaseI
-    if isinstance(base, CaseI):
+    if isinstance(base, rewriter.CaseI):
         return 2 * base.a + 1 if family == "D" else 2 * base.b + 2
     return 2 * base.e + 2 if family == "D" else 2 * base.c + 1
 
@@ -813,6 +843,9 @@ def enumerate_pairs(family: str, n: int):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    # the rows are built unchecked, so the family is checked here
+    if family not in ("B", "D"):
+        raise ValueError("family must be 'B' or 'D'")
 
     results = []
     x_low = 1 if family == "D" else 0
@@ -820,7 +853,7 @@ def enumerate_pairs(family: str, n: int):
     def extend(cols, remaining, last_x, last_y):
         # both rows non-increasing: each column fits under the one before
         if remaining == 0:
-            results.append(StringPairs(family, tuple(cols)))
+            results.append(StringPairs._built(family, cols))
             return
         for x in range(min(last_x, remaining), x_low - 1, -1):
             for y in range(min(last_y, remaining - x), -1, -1):
@@ -835,3 +868,9 @@ def _table_key(p: StringPairs):
     # x-rows descending lexicographically; the +1 sentinel makes a row sort
     # before its proper prefixes ((3 1; ..) precedes (3; ..)); y-rows ascend
     return (tuple(-x for x in p.xs) + (1,), p.ys)
+
+
+# rewriter and orbits import this module, so they are bound once it is
+# complete; callers read their functions at call time, where a wrapper (such
+# as the benchmark's spans) may have replaced them
+from . import orbits, rewriter  # noqa: E402

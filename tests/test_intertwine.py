@@ -156,6 +156,21 @@ def test_build_case_dispatch():
         it.build_case_script("D", ((1, 0), (1, 0), (1, 0)))
 
 
+def test_built_start_entries_equal_the_public_construction():
+    # the builders skip SignedEntry's coercion and sign check; each entry is
+    # what the public constructor makes of it, a Fraction with sign +1
+    cases = [("D", ((a, b),)) for a in range(1, 9) for b in range(9)]
+    cases += [("B", ((a, b),)) for a in range(9) for b in range(9) if a or b]
+    cases += [("D", ((c, d), (e, f))) for c, d, e, f in itertools.product(range(1, 5), repeat=4)
+              if c >= e and d >= f]
+    for family, pairs in cases:
+        for _, start, _ in it.build_case_script(family, pairs):
+            assert start == tuple(SignedEntry(e.value, e.sign) for e in start)
+            assert all(type(e.value) is Fraction and e.sign == 1 and type(e.sign) is int
+                       for e in start)
+            assert [str(e) for e in start] == [str(SignedEntry(e.value, 1)) for e in start]
+
+
 # ---------------------------------------------------------------------------
 # word consistency
 

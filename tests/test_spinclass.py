@@ -477,6 +477,10 @@ def test_enumerate_counts_and_order():
             assert all(r.n == n for r in rows)
         with pytest.raises(ValueError, match="n must be positive"):
             list(enumerate_pairs(fam, 0))
+    # the rows skip the public checks, so the family is checked up front
+    for fam in ("C", "d", ""):
+        with pytest.raises(ValueError, match="family must be 'B' or 'D'"):
+            list(enumerate_pairs(fam, 3))
 
 
 def test_build_certificate_surface():
@@ -673,6 +677,32 @@ def test_elapsed_time_is_not_compared():
     event = v.chain[0]
     later = dataclasses.replace(event, elapsed_ns=event.elapsed_ns + 1)
     assert later == event and repr(later) == repr(event)
+
+
+@pytest.mark.parametrize("cols", [((3, 0), (2, 0), (2, 0)), ((2, 1), (1, 1))])
+def test_stage_events_are_frozen_values(cols):
+    # the events of a real chain: a padded NonUnitary row and a peeled Unitary one
+    chain = classify(pairs_to_param(StringPairs("D", cols))).chain
+    names = ["stage", "outcome", "data", "elapsed_ns"]
+    for event in chain:
+        assert type(event) is StageEvent and not hasattr(event, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, getattr(event, name))
+        assert [f.name for f in dataclasses.fields(event)] == names
+        assert event.fields() == dict(zip(event.fields(), event.data))
+        public = StageEvent(event.stage, event.outcome, event.data, event.elapsed_ns)
+        later = dataclasses.replace(event, elapsed_ns=event.elapsed_ns + 1)
+        for twin in (public, later):
+            assert twin == event and not twin != event and hash(twin) == hash(event)
+            assert repr(twin) == repr(event)
+        assert repr(event) == (f"StageEvent(stage={event.stage!r}, outcome={event.outcome!r}, "
+                               f"data={event.data!r})")
+        assert dataclasses.replace(event, outcome="other") != event
+        for clone in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
+            twin = clone(event)
+            assert type(twin) is StageEvent and twin == event and hash(twin) == hash(event)
+            assert twin.elapsed_ns == event.elapsed_ns and repr(twin) == repr(event)
 
 
 @st.composite

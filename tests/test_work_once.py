@@ -31,15 +31,18 @@ from hypothesis import given, settings, strategies as st
 
 from spindual import glclass, halfint, intertwine, rewriter, spinclass, weyl
 from spindual.cli import main
+from spindual.rewriter import full_staircase, normalize_to_base
 from spindual.halfint import (
     _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES,
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    SpinRelevantKType, Status, StringPairs, classify, classify_pairs, enumerate_pairs, eta_weight,
-    pairs_to_param, staircase_slacks, transcript, unitarity_test,
+    _SHARED_BOUND, _SHARED_COLUMNS, SpinRelevantKType, Status, StringPairs, classify,
+    classify_pairs, enumerate_pairs, eta_weight, pairs_to_param, peel_stein_factors,
+    staircase_slacks, transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
+from tests.test_rewriter import violated_pairs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -295,6 +298,91 @@ def test_classify_of_large_rank_inputs_calls_no_vec(monkeypatch, workloads):
     # the public constructor still coerces its weight
     SpinRelevantKType(1, ("3/2", "1/2"), GroupTag("B", 2))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the string pairs that spindual derives from valid ones
+
+def _assert_built_like_public(pairs):
+    """``pairs`` equals its public construction, with the same columns, and
+    its small columns are the shared ones."""
+    public = StringPairs(pairs.family, pairs.pairs)
+    assert pairs == public and pairs.pairs == public.pairs, pairs
+    assert type(pairs.pairs) is tuple
+    assert all(column is _SHARED_COLUMNS[column]
+               for column in pairs.pairs if max(column) < _SHARED_BOUND), pairs
+
+
+def _assert_derived_pairs_built_like_public(pairs):
+    """The padded final states of ``normalize_to_base`` and
+    ``full_staircase``, every step they replay and the strict core of
+    peeling each equal their public construction."""
+    if unitarity_test(pairs):
+        _, core = peel_stein_factors(pairs)
+        if core is not None:
+            _assert_built_like_public(core)
+        paddings = [full_staircase(pairs)]
+    else:
+        normal = normalize_to_base(pairs)
+        paddings = [full_staircase(pairs), (normal.steps, normal.final)]
+    for steps, final in paddings:
+        _assert_built_like_public(final)
+        for step in steps:
+            _assert_built_like_public(step.after)
+
+
+def test_derived_pairs_equal_the_public_construction():
+    rows = [pairs for family in "BD" for n in range(1, 11)
+            for pairs in enumerate_pairs(family, n)]
+    for pairs in rows:
+        _assert_built_like_public(pairs)
+        _assert_derived_pairs_built_like_public(pairs)
+    # the rows reach padding, replayed steps, peeled cores and shared columns
+    assert sum(not unitarity_test(pairs) for pairs in rows) > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(violated_pairs())
+def test_derived_pairs_of_drawn_violations_equal_the_public_construction(pairs):
+    _assert_derived_pairs_built_like_public(pairs)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The families of the StringPairs that run the public checks."""
+    calls = []
+    check = StringPairs.__post_init__
+
+    def counting(self):
+        calls.append(self.family)
+        check(self)
+
+    monkeypatch.setattr(StringPairs, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family, cols", [
+    ("D", ((3, 0), (2, 0), (2, 0))),          # padded violation
+    ("B", ((30, 5), (20, 2), (9, 1))),        # padded violation, 38 steps
+    ("D", ((1, 3),)),                         # violation, no padding
+    ("D", ((2, 1), (1, 1))),                  # peeled to a strict core
+    ("B", ((3, 2), (1, 0))),                  # strict
+])
+def test_only_outside_pairs_are_checked(validations, family, cols):
+    pairs = StringPairs(family, cols)
+    p = pairs_to_param(pairs)
+    for run, checked in ((classify, [family]), (classify_pairs, [])):
+        validations.clear()
+        verdict = run(p if run is classify else pairs)
+        # the transcript, the replayed steps and the copies build no checked pairs
+        str(verdict), repr(verdict), copy.deepcopy(verdict)
+        if verdict.normalized is not None:
+            tuple(verdict.normalized.steps)
+        assert validations == checked, run
+    validations.clear()
+    rows = list(enumerate_pairs(family, 8))
+    full_staircase(pairs)
+    assert validations == [] and rows
 
 
 @pytest.fixture
