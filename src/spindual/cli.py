@@ -279,7 +279,8 @@ def _row_for(pairs: StringPairs):
 
 
 # rows per +2 in n: x2.8-2.9 at n = 8, still x2.0 at n = 20 (D 13,602 and
-# B 24,842 rows); table --rank 20 takes ~0.9 s (D) and ~2.1 s (B) on 2 CPUs
+# B 24,842 rows); table --rank 20 takes ~0.7 s (D) and ~1.6 s (B) in process,
+# ~0.9 s and ~2.2 s with --json (fastest of 10 runs, Python 3.11, 2 CPUs)
 MAX_TABLE_RANK = 20
 
 

@@ -5,11 +5,11 @@ adds its string to the +1/2 residue class.  On the string-pair matrix this is
 an integer row operation on two int rows (``_row_insert``): dx joins the
 x-row and dy the y-row, and the columns re-pair by position.  Padding reads
 one list of staircase slacks per round (the last one also locates the base),
-builds one StringPairs at the end, and replays its moves (dx, dy) into
-InductionSteps only when those are read.  Its moves keep valid pairs valid,
-so the StringPairs that padding and the replay derive skip the public
-constructor's checks (``StringPairs._built``); pairs that come from outside
-are validated where they are read.
+builds one StringPairs at the end, and replays its moves (dx, dy) on the same
+int rows into InductionSteps only when those are read.  Its moves keep valid
+pairs valid, so the StringPairs that padding and the replay derive skip the
+public constructor's checks (``StringPairs._built``); pairs that come from
+outside are validated where they are read.
 Repeated insertions normalize:
 
 * a column with x < y absorbs inserted columns (x+1; x) until the defect
@@ -17,11 +17,13 @@ Repeated insertions normalize:
 * a column with x >= y + 2 absorbs inserted columns (y+1; y+1) until it is a
   staircase step (x - y of 0 or 1, the shape of a shift-1/2 factor).
 
-``normalize_to_base`` keeps the leftmost staircase violation untouched and
-pads everything else, landing on a configuration made of shift-1/2 columns
-around a single base block: a lone column (a; b) (Case I) or an adjacent
-column pair (c d; e f) (Case II).  These base shapes carry the known
-indefinite spin-relevant K-types, so the transcript certifies the witness.
+``normalize_to_base`` takes violated pairs (satisfied ones peel into
+shift-1/2 factors in :mod:`spindual.spinclass` instead), keeps the leftmost
+staircase violation untouched and pads everything else, landing on a
+configuration made of shift-1/2 columns around a single base block: a lone
+column (a; b) (Case I) or an adjacent column pair (c d; e f) (Case II).
+These base shapes carry the known indefinite spin-relevant K-types, so the
+transcript certifies the witness.
 """
 
 from bisect import insort
@@ -29,9 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import neg
 
-from .spinclass import (
-    StringPairs, _LazyTuple, peel_stein_factors, staircase_slacks, unitarity_test,
-)
+from .spinclass import StringPairs, _LazyTuple, staircase_slacks, unitarity_test
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
 from .spinclass import extract_pairs  # noqa: F401
@@ -76,10 +76,14 @@ class _Steps(_LazyTuple):
         self.start, self.moves, self._tuple = start, moves, None
 
     def _build(self) -> tuple:
-        steps, current = [], self.start
+        before = self.start
+        family, xs, ys = before.family, list(before.xs), list(before.ys)
+        steps = []
         for dx, dy in self.moves:
-            steps.append(step := _insert(current, dx, dy))
-            current = step.after
+            _row_insert(xs, ys, dx, dy)
+            after = StringPairs._built(family, tuple(zip(xs, ys)))
+            steps.append(InductionStep(dx, dy, before, after))
+            before = after
         return tuple(steps)
 
     def _key(self) -> tuple:
@@ -94,7 +98,7 @@ class _Steps(_LazyTuple):
 class NormalizedBase:
     steps: Sequence            # InductionSteps; a padding's are built on first read
     stein_columns: tuple       # columns with x - y in {0, 1}
-    base: object               # CaseI | CaseII | None
+    base: object               # CaseI | CaseII
     final: StringPairs
 
     @property
@@ -113,22 +117,6 @@ def _row_insert(xs: list, ys: list, dx: int, dy: int) -> None:
     if xs[-1] == ys[-1] == 0:
         xs.pop()
         ys.pop()
-
-
-def _insert(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
-    """Induce the int column (dx; dy) on the string pairs.  The result equals
-    re-extracting the pairs of the half-class with the string of (dx; dy) added.
-
-    The rows stay non-increasing and an empty last column is dropped, so the
-    result is valid unless its last column, which holds the least x and the
-    least y, is out of range for the family; only then does the public
-    constructor run, to raise its MalformedParameter."""
-    xs, ys = list(pairs.xs), list(pairs.ys)
-    _row_insert(xs, ys, dx, dy)
-    columns = tuple(zip(xs, ys))
-    if columns and (xs[-1] < (pairs.family == "D") or ys[-1] < 0):
-        StringPairs(pairs.family, columns)
-    return InductionStep(dx, dy, pairs, StringPairs._built(pairs.family, columns))
 
 
 # Every insertion adds its size to n, so padding ends; but a column (x; 0)
@@ -204,18 +192,16 @@ def _base_at(pairs: StringPairs, slacks: list):
 
 
 def normalize_to_base(pairs: StringPairs) -> NormalizedBase:
-    """Normalize onto a single Case I / Case II base among staircase columns.
+    """Normalize violated pairs onto a single Case I / Case II base among
+    staircase columns.
 
-    On satisfied input the base is None and the stein columns are the peeled
-    shift-1/2 factor shapes.  On violated input, the leftmost violation is
-    preserved while all other columns are padded to staircase steps; the
-    insertions re-sort globally, so the loop re-locates the violation each
-    round until exactly one remains with everything else a staircase step.
+    The leftmost violation is preserved while all other columns are padded
+    to staircase steps; the insertions re-sort globally, so the loop
+    re-locates the violation each round until exactly one remains with
+    everything else a staircase step.
     """
     if unitarity_test(pairs):
-        factors, _ = peel_stein_factors(pairs)
-        stein = tuple(((f.a + 1) // 2, f.a // 2) for f in factors)
-        return NormalizedBase((), stein, None, pairs)
+        raise ValueError("normalization requires a staircase violation")
     moves, final, slacks = _pad(pairs, _outside_base)
     base, base_cols, violations = _base_at(final, slacks)
     # staircase steps cannot create violations next to the base, so the base

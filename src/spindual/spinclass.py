@@ -146,19 +146,10 @@ class StringPairs:
         return "(" + " ".join(str(x) for x in self.xs) + "; " \
             + " ".join(str(y) for y in self.ys) + ")"
 
-    def half_class(self) -> tuple:
-        """The multiset of string values, descending: the +1/2 residue class."""
-        return tuple(sorted((v for x, y in self.pairs for v in string_of_column(x, y)),
-                            reverse=True))
-
-
-def string_of_column(x: int, y: int) -> tuple:
-    """The descending step-2 string from 2x-3/2 down to 1/2-2y."""
-    return unscaled(2, _doubled_string(x, y))
-
 
 def _doubled_string(x: int, y: int) -> range:
-    """The doubled values 4x-3, 4x-7, ..., 1-4y of :func:`string_of_column`."""
+    """The doubled values 4x-3, 4x-7, ..., 1-4y of the column (x; y): its
+    descending step-2 string from 2x-3/2 down to 1/2-2y."""
     return range(4 * x - 3, -4 * y, -4)
 
 
@@ -260,7 +251,7 @@ def _split_betas(runs):
 
 def _columns(runs) -> tuple:
     """The column (x, y) of each doubled run: the run from 2x-3/2 down to
-    1/2-2y, inverting :func:`string_of_column`."""
+    1/2-2y, inverting :func:`_doubled_string`."""
     return tuple(((top + 3) // 4, (1 - bottom) // 4) for top, bottom in runs)
 
 
@@ -815,11 +806,8 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
 
     Case I and Case II bases give eta(2a+1) / eta(2e+2) in family D and
     eta(2b+2) / eta(2c+1) in family B, at the rank of the normalized group,
-    which is the group the returned K-type names.  Returns None for a
-    satisfied normal form, which has no base.
+    which is the group the returned K-type names.
     """
-    if normal_form.base is None:
-        return None
     fam, n2 = pairs.family, 2 * normal_form.final.n
     q = _eta_index(fam, normal_form.base)
     return SpinRelevantKType._built(q, eta_weight(fam, n2, q), GroupTag(fam, n2))

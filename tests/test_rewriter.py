@@ -8,14 +8,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spindual import rewriter
 from spindual.rewriter import (
-    MAX_PADDED_N, CaseI, CaseII, PaddingBoundExceeded, _insert, full_staircase,
-    normalize_to_base,
+    MAX_PADDED_N, CaseI, CaseII, InductionStep, PaddingBoundExceeded, _row_insert,
+    full_staircase, normalize_to_base,
 )
 from spindual.spinclass import (
     MalformedParameter, StringPairs, classify, enumerate_pairs, extract_pairs,
-    pairs_to_param, peel_stein_factors, staircase_slacks, string_of_column,
-    unitarity_test,
+    pairs_to_param, staircase_slacks, unitarity_test,
 )
+from tests.test_bench_checker import _checker
+
+# the +1/2 residue class of columns, restated without spindual
+half_class = _checker().half_class
 
 
 def D(*cols):
@@ -71,17 +74,10 @@ def test_full_staircase_all_steps_legal():
                 assert all(x - y in (0, 1) for x, y in final.pairs)
 
 
-def test_normalize_satisfied_matches_peeling():
-    for fam in ("B", "D"):
-        for n in range(1, 7):
-            for pairs in enumerate_pairs(fam, n):
-                if not unitarity_test(pairs):
-                    continue
-                nb = normalize_to_base(pairs)
-                assert nb.base is None and nb.steps == ()
-                factors, _ = peel_stein_factors(pairs)
-                assert len(nb.stein_columns) == len(factors)
-                assert [x + y for x, y in nb.stein_columns] == [f.a for f in factors]
+def test_normalize_rejects_satisfied_pairs():
+    # a satisfied staircase has no base: it peels instead
+    with pytest.raises(ValueError, match="requires a staircase violation"):
+        normalize_to_base(StringPairs("D", ((2, 2),)))
 
 
 def test_normalize_examples():
@@ -146,8 +142,14 @@ def test_step_string_rendering():
 def insert_by_strings(pairs: StringPairs, dx: int, dy: int) -> StringPairs:
     """Reference insertion: add the string of (dx; dy) to the half-class and
     re-extract the string pairs."""
-    values = pairs.half_class() + string_of_column(dx, dy)
-    return extract_pairs(pairs.family, tuple(sorted(values, reverse=True)))
+    return extract_pairs(pairs.family, half_class(pairs.pairs + ((dx, dy),)))
+
+
+def insert_by_rows(pairs: StringPairs, dx: int, dy: int) -> StringPairs:
+    """The row insertion of the rewriter, checked by the public constructor."""
+    xs, ys = list(pairs.xs), list(pairs.ys)
+    _row_insert(xs, ys, dx, dy)
+    return StringPairs(pairs.family, tuple(zip(xs, ys)))
 
 
 @lru_cache(maxsize=None)
@@ -165,12 +167,11 @@ def assert_insert_matches_strings(pairs, dx, dy):
     try:
         expected = insert_by_strings(pairs, dx, dy)
     except MalformedParameter:
+        # out of range for the family: the public constructor rejects the rows
         with pytest.raises(MalformedParameter):
-            _insert(pairs, dx, dy)
+            insert_by_rows(pairs, dx, dy)
         return
-    step = _insert(pairs, dx, dy)
-    assert step.after == expected, (pairs, dx, dy)
-    assert (step.before, step.dx, step.dy) == (pairs, dx, dy)
+    assert insert_by_rows(pairs, dx, dy) == expected, (pairs, dx, dy)
 
 
 @settings(max_examples=400, deadline=None)
@@ -192,13 +193,13 @@ def test_insert_half_into_zero_x_column(pairs, dx):
     # the 1/2 of (dx; 0) joins the (0; y) string; the rows leave an empty
     # (0; 0) column, which is dropped
     assert_insert_matches_strings(pairs, dx, 0)
-    assert _insert(pairs, dx, 0).after.k == pairs.k
+    assert insert_by_rows(pairs, dx, 0).k == pairs.k
 
 
 def test_insert_half_into_zero_x_column_example():
-    step = _insert(StringPairs("B", ((0, 2),)), 1, 0)
-    assert step.after == StringPairs("B", ((1, 2),))
-    assert step.after == insert_by_strings(StringPairs("B", ((0, 2),)), 1, 0)
+    after = insert_by_rows(StringPairs("B", ((0, 2),)), 1, 0)
+    assert after == StringPairs("B", ((1, 2),))
+    assert after == insert_by_strings(StringPairs("B", ((0, 2),)), 1, 0)
 
 
 def test_padding_bound():
@@ -215,9 +216,14 @@ def test_padding_bound():
 # ---------------------------------------------------------------------------
 # padding on int rows, with steps built when they are read
 
+def step_by_rows(pairs: StringPairs, dx: int, dy: int) -> InductionStep:
+    return InductionStep(dx, dy, pairs, insert_by_rows(pairs, dx, dy))
+
+
 def normalize_by_steps(pairs: StringPairs):
-    """Reference normalization: every round pads one column by ``_insert``,
-    re-locating the base on the new StringPairs.  Returns the steps."""
+    """Reference normalization: every round pads one column by a checked row
+    insertion, re-locating the base on the new StringPairs.  Returns the
+    steps."""
     steps, current = [], pairs
     while True:
         slacks = list(staircase_slacks(current.family, current.pairs))
@@ -229,10 +235,10 @@ def normalize_by_steps(pairs: StringPairs):
             return tuple(steps)
         x, y = current.pairs[i]
         if x < y:
-            step = _insert(current, x + 1, x)
+            step = step_by_rows(current, x + 1, x)
         else:
             v = y + 1 if i == 0 else max(y + 1, min(x - 1, current.pairs[i - 1][1]))
-            step = _insert(current, v, v)
+            step = step_by_rows(current, v, v)
         steps.append(step)
         current = step.after
 
@@ -280,15 +286,16 @@ def test_lazy_steps_equal_eager_replay_drawn(pairs):
 
 
 def test_steps_not_built_by_len_or_equality(monkeypatch):
-    calls = []
-
-    def counting_insert(pairs, dx, dy):
-        calls.append((dx, dy))
-        return _insert(pairs, dx, dy)
-
-    monkeypatch.setattr(rewriter, "_insert", counting_insert)
     pairs = StringPairs("B", ((30, 5), (20, 2), (9, 1)))
     a, b = (classify(pairs_to_param(pairs)) for _ in range(2))
+    # padding inserts on its rows too; count the replay's insertions only
+    calls = []
+
+    def counting_insert(xs, ys, dx, dy):
+        calls.append((dx, dy))
+        _row_insert(xs, ys, dx, dy)
+
+    monkeypatch.setattr(rewriter, "_row_insert", counting_insert)
     assert len(a.normalized.steps) == len(a.normalized.moves) == 38
     assert a == b and a.normalized == b.normalized
     assert calls == []

@@ -42,6 +42,7 @@ from spindual.spinclass import (
     staircase_slacks, transcript, unitarity_test,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
+from tests.test_bench_checker import _checker
 from tests.test_rewriter import violated_pairs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -483,11 +484,12 @@ def test_verdict_copies_and_pickles(far_pairs, clone, read_first):
 
 
 def test_classify_pairs_equals_classify_on_large_rank_inputs(workloads):
+    half_class = _checker().half_class
     for family, cols in workloads.gen_large_rank(None, 1):
         pairs = StringPairs(family, cols)
         direct, through = classify_pairs(pairs), classify(pairs_to_param(pairs))
         assert direct == through and str(direct) == str(through)
-        assert _half_class(direct) == _half_class(through) == pairs.half_class()
+        assert _half_class(direct) == _half_class(through) == half_class(pairs.pairs)
 
 
 @settings(max_examples=300, deadline=None)
