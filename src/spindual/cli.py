@@ -32,7 +32,7 @@ from operator import add, sub
 from .halfint import frac, fmt, texts
 from .weyl import GenuineParam, GroupTag
 from .spinclass import (
-    Status, StringPairs, Verdict, _doubled_nu, _eta_index,
+    Status, StringPairs, Verdict, _eta_index, _pairs_form,
     classify, classify_pairs, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
 )
 from . import intertwine, orbits, rewriter
@@ -259,8 +259,8 @@ def cmd_classify(args) -> int:
 
 
 def _row_for(pairs: StringPairs):
-    """A table row, from the staircase test and the doubled nu of
-    ``pairs_to_param(pairs)`` (L = 2, mu all 1): the calls the verdict of
+    """A table row, from the staircase test and ``_pairs_form(pairs)``, the
+    integer form of ``pairs_to_param(pairs)``: the calls the verdict of
     ``classify_pairs`` makes for its status, strictness and eta(q), without
     building the parameter, its stage events or a certificate."""
     result = unitarity_test(pairs)
@@ -269,10 +269,9 @@ def _row_for(pairs: StringPairs):
     else:
         base = rewriter.normalize_to_base(pairs).base
         tag, witness = "No", f"eta({_eta_index(pairs.family, base)})"
-    nu = _doubled_nu(pairs)
     return {
         "pairs": str(pairs),
-        **_langlands_text(2, (1,) * len(nu), nu),
+        **_langlands_text(*_pairs_form(pairs)),
         "verdict": tag,
         "witness": witness,
     }

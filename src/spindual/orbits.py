@@ -71,18 +71,24 @@ def attach_orbit(pairs) -> OrbitColumns:
 
 
 def transpose(cols) -> tuple:
-    """Partition transpose: row_i = #{c_j >= i}."""
-    cols = sorted(_int_columns(cols), reverse=True)
-    if not cols:
-        return ()
-    return tuple(sum(1 for c in cols if c >= i) for i in range(1, cols[0] + 1))
+    """Partition transpose: row_i = #{c_j >= i}.  Read off the ascending
+    columns, the rows i in (c_{m-1}, c_m] have length k - m + 1, for k
+    columns c_1 <= ... <= c_k and c_0 = 0."""
+    cols = sorted(c for c in _int_columns(cols) if c > 0)
+    rows, low = [], 0
+    for m, c in enumerate(cols):
+        rows += [len(cols) - m] * (c - low)
+        low = c
+    return tuple(rows)
 
 
 def orbit_dim(orbit: OrbitColumns) -> int:
-    """dim = N(N-1)/2 - (sum c_j^2)/2 + (#odd rows of the transpose)/2."""
+    """dim = N(N-1)/2 - (sum c_j^2)/2 + (#odd rows of the transpose)/2; the
+    transpose has c_j - c_{j+1} rows of length j, so c_1 - c_2 + c_3 - ...
+    odd rows, for the descending columns c_1 >= c_2 >= ... (c_{k+1} = 0)."""
     n_amb = orbit.ambient
     sq = sum(c * c for c in orbit.cols)
-    odd_rows = sum(1 for r in transpose(orbit.cols) if r % 2 == 1)
+    odd_rows = sum(orbit.cols[::2]) - sum(orbit.cols[1::2])
     num = n_amb * (n_amb - 1) - sq + odd_rows
     assert num % 2 == 0
     return num // 2

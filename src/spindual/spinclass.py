@@ -161,19 +161,19 @@ def pairs_to_param(pairs: StringPairs) -> GenuineParam:
 
     mu is all 1/2 of length 2n; nu is the +1/2 class (descending) followed by
     its negation (descending), matching the Langlands-coordinate convention
-    of the classification tables.  It is built from its integer form (L = 2).
+    of the classification tables.  It is built from :func:`_pairs_form`.
     """
-    doubled = _doubled_nu(pairs)
-    n2 = len(doubled)
-    return GenuineParam._from_integer_form(GroupTag(pairs.family, n2), (2, (1,) * n2, doubled))
+    form = _pairs_form(pairs)
+    return GenuineParam._from_integer_form(GroupTag(pairs.family, len(form[1])), form)
 
 
-def _doubled_nu(pairs: StringPairs) -> tuple:
-    """2 nu of :func:`pairs_to_param`: the doubled half-class descending, then
-    its negation descending.  The CLI's table rows read their Langlands
-    coordinates off these ints without building the parameter."""
+def _pairs_form(pairs: StringPairs) -> tuple:
+    """The integer form (L, mu, nu) of :func:`pairs_to_param`: L = 2, mu all
+    1, and nu the doubled half-class descending, then its negation
+    descending.  The CLI's table rows read their Langlands coordinates off
+    it without building the parameter."""
     half = sorted((d for x, y in pairs.pairs for d in _doubled_string(x, y)), reverse=True)
-    return (*half, *(-d for d in reversed(half)))
+    return 2, (1,) * (2 * len(half)), (*half, *(-d for d in reversed(half)))
 
 
 def partition_nt(nu) -> dict:

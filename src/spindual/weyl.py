@@ -252,45 +252,35 @@ def _mu_blocks(mu):
 def hermitian_witness(p: GenuineParam):
     """Some w with w mu = mu and w nu = -nu, or None.
 
-    Requires mu dominant.  Within each constant-mu block the nu-multiset is
-    matched against its negative; sign flips are available only on zero
-    mu-entries (a flip would negate a nonzero entry), and for family D the
-    total number of flips must be even.  The matching runs on the integer
-    form of p.
+    Requires mu non-increasing.  With nu negated where mu < 0, w fixes mu
+    when it permutes each class of equal |mu| (the mu-blocks, for mu >= 0)
+    and flips in place only where mu = 0.  Sorted by nu, a class of nonzero
+    |mu| must read as its negation reversed, and w swaps each position with
+    its mirror; on mu = 0, w flips every entry but, in family D with an odd
+    count, one nu = 0.  Runs on the integer form of p.
     """
     n = p.group.rank
     _, mu, nu = p.integer_form
     if list(mu) != sorted(mu, reverse=True):
         raise ValueError("hermitian_witness expects dominant mu")
-    perm = [None] * n
-    signs = [1] * n
-    flips = 0
-    free_parity_slot = None
-    for value, start, stop in _mu_blocks(mu):
-        by_value = {}
-        for i in range(start, stop):
-            by_value.setdefault(nu[i], []).append(i)
-        for v, positions in by_value.items():
-            if v < 0 and -v in by_value:
-                continue  # matched from the side of -v
-            # pair +v with -v (0 with itself); slot i receives nu[j] = -nu[i]
-            mates = by_value.get(-v, [])
-            for i, j in zip(positions, mates):
-                perm[j] = i
-                perm[i] = j
-            unmatched = positions[len(mates):] + mates[len(positions):]
-            if unmatched and value != 0:
-                return None  # a flip would negate a nonzero mu-entry
-            for i in unmatched:
-                perm[i] = i
+    flat = [-x if m < 0 else x for m, x in zip(mu, nu)]
+    perm, signs = list(range(n)), [1] * n
+    order = sorted(range(n), key=lambda i: (abs(mu[i]), flat[i]))
+    for a, run in groupby(order, key=lambda i: abs(mu[i])):
+        block = list(run)
+        if a:
+            if [flat[i] for i in block] != [-flat[i] for i in reversed(block)]:
+                return None
+            for i, j in zip(block, reversed(block)):
+                perm[i], signs[j] = j, 1 if mu[i] == mu[j] else -1
+        else:
+            for i in block:
                 signs[i] = -1
-            flips += len(unmatched)
-        if value == 0 and 0 in by_value:
-            free_parity_slot = by_value[0][0]
-    if p.group.family == "D" and flips % 2 == 1:
-        if free_parity_slot is None:
-            return None
-        signs[free_parity_slot] *= -1
+            if p.group.family == "D" and len(block) % 2 == 1:
+                zeros = [i for i in block if nu[i] == 0]
+                if not zeros:
+                    return None
+                signs[zeros[0]] = 1
     w = WeylElement(tuple(perm), tuple(signs))
     # on the scaled vectors: scaling is injective and linear, so this is
     # w mu = mu and w nu = -nu

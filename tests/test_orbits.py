@@ -1,7 +1,9 @@
 """Tests for orbit attachment and the dimension formulas."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spindual import orbits
 from spindual.orbits import (
     NotStrictCore, OrbitColumns, attach_orbit, codim_identity_holds,
     nilcone_dim, orbit_dim, transpose,
@@ -48,6 +50,38 @@ def test_transpose():
     # involution on partitions
     for cols in [(4, 3, 3, 2), (2, 1), (5,)]:
         assert transpose(transpose(cols)) == cols
+
+
+def transpose_reference(cols):
+    """The transpose counted row by row: row_i = #{c_j >= i}."""
+    cols = sorted(cols, reverse=True)
+    if not cols:
+        return ()
+    return tuple(sum(1 for c in cols if c >= i) for i in range(1, cols[0] + 1))
+
+
+def orbit_dim_reference(orbit):
+    """The dimension with the odd rows counted on the whole transpose."""
+    n_amb = orbit.ambient
+    odd_rows = sum(1 for r in transpose_reference(orbit.cols) if r % 2 == 1)
+    return (n_amb * (n_amb - 1) - sum(c * c for c in orbit.cols) + odd_rows) // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 40), max_size=12))
+def test_transpose_and_orbit_dim_match_the_row_count(cols):
+    # zero and negative columns add no row, in both
+    assert transpose(cols) == transpose_reference(cols)
+    positive = tuple(c for c in cols if c > 0)
+    orbit = OrbitColumns(positive, sum(positive))
+    assert orbit_dim(orbit) == orbit_dim_reference(orbit)
+
+
+def test_orbit_dim_reads_the_columns_only(monkeypatch):
+    # the transpose of a column of 70,000 has 70,000 rows; orbit_dim builds none
+    monkeypatch.setattr(orbits, "transpose", None)
+    orbit = OrbitColumns((70000, 3, 1), 70004)
+    assert orbit_dim(orbit) == orbit_dim_reference(orbit)
 
 
 def test_column_sizes_must_be_ints():
@@ -110,6 +144,8 @@ def test_codim_identity_sweep():
     assert len(cores) == len(set(c.pairs for c in cores))
     for pairs in cores:
         assert codim_identity_holds(pairs), pairs
+        orbit = attach_orbit(pairs)
+        assert orbit_dim(orbit) == orbit_dim_reference(orbit)
     assert len(cores) == 87  # 15 single columns, 72 longer cores
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindual.weyl import (
     DimensionError, GenuineParam, GroupTag, LanglandsPair, WeylElement, apply, dominantize,
@@ -189,6 +189,50 @@ def test_hermitian_witness_vs_bruteforce():
             assert apply(got, p.nu) == tuple(-x for x in p.nu)
             if fam == "D":
                 assert got.signs.count(-1) % 2 == 0
+
+
+def assert_hermitian_witness(p, w):
+    """w fixes mu and negates nu on the integer form, is an involution and,
+    in family D, flips an even number of signs."""
+    _, mu, nu = p.integer_form
+    assert apply(w, mu) == mu and apply(w, nu) == tuple(-x for x in nu)
+    distinct = tuple(range(1, p.group.rank + 1))
+    assert apply(w, apply(w, distinct)) == distinct
+    if p.group.family == "D":
+        assert w.signs.count(-1) % 2 == 0
+
+
+# mu draws negative blocks, the mirror -a of a block a among them
+_MU_VALUES = st.sampled_from((F(0), H, -H, F(3, 2), F(-3, 2), F(1)))
+_NU_VALUES = st.sampled_from((F(0), F(1), F(-1), H))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from("BD"), st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(_MU_VALUES, min_size=n, max_size=n), st.lists(_NU_VALUES, min_size=n, max_size=n))))
+@example("B", ([F(3, 2), H, F(-3, 2)], [F(1), F(0), F(1)]))
+@example("D", ([H, H, -H, -H], [F(1), F(2), F(2), F(1)]))
+def test_hermitian_witness_vs_bruteforce_with_negative_blocks(family, rows):
+    mu, nu = rows
+    p = GenuineParam(GroupTag(family, len(mu)), sorted(mu, reverse=True), nu)
+    w = hermitian_witness(p)
+    assert (w is None) == (_brute_witness(p) is None), p
+    if w is not None:
+        assert_hermitian_witness(p, w)
+
+
+def test_hermitian_witness_mirror_blocks_and_d_parity():
+    # a block and its mirror -a exchange entries under a double sign flip
+    for family in "BD":
+        p = GenuineParam(GroupTag(family, 2), (H, -H), (F(1), F(1)))
+        w = hermitian_witness(p)
+        assert w == WeylElement((1, 0), (-1, -1))
+        assert_hermitian_witness(p, w)
+    # D3, mu = 0: three flips are odd, and only a nu = 0 can stay unflipped
+    zero = (F(0),) * 3
+    assert hermitian_witness(GenuineParam(GroupTag("D", 3), zero, (1, -1, 1))) is None
+    p = GenuineParam(GroupTag("D", 3), zero, (1, -1, 0))
+    assert_hermitian_witness(p, hermitian_witness(p))
 
 
 def _brute_conjugate(p1, p2):
