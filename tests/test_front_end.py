@@ -4,7 +4,9 @@
 layers of ``glclass._layers`` work on vectors scaled to integers by their
 least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
-including ``None`` and the ``ValueError`` on non-dominant mu.  ``classify``
+including ``None`` and the ``ValueError`` on non-dominant mu; for
+``hermitian_witness``, which may return another w, equal results are the
+same ``None`` answers.  ``classify``
 decides Hermitian symmetry per mu-block without building a Weyl element:
 it splits each mu-block into residue classes once and tests it class by
 class, and agrees with ``hermitian_witness`` on the dominant form and with
