@@ -21,7 +21,12 @@ of everything the program prints or returns on it, in order:
   on every family D column pair with n = 7 and 8;
 * ``cli wide`` sets: ``classify --mu/--nu`` on some of those wide
   parameters and ``verify-chain`` on the column (200; 0) in both families,
-  whose start reaches 797/2, as text and as ``--json``.
+  whose start reaches 797/2, as text and as ``--json``;
+* the ``cli trace`` set: exit code and ``--trace`` lines of ``classify
+  --trace`` on every ``classify`` input of the ``cli`` and ``cli wide`` sets
+  (``--pairs`` rows and ``--mu/--nu`` parameters), each line with its
+  ``elapsed_ns`` dropped, so that the stage events' integer counters, which
+  no transcript line prints, keep their values too.
 
 ``tests/test_identity.py`` compares the digests with ``identity/digests.json``.
 A change that alters an output on purpose regenerates the file with
@@ -201,6 +206,26 @@ def cli_call(argv) -> str:
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
 
 
+def _trace_call(argv) -> str:
+    """Exit code and ``--trace`` lines of ``cli.main(argv + ["--trace"])``,
+    each line without its ``elapsed_ns``, which differs from run to run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--trace"])
+    records = [json.loads(line) for line in err.getvalue().splitlines()]
+    for record in records:
+        del record["elapsed_ns"]
+    return "\n".join([str(code), *map(json.dumps, records)])
+
+
+def _trace_argvs():
+    """The ``classify`` inputs of the ``cli`` and ``cli wide`` sets."""
+    for family in ("D", "B"):
+        for n in TABLE_RANKS:
+            yield from (argv for argv in _cli_argvs(family, n) if argv[0] == "classify")
+    yield from (argv for argv in _wide_argvs() if argv[0] == "classify")
+
+
 def _pairs_arg(pairs) -> str:
     return ",".join(map(str, pairs.xs)) + ";" + ",".join(map(str, pairs.ys))
 
@@ -250,6 +275,7 @@ def case_sets():
         sets[f"cli wide {fmt}"] = lambda extra=extra: (
             cli_call(argv + extra) for argv in _wide_argvs())
     sets["cli malformed"] = lambda: (cli_call(argv) for argv in MALFORMED)
+    sets["cli trace"] = lambda: (_trace_call(argv) for argv in _trace_argvs())
     return sets
 
 
