@@ -262,7 +262,7 @@ def hermitian_witness(p: GenuineParam):
     n = p.group.rank
     _, mu, nu = p.integer_form
     if list(mu) != sorted(mu, reverse=True):
-        raise ValueError("hermitian_witness expects dominant mu")
+        raise ValueError("hermitian_witness expects non-increasing mu")
     flat = [-x if m < 0 else x for m, x in zip(mu, nu)]
     perm, signs = list(range(n)), [1] * n
     order = sorted(range(n), key=lambda i: (abs(mu[i]), flat[i]))

@@ -4,7 +4,8 @@
 layers of ``glclass._layers`` work on vectors scaled to integers by their
 least common denominator.  The Fraction implementations they replaced are
 kept here as oracles, and hypothesis checks that both return equal results,
-including ``None`` and the ``ValueError`` on non-dominant mu; for
+including ``None`` and the ``ValueError`` on a mu that is not
+non-increasing; for
 ``hermitian_witness``, which may return another w, equal results are the
 same ``None`` answers.  ``classify``
 decides Hermitian symmetry per mu-block without building a Weyl element:
@@ -73,7 +74,7 @@ def dominantize_reference(p):
 def hermitian_witness_reference(p):
     n = p.group.rank
     if list(p.mu) != sorted(p.mu, reverse=True):
-        raise ValueError("hermitian_witness expects dominant mu")
+        raise ValueError("hermitian_witness expects non-increasing mu")
     perm = [None] * n
     signs = [1] * n
     flips = 0
@@ -254,7 +255,7 @@ def test_hermitian_witness_on_dominant_form_and_non_dominant_mu(p):
     check_witness_against_reference(dominantize(p).param)
     if list(p.mu) != sorted(p.mu, reverse=True):
         for fn in (hermitian_witness, hermitian_witness_reference):
-            with pytest.raises(ValueError, match="expects dominant mu"):
+            with pytest.raises(ValueError, match="expects non-increasing mu"):
                 fn(p)
 
 
