@@ -93,6 +93,10 @@ class _Steps(_LazyTuple):
     def __len__(self):
         return len(self.moves)
 
+    def __reduce__(self):
+        # copies and pickles carry the moves, not the replayed steps
+        return _Steps, (self.start, self.moves)
+
 
 @dataclass(frozen=True)
 class NormalizedBase:

@@ -405,16 +405,19 @@ def build_certificate(pairs: StringPairs, gl_factors: tuple = ()) -> "UnitaryCer
 
 def eta_weight(family: str, n: int, q: int) -> tuple:
     """Highest weight of the spin-relevant K-type eta(q) at rank n."""
-    if family not in ("B", "D"):
-        raise ValueError("family must be 'B' or 'D'")
+    _check_eta(family, n, q)
     if family == "D":
-        if not 0 <= q <= n - 1:
-            raise ValueError(f"eta({q}) undefined at rank {n} in family D")
         last = HALF if q % 2 == 0 else _MINUS_HALF
         return (_THREE_HALVES,) * q + (HALF,) * (n - q - 1) + (last,)
-    if not 0 <= q <= n:
-        raise ValueError(f"eta({q}) undefined at rank {n} in family B")
     return (_THREE_HALVES,) * q + (HALF,) * (n - q)
+
+
+def _check_eta(family: str, n: int, q: int) -> None:
+    """The domain of eta(q) at rank n: 0 <= q <= n - 1 in family D, q <= n in B."""
+    if family not in ("B", "D"):
+        raise ValueError("family must be 'B' or 'D'")
+    if not 0 <= q <= (n - 1 if family == "D" else n):
+        raise ValueError(f"eta({q}) undefined at rank {n} in family {family}")
 
 
 @dataclass(frozen=True)
@@ -438,11 +441,16 @@ class SpinRelevantKType:
                 f"weight of length {len(self.weight)} on the group {self.group}")
 
     @classmethod
-    def _built(cls, q, weight: tuple, group: GroupTag) -> "SpinRelevantKType":
+    def _built(cls, q, weight, group: GroupTag) -> "SpinRelevantKType":
         """The K-type of a weight that spindual built, which its caller vouches
-        for: a tuple of Fractions of length ``group.rank``."""
+        for: Fractions, ``group.rank`` of them (a tuple, or an eta(q) built on
+        first read)."""
         k = object.__new__(cls)
-        k.__dict__.update(q=q, weight=weight, group=group)
+        # set as the dataclass __init__ sets them: reading __dict__ would build
+        # a dict object for every witness
+        object.__setattr__(k, "q", q)
+        object.__setattr__(k, "weight", weight)
+        object.__setattr__(k, "group", group)
         return k
 
 
@@ -481,10 +489,11 @@ class StageEvent:
     is kept as its doubled ints; its tuple of Fractions is built on first
     read, and it prints, compares and hashes as that tuple.  ``elapsed_ns``,
     the time since the previous event, is left out of comparisons and of the
-    repr.  Every mu-block is split into its residue classes before the
-    Hermitian test, which reads them, so the hermitian event's time includes
-    the splits, and the partition event times only the GL classes of the
-    mu = 1/2 block.
+    repr.  :func:`classify` records its events as plain values, and a
+    verdict's chain builds these events when it is first read.  Every
+    mu-block is split into its residue classes before the Hermitian test,
+    which reads them, so the hermitian event's time includes the splits, and
+    the partition event times only the GL classes of the mu = 1/2 block.
     """
     stage: str
     outcome: str
@@ -551,9 +560,34 @@ class _HalfClass(_LazyTuple):
         return _HalfClass, (self.ints,)
 
 
+class _EtaWeight(_LazyTuple):
+    """eta(q) at rank n, built by :func:`eta_weight` on first read; the
+    domain of q is checked when it is made."""
+    __slots__ = ("family", "n", "q")
+
+    def __init__(self, family: str, n: int, q: int):
+        _check_eta(family, n, q)
+        self.family, self.n, self.q, self._tuple = family, n, q, None
+
+    def _build(self) -> tuple:
+        return eta_weight(self.family, self.n, self.q)
+
+    def _key(self) -> tuple:
+        # eta(q) of family D ends in -1/2 for odd q; for even q it is B's eta(q)
+        return self.n, self.q, self.family == "D" and self.q % 2 == 1
+
+    def __len__(self):
+        return self.n
+
+    def __reduce__(self):
+        return _EtaWeight, (self.family, self.n, self.q)
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """The result of :func:`classify`; ``chain`` is its tuple of StageEvents."""
+    """The result of :func:`classify`.  ``chain`` is its sequence of
+    StageEvents: a tuple, or the record of a :func:`classify` call, which
+    builds its events on first read."""
     status: Status
     certificate: UnitaryCertificate = None
     witness: SpinRelevantKType = None
@@ -636,34 +670,40 @@ def transcript(verdict: Verdict):
         yield from render(event)
 
 
-# the slots of StageEvent, written past its frozen __setattr__
-_SET_STAGE, _SET_OUTCOME, _SET_DATA, _SET_ELAPSED = (
-    StageEvent.stage.__set__, StageEvent.outcome.__set__,
-    StageEvent.data.__set__, StageEvent.elapsed_ns.__set__)
+class _Stages(_LazyTuple):
+    """The stage record of one :func:`classify` call, and the chain of its
+    verdict.  ``entries`` is one flat list: the start of the call, then the
+    stage, outcome, data and end time of each event, so that each event is
+    timed from the one before it.  The StageEvents are built on first read;
+    equality reads the entries without their times, as events leave
+    ``elapsed_ns`` out."""
+    __slots__ = ("entries",)
 
-
-class _Stages:
-    """The stage events of one :func:`classify` call; each event is timed
-    from the previous one (the first from the start of the call).  An event
-    is filled slot by slot: the frozen dataclass ``__init__`` costs more
-    than the rest of a record."""
-
-    def __init__(self):
-        self.events = []
-        self._mark = perf_counter_ns()
+    def __init__(self, entries: list = None):
+        self.entries = [perf_counter_ns()] if entries is None else entries
+        self._tuple = None
 
     def record(self, stage: str, outcome: str, *data):
-        now = perf_counter_ns()
-        event = object.__new__(StageEvent)
-        _SET_STAGE(event, stage)
-        _SET_OUTCOME(event, outcome)
-        _SET_DATA(event, data)
-        _SET_ELAPSED(event, now - self._mark)
-        self.events.append(event)
-        self._mark = now
+        self.entries.extend((stage, outcome, data, perf_counter_ns()))
+
+    def _build(self) -> tuple:
+        e = self.entries
+        return tuple(StageEvent(e[i + 1], e[i + 2], e[i + 3], e[i + 4] - e[i])
+                     for i in range(0, len(e) - 1, 4))
+
+    def _key(self) -> tuple:
+        e = self.entries
+        return e[1::4], e[2::4], e[3::4]
+
+    def __len__(self):
+        return len(self.entries) // 4
+
+    def __reduce__(self):
+        # copies and pickles carry the entries, not the built events
+        return _Stages, (self.entries,)
 
     def verdict(self, status: Status, **fields) -> Verdict:
-        return Verdict(status, chain=tuple(self.events), **fields)
+        return Verdict(status, chain=self, **fields)
 
     def non_unitary(self, wit, outcome: str, **fields) -> Verdict:
         """Record the witness stage and return the NonUnitary verdict."""
@@ -682,7 +722,11 @@ def _embed_block_shift(L, mu_ints, start, shift):
 
 def _eta_witness_full(mu, start, group, q) -> SpinRelevantKType:
     """eta(q) of the D/B-factor on the mu = 1/2 block mu[start:], lifted to
-    mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself."""
+    mu: the block shifted by eta(q) - 1/2 is the pattern eta(q) itself.  When
+    the block is all of mu, the weight is eta(q) on the group, built on first
+    read."""
+    if start == 0:
+        return SpinRelevantKType._built(q, _EtaWeight(group.family, len(mu), q), group)
     pattern = eta_weight(group.family, len(mu) - start, q)
     return SpinRelevantKType._built(q, mu[:start] + pattern, group)
 
@@ -810,7 +854,7 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     """
     fam, n2 = pairs.family, 2 * normal_form.final.n
     q = _eta_index(fam, normal_form.base)
-    return SpinRelevantKType._built(q, eta_weight(fam, n2, q), GroupTag(fam, n2))
+    return SpinRelevantKType._built(q, _EtaWeight(fam, n2, q), GroupTag(fam, n2))
 
 
 def _eta_index(family: str, base) -> int:

@@ -1,7 +1,9 @@
-"""``classify`` builds each piece of a verdict once.
+"""``classify`` builds each piece of a verdict once, and the read-only ones
+when they are first read.
 
 A NonUnitary verdict builds its eta(q) weight once, on the padded group when
-the rewriter padded and on the input group otherwise, and lists the
+the rewriter padded and on the input group otherwise, when the weight is
+first read; its stage events are built when its chain is first read.  It lists the
 staircase slacks once for the staircase test and once per padding round
 (the last round's list also locates the base).  ``halfint`` shares the
 Fractions k/L of small k and L and their texts through one bounded table
@@ -30,18 +32,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindual import glclass, halfint, intertwine, rewriter, spinclass, weyl
-from spindual.cli import main
+from spindual.cli import _trace_record, main
 from spindual.rewriter import full_staircase, normalize_to_base
 from spindual.halfint import (
     _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, _TEXT_TABLES,
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    _SHARED_BOUND, _SHARED_COLUMNS, SpinRelevantKType, Status, StringPairs, classify,
+    _SHARED_BOUND, _SHARED_COLUMNS, SpinRelevantKType, StageEvent, Status, StringPairs, classify,
     classify_pairs, enumerate_pairs, eta_weight, pairs_to_param, peel_stein_factors,
     staircase_slacks, transcript, unitarity_test,
 )
-from spindual.weyl import GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual
+from spindual.weyl import (
+    GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual, to_langlands,
+)
+from tests import identity_cases
 from tests.test_bench_checker import _checker
 from tests.test_rewriter import violated_pairs
 
@@ -63,8 +68,16 @@ def test_classify_builds_one_eta_weight(monkeypatch, cols, padded):
     verdict = classify(pairs_to_param(StringPairs("D", cols)))
     assert verdict.status is Status.NON_UNITARY
     assert bool(verdict.normalized.moves) is padded
-    assert calls == [("D", verdict.witness.group.rank, verdict.witness.q)]
-    assert verdict.witness.weight == eta_weight("D", verdict.witness.group.rank, verdict.witness.q)
+    # classify builds no weight, nor do its transcript and its length
+    w = verdict.witness
+    str(verdict), len(w.weight)
+    assert calls == []
+    # the first read builds it once, and later reads reuse it
+    expected = eta_weight("D", w.group.rank, w.q)
+    assert w.weight[0] == expected[0]
+    assert calls == [("D", w.group.rank, w.q)]
+    assert w.weight == expected and tuple(w.weight) == expected and repr(w.weight) == repr(expected)
+    assert calls == [("D", w.group.rank, w.q)]
 
 
 @pytest.mark.parametrize("cols, padded", [
@@ -100,6 +113,77 @@ def test_kept_staircase_results_add_one_object_per_violation():
     gc.collect()
     grown = len(gc.get_objects()) - before - 1   # the results list
     assert grown <= sum(not result for result in results) < len(rows)
+
+
+def _alive(kind) -> int:
+    """The GC-tracked objects of exactly this type."""
+    return sum(type(o) is kind for o in gc.get_objects())
+
+
+def _eta_tuples() -> int:
+    """The tuples alive that hold only the shared entries of eta(q)."""
+    shared = {id(spinclass._THREE_HALVES), id(halfint.HALF), id(spinclass._MINUS_HALF)}
+    return sum(type(o) is tuple and len(o) > 0 and all(id(v) in shared for v in o)
+               for o in gc.get_objects())
+
+
+def _unread(lazy) -> bool:
+    return lazy._tuple is None
+
+
+def test_verdicts_build_their_parts_on_first_read():
+    """Kept verdicts of every D/B row with n <= 8 hold no StageEvent and no
+    eta(q) tuple until they are read.  Read, their reprs, transcripts and
+    ``--trace`` records give the recorded identity digests, and two unread
+    verdicts compare on their records, equal where verdicts with plain
+    tuples are."""
+    rows = [(family, n, pairs) for family in "DB" for n in range(1, 9)
+            for pairs in enumerate_pairs(family, n)]
+    params = [pairs_to_param(pairs) for _, _, pairs in rows]
+    for p in params:
+        p.mu    # the parameters' own Fractions, built before the counts
+    gc.collect()
+    events, etas = _alive(StageEvent), _eta_tuples()
+    verdicts = [classify(p) for p in params]
+    gc.collect()
+    assert (_alive(StageEvent), _eta_tuples()) == (events, etas)
+    non_unitary = [v for v in verdicts if v.status is Status.NON_UNITARY]
+    assert len(non_unitary) > 300
+    for v in non_unitary:
+        v.witness.weight[0]
+    gc.collect()
+    assert (_alive(StageEvent), _eta_tuples()) == (events, etas + len(non_unitary))
+
+    expected = json.loads(identity_cases.DIGESTS.read_text())
+    records = {}
+    for (family, n, _), p, v in zip(rows, params, verdicts):
+        records.setdefault(f"classify {family} {n}", []).append(
+            "\n".join([repr(v), *transcript(v), repr(to_langlands(p))]))
+    assert {name: identity_cases.digest(r) for name, r in records.items()} == \
+        {name: expected[name] for name in records}
+    # the --trace records of the CLI's classify inputs: the rows, then the
+    # wide parameters, which run through the CLI here
+    trace = ["\n".join([str(0 if v.status is Status.UNITARY else 3),
+                        *(json.dumps({k: x for k, x in _trace_record(e).items() if k != "elapsed_ns"})
+                          for e in v.chain)])
+             for (_, n, _), v in zip(rows, verdicts) if n in identity_cases.CLI_ROW_RANKS]
+    trace += [identity_cases._trace_call(argv)
+              for argv in identity_cases._wide_argvs() if argv[0] == "classify"]
+    assert identity_cases.digest(trace) == expected["cli trace"]
+    gc.collect()
+    assert _alive(StageEvent) == events + sum(map(len, (v.chain for v in verdicts)))
+
+    for p, v in zip(params[::5], verdicts[::5]):
+        a, b = classify(p), classify(p)
+        assert a == b == v and not a != b
+        assert _unread(a.chain) and _unread(b.chain)
+        plain = dataclasses.replace(b, chain=tuple(b.chain))
+        if b.witness is not None:
+            assert _unread(a.witness.weight) and _unread(b.witness.weight)
+            plain = dataclasses.replace(plain, witness=dataclasses.replace(
+                b.witness, weight=tuple(b.witness.weight)))
+        assert type(plain.chain) is tuple and a == plain == v and hash(a) == hash(plain)
+    assert classify(params[0]) != verdicts[1] and classify(params[-1]) != verdicts[-2]
 
 
 DENOMINATORS = (1, 2, 3, 12, _DENOMINATOR_BOUND - 1, _DENOMINATOR_BOUND, 10 ** 6)
@@ -271,7 +355,13 @@ def test_built_witnesses_equal_the_public_construction(workloads):
         w = verdict.witness
         kinds[verdict.chain[-1].outcome] += 1
         rebuilt = SpinRelevantKType(w.q, w.weight, w.group)
-        assert rebuilt == w and rebuilt.weight is w.weight
+        assert rebuilt == w and hash(rebuilt) == hash(w)
+        # the public constructor keeps a tuple of Fractions as it is, and
+        # reads an eta(q) built on first read into the same tuple
+        assert rebuilt.weight == tuple(w.weight) and type(rebuilt.weight) is tuple
+        assert set(map(type, rebuilt.weight)) == {Fraction}
+        if type(w.weight) is tuple:
+            assert rebuilt.weight is w.weight
         assert len(w.weight) == w.group.rank
     assert set(kinds) == {"eta", "lifted", "adjoint shift"}
 
@@ -475,12 +565,22 @@ def test_unread_read_and_plain_rows_are_equal(far_pairs):
 @pytest.mark.parametrize("read_first", [False, True])
 def test_verdict_copies_and_pickles(far_pairs, clone, read_first):
     _, p = far_pairs
-    verdict = classify(p)
-    if read_first:
-        _half_class(verdict)[0]
-    twin = clone(verdict)
-    assert twin == verdict and hash(twin) == hash(verdict)
-    assert repr(twin) == repr(verdict) and str(twin) == str(verdict)
+    # a Unitary verdict and a padded NonUnitary one, with its eta(q) weight
+    padded = pairs_to_param(StringPairs("B", ((30, 5), (20, 2), (9, 1))))
+    for verdict in (classify(p), classify(padded)):
+        if read_first:
+            _half_class(verdict)[0]
+            if verdict.witness is not None:
+                verdict.witness.weight[0]
+        twin = clone(verdict)
+        # an unread chain and weight are copied as their record, unread
+        if not read_first:
+            assert _unread(twin.chain)
+            assert twin.witness is None or _unread(twin.witness.weight)
+        if twin.witness is not None:
+            assert len(twin.witness.weight) == twin.witness.group.rank == 1722
+        assert twin == verdict and hash(twin) == hash(verdict)
+        assert repr(twin) == repr(verdict) and str(twin) == str(verdict)
 
 
 def test_classify_pairs_equals_classify_on_large_rank_inputs(workloads):
