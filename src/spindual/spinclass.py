@@ -507,10 +507,11 @@ class StageEvent:
 
 
 class _LazyTuple(Sequence):
-    """A tuple built from integers on first read and kept.  It prints,
+    """A tuple built from plain values on first read and kept.  It prints,
     compares and hashes as that tuple, but equality with another of its kind
-    reads only the integers.  A subclass defines ``_build`` (the tuple),
-    ``_key`` (the integers, equal only where the tuples are) and ``__len__``."""
+    reads only the values.  A subclass defines ``_build`` (the tuple),
+    ``_key`` (the values, equal exactly where the tuples are) and
+    ``__len__``."""
     __slots__ = ("_tuple",)
 
     def _built(self) -> tuple:
@@ -670,6 +671,12 @@ def transcript(verdict: Verdict):
         yield from render(event)
 
 
+# the slots of StageEvent, written past its frozen __setattr__
+_SET_STAGE, _SET_OUTCOME, _SET_DATA, _SET_ELAPSED = (
+    StageEvent.stage.__set__, StageEvent.outcome.__set__,
+    StageEvent.data.__set__, StageEvent.elapsed_ns.__set__)
+
+
 class _Stages(_LazyTuple):
     """The stage record of one :func:`classify` call, and the chain of its
     verdict.  ``entries`` is one flat list: the start of the call, then the
@@ -688,8 +695,16 @@ class _Stages(_LazyTuple):
 
     def _build(self) -> tuple:
         e = self.entries
-        return tuple(StageEvent(e[i + 1], e[i + 2], e[i + 3], e[i + 4] - e[i])
-                     for i in range(0, len(e) - 1, 4))
+        events = []
+        for i in range(0, len(e) - 1, 4):
+            # filled slot by slot: the frozen dataclass __init__ costs twice as much
+            event = object.__new__(StageEvent)
+            _SET_STAGE(event, e[i + 1])
+            _SET_OUTCOME(event, e[i + 2])
+            _SET_DATA(event, e[i + 3])
+            _SET_ELAPSED(event, e[i + 4] - e[i])
+            events.append(event)
+        return tuple(events)
 
     def _key(self) -> tuple:
         e = self.entries
@@ -741,8 +756,8 @@ def classify(p: GenuineParam) -> Verdict:
     its residue classes once, before the Hermitian check, which reads them:
     so the hermitian event's time includes the splits, and the partition
     event's covers only the GL classes of the mu = 1/2 block.  Each stage
-    records a :class:`StageEvent` in ``Verdict.chain``; :func:`transcript`
-    renders them.
+    records an event in ``Verdict.chain``, which builds the
+    :class:`StageEvent`s on first read; :func:`transcript` renders them.
     """
     stages = _Stages()
     if not p.is_genuine():
