@@ -1,7 +1,8 @@
 """Exact classification of genuine unitary representations of complex spin groups.
 
 The public surface: parameters and Weyl actions (:mod:`spindual.weyl`), the
-GL building blocks (:mod:`spindual.glclass`), the classification core
+GL building blocks (:mod:`spindual.glclass`), string pairs and the staircase
+test (:mod:`spindual.stringpairs`), the classification core
 (:mod:`spindual.spinclass`), rewriting by complementary-series induction
 (:mod:`spindual.rewriter`), attached nilpotent orbits (:mod:`spindual.orbits`)
 and intertwining-operator scalars and predicates (:mod:`spindual.intertwine`).
@@ -15,11 +16,14 @@ from .glclass import (
     CompParams, GLStatus, GLVerdict, SteinPair, TrivialString, classify_gl,
     classify_gl_genuine_block, comp_nu,
 )
+from .stringpairs import (
+    MalformedParameter, StringPairs, decompose_alpha_beta, extract_pairs,
+    staircase_slacks, unitarity_test,
+)
 from .spinclass import (
-    MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs,
-    UnitaryCertificate, Verdict, classify, classify_pairs, decompose_alpha_beta,
-    enumerate_pairs, eta_weight, extract_pairs, pairs_to_param, partition_nt,
-    peel_stein_factors, staircase_slacks, transcript, unitarity_test, witness,
+    SpinRelevantKType, StageEvent, Status, UnitaryCertificate, Verdict, classify,
+    classify_pairs, enumerate_pairs, eta_weight, pairs_to_param, partition_nt,
+    peel_stein_factors, transcript, witness,
 )
 from .rewriter import (
     CaseI, CaseII, InductionStep, NormalizedBase, full_staircase,

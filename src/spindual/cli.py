@@ -32,9 +32,10 @@ from operator import add, sub
 from .halfint import frac, fmt, texts
 from .weyl import GenuineParam, GroupTag
 from .spinclass import (
-    Status, StringPairs, Verdict, _eta_index, _pairs_form,
-    classify, classify_pairs, enumerate_pairs, pairs_to_param, transcript, unitarity_test,
+    Status, Verdict, _eta_index, _pairs_form,
+    classify, classify_pairs, enumerate_pairs, pairs_to_param, transcript,
 )
+from .stringpairs import StringPairs, unitarity_test
 from . import intertwine, orbits, rewriter
 
 

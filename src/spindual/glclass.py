@@ -3,7 +3,7 @@
 A real continuous parameter nu decomposes into *chains*, the multiplicity
 layers of each residue class mod 2: the k-th layer of a multiset is its
 distinct values of multiplicity >= k, descending (:func:`_multiplicity_layers`,
-which the string-pair extraction of :mod:`spindual.spinclass` reads too).
+which the string-pair extraction of :mod:`spindual.stringpairs` reads too).
 
 The irreducible module attached to nu is unitarily induced from the modules
 attached to the chains.  It is unitary exactly when

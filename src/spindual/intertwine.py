@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import itemgetter, neg
 
 from .halfint import frac, fmt, is_sign, scaled, texts, unscaled, vec
-from .spinclass import _doubled_string
+from .stringpairs import _doubled_string
 
 
 class Pole(ArithmeticError):

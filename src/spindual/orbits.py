@@ -14,7 +14,7 @@ odd rows of the transposed partition.
 
 from dataclasses import dataclass
 
-from .spinclass import _INT_ONLY, unitarity_test
+from .stringpairs import _INT_ONLY, unitarity_test
 
 
 class NotStrictCore(ValueError):

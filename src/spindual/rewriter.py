@@ -31,10 +31,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import neg
 
-from .spinclass import StringPairs, _LazyTuple, staircase_slacks, unitarity_test
+from .stringpairs import StringPairs, _LazyTuple, staircase_slacks, unitarity_test
 # not called here: bench/tracing.py wraps ``rewriter.extract_pairs`` (its
 # ``rewriter.inserts`` span), so the name must still resolve on this module
-from .spinclass import extract_pairs  # noqa: F401
+from .stringpairs import extract_pairs  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from spindual.intertwine import (
 from spindual.orbits import attach_orbit, codim_identity_holds, orbit_dim
 from spindual.rewriter import CaseI, full_staircase
 from spindual.spinclass import (
-    Status, StringPairs, classify, decompose_alpha_beta, enumerate_pairs,
-    pairs_to_param, peel_stein_factors, unitarity_test,
+    Status, classify, enumerate_pairs, pairs_to_param, peel_stein_factors,
 )
+from spindual.stringpairs import StringPairs, decompose_alpha_beta, unitarity_test
 from spindual.weyl import (
     GenuineParam, GroupTag, apply, hermitian_dual, hermitian_witness,
     enumerate_weyl, rho, to_langlands,

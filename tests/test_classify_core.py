@@ -18,9 +18,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spindual.halfint import (
     HALF, _DENOMINATOR_BOUND, _RATIO_BOUND, _RATIO_TABLES, fmt_vec, scaled, vec,
 )
-from spindual.spinclass import (
-    MalformedParameter, StringPairs, _eta_witness_full, _pairs_from_doubled,
-    decompose_alpha_beta, eta_weight,
+from spindual.spinclass import _eta_witness_full, eta_weight
+from spindual.stringpairs import (
+    MalformedParameter, StringPairs, _pairs_from_doubled, decompose_alpha_beta,
 )
 from spindual.weyl import GenuineParam, GroupTag, WeylElement, apply, dominantize
 from tests.test_front_end import dominantize_reference
@@ -214,10 +214,11 @@ def test_dominantize_permutes_integers_and_reuses_fractions(p):
 def test_eta_witness_full_past_position_zero(family):
     group = GroupTag(family, 9)
     mu = (Fraction(7, 2), Fraction(5, 2), Fraction(3, 2)) + (HALF,) * 6
+    q0 = GenuineParam(group, mu, (0,) * 9)
     start, stop = 3, 9
     qs = range(0, 6) if family == "D" else range(0, 7)
     for q in qs:
-        wit = _eta_witness_full(mu, start, group, q)
+        wit = _eta_witness_full(q0, start, q)
         shift = [Fraction(0)] * start + [e - Fraction(1, 2)
                                          for e in eta_weight(family, stop - start, q)]
         assert wit.weight == tuple(m + s for m, s in zip(mu, shift))
@@ -226,7 +227,7 @@ def test_eta_witness_full_past_position_zero(family):
         if family == "D" and q % 2 == 1:
             assert wit.weight[-1] == Fraction(-1, 2)
     with pytest.raises(ValueError):
-        _eta_witness_full(mu, start, group, qs.stop)
+        _eta_witness_full(q0, start, qs.stop)
 
 
 def test_identity_is_equal_per_rank():

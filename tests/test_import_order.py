@@ -1,10 +1,11 @@
-"""Every module of the import cycle imports cleanly when it comes first.
+"""Every module that others import from imports cleanly when it comes first.
 
-``spinclass`` binds ``rewriter`` and ``orbits`` at its end, and both import
-from ``spinclass``.  Each module is imported first in a fresh interpreter
-that turns warnings into errors: once through the package, and once with
-the package ``__init__`` skipped, so that the module itself starts the
-cycle."""
+``stringpairs`` holds the string-pair layer that ``spinclass``, ``rewriter``,
+``orbits`` and ``intertwine`` import, and ``spinclass`` imports ``rewriter``
+and ``orbits``.  Each module is imported first in a fresh interpreter that
+turns warnings into errors: once through the package, and once with the
+package ``__init__`` skipped, so that the module itself starts the imports.
+``tests/test_module_graph.py`` checks that the imports form no cycle."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ BARE_PACKAGE = (
     "sys.modules['spindual'] = importlib.util.module_from_spec(spec)\n"
 )
 
-# the cycle's names resolve to the modules they name
+# the shared names resolve to the modules they name
 CHECK = (
     "from spindual import orbits, rewriter, spinclass\n"
     "assert spinclass.rewriter is rewriter and spinclass.orbits is orbits\n"
@@ -31,7 +32,8 @@ CHECK = (
 
 
 @pytest.mark.parametrize("bare", [False, True])
-@pytest.mark.parametrize("module", ["rewriter", "orbits", "spinclass", "cli"])
+@pytest.mark.parametrize("module", [
+    "rewriter", "orbits", "spinclass", "cli", "stringpairs", "intertwine"])
 def test_module_imports_first(module, bare):
     code = (BARE_PACKAGE if bare else "") + f"import spindual.{module}\n" + CHECK
     run = subprocess.run([sys.executable, "-W", "error", "-c", code],

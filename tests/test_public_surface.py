@@ -14,7 +14,8 @@ PUBLIC_NAMES = [
     "full_staircase", "glclass", "halfint", "hermitian_dual", "hermitian_witness",
     "nilcone_dim", "normalize_to_base", "orbit_dim", "orbits", "pairs_to_param",
     "partition_nt", "peel_stein_factors", "rewriter", "rho", "spinclass", "staircase_slacks",
-    "to_langlands", "transcript", "transpose", "unitarity_test", "weyl", "witness",
+    "stringpairs", "to_langlands", "transcript", "transpose", "unitarity_test", "weyl",
+    "witness",
 ]
 
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import CompParams
 from spindual.spinclass import (
-    MalformedParameter, SpinRelevantKType, StageEvent, Status, StringPairs, Verdict, classify,
-    decompose_alpha_beta, enumerate_pairs, eta_weight, extract_pairs,
+    SpinRelevantKType, StageEvent, Status, Verdict, classify, enumerate_pairs, eta_weight,
     pairs_to_param, partition_nt, peel_stein_factors, transcript,
-    unitarity_test,
+)
+from spindual.stringpairs import (
+    MalformedParameter, StringPairs, decompose_alpha_beta, extract_pairs, unitarity_test,
 )
 from spindual.weyl import (
     GenuineParam, GroupTag, WeylElement, apply, hermitian_dual,
@@ -396,16 +397,16 @@ def test_classify_tests_the_staircase_once_per_core(monkeypatch):
     peeled core.  build_certificate, normalize_to_base and attach_orbit test
     their input again, but only read the kept result.  Padding and peeling
     list the slacks of their working rows (lists and zips), not counted."""
-    from spindual import rewriter, spinclass
+    from spindual import rewriter, spinclass, stringpairs
     scans = []
-    slacks = spinclass.staircase_slacks
+    slacks = stringpairs.staircase_slacks
 
     def counted(family, cols):
         if isinstance(cols, tuple):
             scans.append(cols)
         return slacks(family, cols)
 
-    for module in (spinclass, rewriter):
+    for module in (stringpairs, spinclass, rewriter):
         monkeypatch.setattr(module, "staircase_slacks", counted)
     kinds = set()
     for fam in ("B", "D"):

@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindual import glclass, halfint, intertwine, rewriter, spinclass, weyl
+from spindual import glclass, halfint, intertwine, rewriter, spinclass, stringpairs, weyl
 from spindual.cli import _trace_record, main
 from spindual.rewriter import full_staircase, normalize_to_base
 from spindual.halfint import (
@@ -39,9 +39,11 @@ from spindual.halfint import (
     fmt, fmt_ints, fmt_vec, texts, unscaled,
 )
 from spindual.spinclass import (
-    _SHARED_BOUND, _SHARED_COLUMNS, SpinRelevantKType, StageEvent, Status, StringPairs, classify,
-    classify_pairs, enumerate_pairs, eta_weight, pairs_to_param, peel_stein_factors,
-    staircase_slacks, transcript, unitarity_test,
+    SpinRelevantKType, StageEvent, Status, classify, classify_pairs, enumerate_pairs,
+    eta_weight, pairs_to_param, peel_stein_factors, transcript,
+)
+from spindual.stringpairs import (
+    _SHARED_BOUND, _SHARED_COLUMNS, StringPairs, staircase_slacks, unitarity_test,
 )
 from spindual.weyl import (
     GenuineParam, GroupTag, WeylElement, _dominant, apply, hermitian_dual, to_langlands,
@@ -80,6 +82,20 @@ def test_classify_builds_one_eta_weight(monkeypatch, cols, padded):
     assert calls == [("D", w.group.rank, w.q)]
 
 
+def test_unpadded_witness_reads_no_mu():
+    """An unpadded NonUnitary verdict places eta(q) on the whole group, which
+    reads the group, not mu: after classify and classify_pairs of D (1; 3),
+    a parameter built from integers still holds no mu."""
+    pairs = StringPairs("D", ((1, 3),))
+    p = pairs_to_param(pairs)
+    verdict = classify(p)
+    assert verdict.status is Status.NON_UNITARY and not verdict.normalized.moves
+    assert "mu" not in vars(p)
+    verdict = classify_pairs(pairs)
+    assert verdict.status is Status.NON_UNITARY
+    assert "mu" not in vars(verdict.chain[1].fields()["param"])
+
+
 @pytest.mark.parametrize("cols, padded", [
     (((1, 3),), False),
     (((3, 0), (2, 0), (2, 0)), True),
@@ -91,8 +107,8 @@ def test_classify_lists_each_state_once(monkeypatch, cols, padded):
         calls.append(family)
         return staircase_slacks(family, columns)
 
-    monkeypatch.setattr(spinclass, "staircase_slacks", counting)
-    monkeypatch.setattr(rewriter, "staircase_slacks", counting)
+    for module in (stringpairs, spinclass, rewriter):
+        monkeypatch.setattr(module, "staircase_slacks", counting)
     verdict = classify(pairs_to_param(StringPairs("D", cols)))
     assert verdict.status is Status.NON_UNITARY
     moves = len(verdict.normalized.moves)
@@ -379,7 +395,7 @@ def test_classify_of_large_rank_inputs_calls_no_vec(monkeypatch, workloads):
 
     params = [pairs_to_param(StringPairs(family, cols))
               for family, cols in workloads.gen_large_rank(None, 1)]
-    for module in (halfint, weyl, glclass, spinclass, intertwine):
+    for module in (halfint, weyl, glclass, stringpairs, spinclass, intertwine):
         monkeypatch.setattr(module, "vec", counting)
     padded = 0
     for p in params:
