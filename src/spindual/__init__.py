@@ -31,7 +31,7 @@ from .rewriter import (
 )
 from .orbits import (
     NotStrictCore, OrbitColumns, attach_orbit, codim_identity_holds,
-    nilcone_dim, orbit_dim, transpose,
+    nilcone_dim, orbit_dim,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,14 +25,16 @@ in ``spinclass.classify``; Fractions appear only in the factors and reasons.
 
 A block reaches :func:`_classify_symmetric` as its residue classes, (twist,
 descending ints) pairs of one residue class mod 2 at one twist each, and
-closed under (value, twist) negation.  ``spinclass.classify`` splits each
-mu-block once (:func:`_partition_scaled`) and tests that split
-(:func:`_classes_symmetric`) before it classifies any block: a mu > 1/2
-block passes its classes at twist +1, and the residue-class blocks of the
-mu = 1/2 block inherit its symmetry, since negation maps the class t to the
-class -t at the same twist.  The public classifiers test the multiset of
-signed values and report NotHermitian when it fails (:func:`_classify_scaled`),
-then group it by (residue, twist) (:func:`_signed_classes`).
+closed under (value, twist) negation.  Every classifier splits a block's
+values of one twist (:func:`_partition_scaled`) and tests that split
+(:func:`_classes_symmetric`) before it classifies.  ``spinclass.classify``
+splits each mu-block once: a mu > 1/2 block passes its classes at twist +1,
+and the residue-class blocks of the mu = 1/2 block inherit its symmetry,
+since negation maps the class t to the class -t at the same twist.  The
+public classifiers split the twist +1 values, then the twist -1 values, and
+report NotHermitian when either split fails; the +1 classes come first, so
+equal layers of the two twists keep that order (:func:`_layers`) and a
+verdict does not depend on the order of the block's entries.
 """
 
 # _count_elements, the loop of Counter.update, counts into any mapping: a
@@ -200,8 +202,7 @@ def _classify_symmetric(L: int, classes) -> GLVerdict:
 def classify_gl(nu) -> GLVerdict:
     """Unitarity of the spherical module attached to nu: the genuine block
     with every twist +1 (a constant twist does not affect unitarity)."""
-    L, ints = scaled(vec(nu))
-    return _classify_scaled(L, ints, (1,) * len(ints))
+    return classify_gl_genuine_block([(v, 1) for v in nu])
 
 
 def classify_gl_genuine_block(signed_nu) -> GLVerdict:
@@ -216,22 +217,10 @@ def classify_gl_genuine_block(signed_nu) -> GLVerdict:
     if not all(map(is_sign, signs)):
         raise ValueError("twists must be +1/-1")
     L, ints = scaled(values)
-    return _classify_scaled(L, ints, signs)
-
-
-def _classify_scaled(L: int, ints, signs) -> GLVerdict:
-    """The block of values ints/L with the twists signs, L any common
-    denominator, tested for symmetry first: the public classifiers run this."""
-    if sorted(zip(ints, signs)) != sorted(zip((-v for v in ints), signs)):
-        return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
-    return _classify_symmetric(L, _signed_classes(L, ints, signs))
-
-
-def _signed_classes(L: int, ints, signs) -> list:
-    """The (twist, descending ints) classes of the values ints/L with the
-    twists signs: their (residue, twist) groups in order of first occurrence."""
-    groups = {}
-    modulus = 2 * L
-    for v, s in zip(ints, signs):
-        groups.setdefault((v % modulus, s), []).append(v)
-    return [(s, sorted(vs, reverse=True)) for (_, s), vs in groups.items()]
+    classes = []
+    for twist in (1, -1):
+        split = _partition_scaled(L, [v for v, s in zip(ints, signs) if s == twist])
+        if not _classes_symmetric(L, split):
+            return GLVerdict(GLStatus.NOT_HERMITIAN, reason="signed nu is not symmetric under negation")
+        classes += [(twist, ss) for ss in split.values()]
+    return _classify_symmetric(L, classes)

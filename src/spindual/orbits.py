@@ -21,15 +21,6 @@ class NotStrictCore(ValueError):
     """The string pairs do not satisfy the strict staircase inequalities."""
 
 
-def _int_columns(cols) -> tuple:
-    """The column sizes as given; bools, floats and strings are refused
-    rather than coerced by int()."""
-    cols = tuple(cols)
-    if not set(map(type, cols)) <= _INT_ONLY:
-        raise TypeError(f"column sizes must be ints, not {cols}")
-    return cols
-
-
 @dataclass(frozen=True)
 class OrbitColumns:
     """Column sizes of a nilpotent-orbit partition for so(N,C)."""
@@ -37,7 +28,11 @@ class OrbitColumns:
     ambient: int
 
     def __post_init__(self):
-        cols = tuple(sorted(_int_columns(self.cols), reverse=True))
+        cols = tuple(self.cols)
+        # bools, floats and strings are refused rather than coerced by int()
+        if not set(map(type, cols)) <= _INT_ONLY:
+            raise TypeError(f"column sizes must be ints, not {cols}")
+        cols = tuple(sorted(cols, reverse=True))
         object.__setattr__(self, "cols", cols)
         if any(c <= 0 for c in cols):
             raise ValueError("column sizes must be positive")
@@ -68,18 +63,6 @@ def attach_orbit(pairs) -> OrbitColumns:
             cols.extend((2 * y + 1, 2 * y, 2 * x, 2 * x - 1))
         ambient = 4 * n + 1
     return OrbitColumns(tuple(c for c in cols if c > 0), ambient)
-
-
-def transpose(cols) -> tuple:
-    """Partition transpose: row_i = #{c_j >= i}.  Read off the ascending
-    columns, the rows i in (c_{m-1}, c_m] have length k - m + 1, for k
-    columns c_1 <= ... <= c_k and c_0 = 0."""
-    cols = sorted(c for c in _int_columns(cols) if c > 0)
-    rows, low = [], 0
-    for m, c in enumerate(cols):
-        rows += [len(cols) - m] * (c - low)
-        low = c
-    return tuple(rows)
 
 
 def orbit_dim(orbit: OrbitColumns) -> int:

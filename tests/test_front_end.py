@@ -128,7 +128,8 @@ def partition_nt_reference(nu):
 
 
 def decompose_chains_reference(nu, signs):
-    """The chains as (twist, values) tuples, longest first."""
+    """The chains as (twist, values) tuples, longest first, then by values
+    descending, then twist +1 first."""
     groups = {}
     for v, s in zip(nu, signs):
         groups.setdefault((residue_mod2(v), s), []).append(v)
@@ -142,7 +143,7 @@ def decompose_chains_reference(nu, signs):
                 break
             chains.append((s, tuple(layer)))
             k += 1
-    chains.sort(key=lambda c: (-len(c[1]), tuple(-v for v in c[1])))
+    chains.sort(key=lambda c: (-len(c[1]), tuple(-v for v in c[1]), -c[0]))
     return tuple(chains)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindual.glclass import (
     CompParams, GLStatus, SteinPair, TrivialString, _layers, _multiplicity_layers,
-    _signed_classes, classify_gl, classify_gl_genuine_block, comp_nu,
+    _partition_scaled, classify_gl, classify_gl_genuine_block, comp_nu,
 )
 from spindual.halfint import scaled, vec
 
@@ -31,10 +31,11 @@ def halves(*numerators):
 def layer_chains(nu, signs=None):
     """The chains of nu as (twist, values) tuples: the layers of
     ``_layers`` mapped back to Fractions, on the classes that the public
-    classifiers build (``_signed_classes``)."""
+    classifiers build: ``_partition_scaled`` of each twist, +1 first."""
     L, ints = scaled(vec(nu))
     signs = (1,) * len(ints) if signs is None else tuple(signs)
-    classes = _signed_classes(L, ints, signs)
+    classes = [(t, ss) for t in (1, -1)
+               for ss in _partition_scaled(L, [v for v, s in zip(ints, signs) if s == t]).values()]
     return tuple((s, tuple(F(v, L) for v in layer)) for s, layer in _layers(classes))
 
 

@@ -1,11 +1,11 @@
 """The integer GL classifier against the Fraction reference.
 
 ``classify_gl`` and ``classify_gl_genuine_block`` scale a block once to
-integers and run ``_classify_scaled``: a symmetry test, then
-``_classify_symmetric``, which ``classify`` calls directly on the residue
-classes of a parameter's integer form, split and tested for symmetry per
-mu-block.  It takes the chains as integer layers and lets the chain with positive center
-stand for each dual pair.  The
+integers and run the steps that ``classify`` runs on each mu-block of a
+parameter's integer form: the residue-class split (``_partition_scaled``)
+and its symmetry test (``_classes_symmetric``), per twist, then
+``_classify_symmetric``, which takes the chains as integer layers and lets
+the chain with positive center stand for each dual pair.  The
 Fraction implementation it replaced is kept here as the oracle: Fraction
 symmetry checks, chains as (twist, Fraction values) tuples, and each chain's
 mate, its negation, found in a pool.  Hypothesis checks that both give equal
@@ -17,11 +17,12 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindual.glclass import (
-    GLStatus, GLVerdict, SteinPair, TrivialString, _classify_scaled,
-    _classify_symmetric, classify_gl, classify_gl_genuine_block, comp_nu,
+    GLStatus, GLVerdict, SteinPair, TrivialString, _classes_symmetric,
+    _classify_symmetric, _partition_scaled, classify_gl, classify_gl_genuine_block,
+    comp_nu,
 )
 from spindual.halfint import fmt, fmt_vec, scaled, vec
 from spindual import spinclass
@@ -157,11 +158,30 @@ def test_classify_gl_matches_reference(signed):
 @given(signed_blocks(), st.integers(2, 6))
 def test_any_common_multiple_classifies_alike(signed, k):
     # classify passes blocks scaled by the parameter's L, a multiple of the
-    # block's least common denominator
+    # block's least common denominator: the split, its symmetry test and the
+    # classifier at k*L give the public verdict at L
     L, ints = scaled(vec(v for v, _ in signed))
-    signs = [s for _, s in signed]
-    assert _classify_scaled(k * L, [k * v for v in ints], signs) \
-        == classify_gl_genuine_block(signed)
+    want = classify_gl_genuine_block(signed)
+    splits = [_partition_scaled(k * L, [k * v for v, (_, s) in zip(ints, signed) if s == t])
+              for t in (1, -1)]
+    symmetric = all(_classes_symmetric(k * L, split) for split in splits)
+    assert symmetric == (want.status is not GLStatus.NOT_HERMITIAN)
+    if symmetric:
+        classes = [(t, ss) for t, split in zip((1, -1), splits) for ss in split.values()]
+        assert _classify_symmetric(k * L, classes) == want
+
+
+THIRDS = [(Fraction(1, 3), 1), (Fraction(-1, 3), 1), (Fraction(1, 3), -1), (Fraction(-1, 3), -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_blocks().flatmap(lambda b: st.tuples(st.just(b), st.permutations(b))))
+@example(([(0, 1), (0, -1)], [(0, -1), (0, 1)]))
+@example((THIRDS, THIRDS[2:] + THIRDS[:2]))
+def test_verdict_does_not_depend_on_entry_order(blocks):
+    # equal layers of the two twists come out +1 first, in any input order
+    signed, permuted = blocks
+    assert classify_gl_genuine_block(signed) == classify_gl_genuine_block(permuted)
 
 
 def test_classify_reaches_both_block_kinds(monkeypatch):

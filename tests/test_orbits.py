@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindual import orbits
 from spindual.orbits import (
     NotStrictCore, OrbitColumns, attach_orbit, codim_identity_holds,
-    nilcone_dim, orbit_dim, transpose,
+    nilcone_dim, orbit_dim,
 )
 from spindual.spinclass import StringPairs
 
@@ -43,15 +42,6 @@ def test_attach_orbit_requires_strict():
         attach_orbit(StringPairs("B", ((2, 0),)))
 
 
-def test_transpose():
-    assert transpose((6, 5, 1)) == (3, 2, 2, 2, 2, 1)
-    assert transpose((1,)) == (1,)
-    assert transpose(()) == ()
-    # involution on partitions
-    for cols in [(4, 3, 3, 2), (2, 1), (5,)]:
-        assert transpose(transpose(cols)) == cols
-
-
 def transpose_reference(cols):
     """The transpose counted row by row: row_i = #{c_j >= i}."""
     cols = sorted(cols, reverse=True)
@@ -70,16 +60,13 @@ def orbit_dim_reference(orbit):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-3, 40), max_size=12))
 def test_transpose_and_orbit_dim_match_the_row_count(cols):
-    # zero and negative columns add no row, in both
-    assert transpose(cols) == transpose_reference(cols)
     positive = tuple(c for c in cols if c > 0)
     orbit = OrbitColumns(positive, sum(positive))
     assert orbit_dim(orbit) == orbit_dim_reference(orbit)
 
 
-def test_orbit_dim_reads_the_columns_only(monkeypatch):
+def test_orbit_dim_reads_the_columns_only():
     # the transpose of a column of 70,000 has 70,000 rows; orbit_dim builds none
-    monkeypatch.setattr(orbits, "transpose", None)
     orbit = OrbitColumns((70000, 3, 1), 70004)
     assert orbit_dim(orbit) == orbit_dim_reference(orbit)
 
@@ -93,8 +80,6 @@ def test_column_sizes_must_be_ints():
     for bad in ((2.9, 1.1), ("2", 1), (2, True), (3.0,)):
         with pytest.raises(TypeError, match="column sizes must be ints"):
             OrbitColumns(bad, 3)
-        with pytest.raises(TypeError, match="column sizes must be ints"):
-            transpose(bad)
 
 
 def test_orbit_dim_examples():

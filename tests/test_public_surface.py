@@ -1,7 +1,13 @@
 """The public names of the package, pinned: a name is added or removed on
 purpose, with this list, not as a side effect."""
 
+import ast
+from pathlib import Path
+from types import ModuleType
+
 import spindual
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "CaseI", "CaseII", "CompParams", "DimensionError", "GLStatus", "GLVerdict",
@@ -14,10 +20,39 @@ PUBLIC_NAMES = [
     "full_staircase", "glclass", "halfint", "hermitian_dual", "hermitian_witness",
     "nilcone_dim", "normalize_to_base", "orbit_dim", "orbits", "pairs_to_param",
     "partition_nt", "peel_stein_factors", "rewriter", "rho", "spinclass", "staircase_slacks",
-    "stringpairs", "to_langlands", "transcript", "transpose", "unitarity_test", "weyl",
+    "stringpairs", "to_langlands", "transcript", "unitarity_test", "weyl",
     "witness",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(spindual.__all__) == PUBLIC_NAMES
+
+
+def _references(path: Path) -> set:
+    """The names a file reads: every Name, Attribute and ImportFrom name, and
+    every string constant that is an identifier (a patch named as a string)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # a public name must be read by the package, the benchmark, a demo or the
+    # acceptance tests: one read only by its own tests is removed
+    files = [p for p in (ROOT / "src" / "spindual").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+              ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_references, files))
+    public = [name for name in spindual.__all__
+              if not isinstance(getattr(spindual, name), ModuleType)]
+    assert [name for name in public if name not in read] == []
