@@ -106,7 +106,8 @@ class SignedEntry:
         """The entry of a Fraction and a sign +1/-1 that spindual built, which
         its caller vouches for."""
         e = object.__new__(cls)
-        e.__dict__.update(value=value, sign=sign)
+        object.__setattr__(e, "value", value)
+        object.__setattr__(e, "sign", sign)
         return e
 
     def __str__(self):
@@ -299,6 +300,18 @@ def _flip_and_pass(seq, script, top, flip):
         seq.insert(run[0], seq.pop(ti))
 
 
+def _omega(a: int, b: int, flip, low: int):
+    """The omega part of the single string (a; b): flip each positive top,
+    from the largest down to the doubled value ``low``, by the move ``flip``,
+    and pass it left over the interior run."""
+    ascending = _doubled_string(a, b)[::-1]
+    seq = [(d, 1) for d in ascending]
+    script = []
+    while tops := [d for d, s in seq if s == 1 and d >= low]:
+        _flip_and_pass(seq, script, max(tops), flip)
+    return "omega", _positive_entries(unscaled(2, ascending)), tuple(script)
+
+
 def _pass_block(m: int, count: int) -> list:
     """Pass the ``count`` entries after a block of length m left over it, one
     by one: after k passes the block occupies [k, k+m) and the next entry
@@ -312,15 +325,8 @@ def case_i_script_d(a: int, b: int):
     All predicate checks pass exactly when a <= b + 1, mirroring the failure
     of the move for steep strings.  Returns (name, start, script) parts.
     """
-    parts = []
-    # omega side: pass each flipped top left over the interior run
-    ascending = _doubled_string(a, b)[::-1]
-    seq = [(d, 1) for d in ascending]
-    script = []
-    for _ in range(max(a - 1, 0)):
-        top = max(d for d, s in seq if s == 1)
-        _flip_and_pass(seq, script, top, BarGL)
-    parts.append(("omega", _positive_entries(unscaled(2, ascending)), tuple(script)))
+    # omega side: every top but 1/2 flips
+    parts = [_omega(a, b, BarGL, 5)]
     # dual side: flip the positive tail pairwise, then one descending sort;
     # the flipped tail is what turns negative
     dual = [-d for d in _doubled_string(a, b)]
@@ -338,18 +344,12 @@ def case_i_script_d(a: int, b: int):
 def case_i_script_b(a: int, b: int):
     """Replay for family B single strings (a; b): short-root flips carry the
     tops across; strings with a > b + 1 end in an external core."""
-    ascending = _doubled_string(a, b)[::-1]
-    seq = [(d, 1) for d in ascending]
-    script = []
-    while True:
-        tops = [d for d, s in seq if s == 1 and d >= 9]
-        if not tops:
-            break
-        _flip_and_pass(seq, script, max(tops), ShortRootFlip)
+    # every top from 9/2 up flips
+    name, start, script = _omega(a, b, ShortRootFlip, 9)
     if a > b + 1:
-        script.append(Uncertified(
-            "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"))
-    return [("omega", _positive_entries(unscaled(2, ascending)), tuple(script))]
+        script += (Uncertified(
+            "core move (1/2^+, 5/2^+) -> (-5/2^-, -1/2^-): external check"),)
+    return [(name, start, script)]
 
 
 def case_ii_script_d(c: int, d: int, e: int, f: int):

@@ -251,10 +251,6 @@ class _HalfClass(_LazyTuple):
     def __str__(self):
         return fmt_ints(2, self.ints)
 
-    def __reduce__(self):
-        # copies and pickles carry the ints, not the built row
-        return _HalfClass, (self.ints,)
-
 
 class _EtaWeight(_LazyTuple):
     """eta(q) at rank n, built by :func:`eta_weight` on first read; the
@@ -274,9 +270,6 @@ class _EtaWeight(_LazyTuple):
 
     def __len__(self):
         return self.n
-
-    def __reduce__(self):
-        return _EtaWeight, (self.family, self.n, self.q)
 
 
 @dataclass(frozen=True)
@@ -366,12 +359,6 @@ def transcript(verdict: Verdict):
         yield from render(event)
 
 
-# the slots of StageEvent, written past its frozen __setattr__
-_SET_STAGE, _SET_OUTCOME, _SET_DATA, _SET_ELAPSED = (
-    StageEvent.stage.__set__, StageEvent.outcome.__set__,
-    StageEvent.data.__set__, StageEvent.elapsed_ns.__set__)
-
-
 class _Stages(_LazyTuple):
     """The stage record of one :func:`classify` call, and the chain of its
     verdict.  ``entries`` is one flat list: the start of the call, then the
@@ -390,16 +377,8 @@ class _Stages(_LazyTuple):
 
     def _build(self) -> tuple:
         e = self.entries
-        events = []
-        for i in range(0, len(e) - 1, 4):
-            # filled slot by slot: the frozen dataclass __init__ costs twice as much
-            event = object.__new__(StageEvent)
-            _SET_STAGE(event, e[i + 1])
-            _SET_OUTCOME(event, e[i + 2])
-            _SET_DATA(event, e[i + 3])
-            _SET_ELAPSED(event, e[i + 4] - e[i])
-            events.append(event)
-        return tuple(events)
+        return tuple(StageEvent(e[i + 1], e[i + 2], e[i + 3], e[i + 4] - e[i])
+                     for i in range(0, len(e) - 1, 4))
 
     def _key(self) -> tuple:
         e = self.entries
@@ -408,12 +387,14 @@ class _Stages(_LazyTuple):
     def __len__(self):
         return len(self.entries) // 4
 
-    def __reduce__(self):
-        # copies and pickles carry the entries, not the built events
-        return _Stages, (self.entries,)
-
     def verdict(self, status: Status, **fields) -> Verdict:
         return Verdict(status, chain=self, **fields)
+
+    def unitary(self, cert: UnitaryCertificate, **fields) -> Verdict:
+        """Record the certificate stage and return the Unitary verdict."""
+        self.record("certificate", "strict core" if cert.core is not None else "no core",
+                    cert.core, cert.orbit, len(cert.stein_factors), len(cert.gl_factors))
+        return self.verdict(Status.UNITARY, certificate=cert, **fields)
 
     def non_unitary(self, wit, outcome: str, **fields) -> Verdict:
         """Record the witness stage and return the NonUnitary verdict."""
@@ -437,9 +418,14 @@ def _eta_witness_full(q0: GenuineParam, start, q) -> SpinRelevantKType:
     first read, and mu is not read."""
     group = q0.group
     if start == 0:
-        return SpinRelevantKType._built(q, _EtaWeight(group.family, group.rank, q), group)
+        return _eta_on(group, q)
     pattern = eta_weight(group.family, group.rank - start, q)
     return SpinRelevantKType._built(q, q0.mu[:start] + pattern, group)
+
+
+def _eta_on(group: GroupTag, q: int) -> SpinRelevantKType:
+    """eta(q) on all of ``group``, its weight built on first read."""
+    return SpinRelevantKType._built(q, _EtaWeight(group.family, group.rank, q), group)
 
 
 def classify(p: GenuineParam) -> Verdict:
@@ -488,9 +474,7 @@ def classify(p: GenuineParam) -> Verdict:
         label = fmt(value)
         gl_factors.extend((label, f) for f in glv.factors)
     else:
-        stages.record("certificate", "no core", None, None, 0, len(gl_factors))
-        cert = UnitaryCertificate(gl_factors=tuple(gl_factors))
-        return stages.verdict(Status.UNITARY, certificate=cert)
+        return stages.unitary(UnitaryCertificate(gl_factors=tuple(gl_factors)))
     core_plus, blocks_gl = _grouped_classes(L, classes)
     for label, block in blocks_gl:
         # closed under (value, twist) negation, as the mu = 1/2 block's nu is
@@ -542,10 +526,7 @@ def _pairs_verdict(stages: _Stages, pairs: StringPairs, gl_factors: tuple,
     result = unitarity_test(pairs)
     if result:
         stages.record("staircase", "strict" if result.strict else "satisfied")
-        cert = build_certificate(pairs, gl_factors)
-        stages.record("certificate", "strict core" if cert.core is not None else "no core",
-                      cert.core, cert.orbit, len(cert.stein_factors), len(gl_factors))
-        return stages.verdict(Status.UNITARY, certificate=cert, pairs=pairs)
+        return stages.unitary(build_certificate(pairs, gl_factors), pairs=pairs)
     stages.record("staircase", "violated", result.kind, result.index)
     normal = rewriter.normalize_to_base(pairs)
     stages.record("normalize", "normalized", result.kind, result.index,
@@ -563,9 +544,8 @@ def witness(pairs: StringPairs, normal_form) -> SpinRelevantKType:
     eta(2b+2) / eta(2c+1) in family B, at the rank of the normalized group,
     which is the group the returned K-type names.
     """
-    fam, n2 = pairs.family, 2 * normal_form.final.n
-    q = _eta_index(fam, normal_form.base)
-    return SpinRelevantKType._built(q, _EtaWeight(fam, n2, q), GroupTag(fam, n2))
+    fam = pairs.family
+    return _eta_on(GroupTag(fam, 2 * normal_form.final.n), _eta_index(fam, normal_form.base))
 
 
 def _eta_index(family: str, base) -> int:

@@ -109,7 +109,8 @@ class GenuineParam:
         which its caller vouches for: L is the least common denominator of
         the values and both rows have length ``group.rank``."""
         p = object.__new__(cls)
-        p.__dict__.update(group=group, integer_form=form)
+        object.__setattr__(p, "group", group)
+        object.__setattr__(p, "integer_form", form)
         return p
 
     @cached_property

@@ -56,3 +56,15 @@ def test_every_public_name_has_a_reader():
     public = [name for name in spindual.__all__
               if not isinstance(getattr(spindual, name), ModuleType)]
     assert [name for name in public if name not in read] == []
+
+
+def test_every_private_helper_has_a_reader():
+    # a top-level _name function or class must be read by the package, the
+    # benchmark or a demo: one read only by tests is removed
+    package = list((ROOT / "src" / "spindual").glob("*.py"))
+    files = [*package, *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    read = set().union(*map(_references, files))
+    helpers = [node.name for path in package for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert [name for name in helpers if name not in read] == []

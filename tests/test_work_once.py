@@ -589,10 +589,11 @@ def test_verdict_copies_and_pickles(far_pairs, clone, read_first):
             if verdict.witness is not None:
                 verdict.witness.weight[0]
         twin = clone(verdict)
-        # an unread chain and weight are copied as their record, unread
+        # an unread chain, weight and padding are copied as their record, unread
         if not read_first:
             assert _unread(twin.chain)
             assert twin.witness is None or _unread(twin.witness.weight)
+            assert twin.normalized is None or _unread(twin.normalized.steps)
         if twin.witness is not None:
             assert len(twin.witness.weight) == twin.witness.group.rank == 1722
         assert twin == verdict and hash(twin) == hash(verdict)
